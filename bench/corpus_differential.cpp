@@ -4,8 +4,9 @@
 // builder kernels do. Three hard exit-code gates:
 //
 //   1. Evaluator agreement — for every corpus and generated kernel, the
-//      tape, walker and compiled noise backends return bit-identical
-//      noise_power on both the initial spec and a flow-optimized spec
+//      tape and compiled noise backends and the tree-walker oracle return
+//      bit-identical noise_power on both the initial spec and a
+//      flow-optimized spec
 //      (the compiled backend may degrade to the tape without a host
 //      compiler; degradation is reported, never a failure).
 //   2. Flow consistency — every registered flow runs every kernel at the
@@ -35,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "accuracy/sim_evaluator.hpp"
 #include "bench_util.hpp"
 #include "exec/compiled_evaluator.hpp"
 #include "flow/pass.hpp"
@@ -79,14 +81,14 @@ KernelGates check_evaluators(const std::string& name) {
 
     const auto tape = exec::make_noise_evaluator(context.kernel(),
                                                  SimBackend::Tape);
-    const auto walker = exec::make_noise_evaluator(context.kernel(),
-                                                   SimBackend::Walker);
+    // The walker is off the backend axis; it stays here as the oracle.
+    const WalkerEvaluator walker(context.kernel());
     const auto compiled = exec::make_noise_evaluator(context.kernel(),
                                                      SimBackend::Compiled);
     for (const FixedPointSpec& spec :
          {context.initial_spec(), optimized.spec}) {
         const uint64_t reference = bits_of(tape->noise_power(spec));
-        if (bits_of(walker->noise_power(spec)) != reference ||
+        if (bits_of(walker.noise_power(spec)) != reference ||
             bits_of(compiled->noise_power(spec)) != reference) {
             gates.evaluators_agree = false;
         }

@@ -2,12 +2,12 @@
 // simulation-backed noise measurement (measured_noise_db, benches, the
 // `--evaluator` sweep axis).
 //
-// All three backends are bit-identical by contract — the tape replay
-// matches the tree walker, and the compiled path matches the tape (see
-// DESIGN.md §12) — so the axis trades nothing but speed: Walker is the
-// original reference, Tape the interpreted fast path, Compiled the native
-// one. Compiled degrades to Tape at runtime when no host compiler is
-// usable, which keeps reports byte-identical by construction.
+// Both backends are bit-identical by contract — the compiled path matches
+// the tape (see DESIGN.md §12) — so the axis trades nothing but speed:
+// Tape is the interpreted path, Compiled the native one. Compiled degrades
+// to Tape at runtime when no host compiler is usable, which keeps reports
+// byte-identical by construction. The original tree walker is not on the
+// axis; it survives as a test oracle (WalkerEvaluator, run_*_walker).
 #pragma once
 
 #include <string>
@@ -18,14 +18,12 @@ namespace slpwlo {
 
 enum class SimBackend {
     Tape,      ///< SimTape interpretation (default)
-    Walker,    ///< recursive tree walker (differential reference)
     Compiled,  ///< emit + compile + execute (src/exec)
 };
 
 inline std::string to_string(SimBackend backend) {
     switch (backend) {
         case SimBackend::Tape: return "tape";
-        case SimBackend::Walker: return "walker";
         case SimBackend::Compiled: return "compiled";
     }
     return "tape";
@@ -33,10 +31,9 @@ inline std::string to_string(SimBackend backend) {
 
 inline SimBackend parse_sim_backend(const std::string& text) {
     if (text == "tape") return SimBackend::Tape;
-    if (text == "walker") return SimBackend::Walker;
     if (text == "compiled") return SimBackend::Compiled;
     throw Error("unknown evaluator backend `" + text +
-                "` (expected tape, walker or compiled)");
+                "` (expected compiled, tape)");
 }
 
 }  // namespace slpwlo

@@ -19,25 +19,26 @@
 //   stage_entries = 1
 //   stage_entry = <key:16 hex> <flattened StageEntry, counted fields>
 //
-// Version 2 adds the stage-memo table (optimization-stage results keyed
-// by stage_memo_key, so warm sweeps skip Tabu/SLP); each stage_entry line
+// The stage-memo table holds optimization-stage results keyed by
+// stage_memo_key, so warm sweeps skip Tabu/SLP; each stage_entry line
 // flattens one StageEntry as space-separated tokens with explicit counts:
 //
 //   <quant mode> <#formats> {<iwl> <fwl>}* <#blocks> {<block> <#groups>
 //   {<#lanes> {<lane>}*}*}* <8 slp ints> <6 scaling ints>
 //   <tabu iters> <tabu improvements> <initial cost bits:16 hex>
 //   <best cost bits:16 hex> <feasible> <group count>
+//   <solver ran> <solver nodes> <solver solves> <solver proven>
+//   <heuristic objective bits:16 hex> <best objective bits:16 hex>
+//   <gap bits:16 hex>
 //
 // Doubles are stored as their raw IEEE-754 bits, so save -> load is
 // bit-exact (including the -inf noise of an exact spec) and a round-trip
 // preserves snapshot_fingerprint identically. Entries are sorted by key:
 // a snapshot's bytes are a pure function of the cache contents.
 //
-// Versioning policy mirrors the manifest: readers reject versions they do
-// not know (this reader knows 1 to 3; a version-1 file simply has no
-// stage lines, a version-2 stage line lacks the version-3 solver-stats
-// suffix and deserializes with zeroed solver stats); any incompatible
-// change bumps `snapshot_version`.
+// Versioning policy mirrors the manifest: snapshots never outlive a run,
+// so the reader accepts exactly the version the writer emits (3) and
+// names both on a mismatch; any format change bumps `snapshot_version`.
 #pragma once
 
 #include <string>
@@ -48,11 +49,9 @@
 namespace slpwlo::dist {
 
 struct CacheSnapshot {
-    int version = 3;
     /// Entries sorted by key, each key unique.
     std::vector<std::pair<uint64_t, EvalCache::Entry>> entries;
-    /// Stage-memo entries sorted by key, each key unique (empty when the
-    /// snapshot was written by a version-1 producer).
+    /// Stage-memo entries sorted by key, each key unique.
     std::vector<std::pair<uint64_t, EvalCache::StageEntry>> stage_entries;
 };
 

@@ -15,6 +15,9 @@ namespace slpwlo::dist {
 
 namespace {
 
+/// The one manifest format version this writer emits and reader accepts.
+constexpr int kManifestVersion = 4;
+
 std::string quant_mode_kv(QuantMode mode) {
     return mode == QuantMode::Truncate ? "truncate" : "round";
 }
@@ -82,15 +85,14 @@ std::string flow_options_kv(const FlowOptions& options,
          std::to_string(options.wlo_first.tabu.stagnation_limit));
     emit("wlo_first.tabu.infeasibility_penalty",
          kv::exact_double(options.wlo_first.tabu.infeasibility_penalty));
-    // Execution-strategy fields (manifest_version >= 2): they never change
-    // a result byte, but workers must inherit the launcher's choice of
-    // noise backend and timing so an --evaluator=compiled sweep runs
-    // compiled on every shard.
+    // Execution-strategy fields: they never change a result byte, but
+    // workers must inherit the launcher's choice of noise backend and
+    // timing so an --evaluator=compiled sweep runs compiled on every shard.
     emit("evaluator", to_string(options.evaluator));
     emit_bool("measure", options.measure);
-    // Solver fields (manifest_version >= 3). Unlike evaluator/measure the
-    // optimizer axis changes outcomes, so a worker that dropped it would
-    // produce different result bytes than the launcher's local run.
+    // Solver fields. Unlike evaluator/measure the optimizer axis changes
+    // outcomes, so a worker that dropped it would produce different result
+    // bytes than the launcher's local run.
     emit("solver.optimizer", to_string(options.solver.optimizer));
     emit("solver.max_nodes", std::to_string(options.solver.budget.max_nodes));
     emit("solver.max_millis",
@@ -170,7 +172,7 @@ std::string shard_manifest_text(const ShardPlan& plan,
                  "shard plan slots/points size mismatch");
     std::ostringstream os;
     os << "# slpwlo shard manifest\n"
-       << "manifest_version = 4\n"
+       << "manifest_version = " << kManifestVersion << "\n"
        << "shard_index = " << plan.shard_index << "\n"
        << "shard_count = " << plan.shard_count << "\n"
        << "strategy = " << to_string(plan.strategy) << "\n"
@@ -430,11 +432,11 @@ ShardManifest parse_shard_manifest(const std::string& text,
             reader.fail_here("duplicate key `" + kvline.key + "`");
         }
         if (kvline.key == "manifest_version") {
-            manifest.version =
-                kv::to_int(source, kvline.line, kvline.key, kvline.value);
-            if (manifest.version < 1 || manifest.version > 4) {
+            if (kv::to_int(source, kvline.line, kvline.key, kvline.value) !=
+                kManifestVersion) {
                 reader.fail_here("unsupported manifest_version " +
-                                 kvline.value + " (this reader knows 1-4)");
+                                 kvline.value + " (this reader knows " +
+                                 std::to_string(kManifestVersion) + ")");
             }
             saw_version = true;
         } else if (kvline.key == "shard_index") {

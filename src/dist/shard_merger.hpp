@@ -22,16 +22,15 @@
 //   rows = 6
 //   row = <slot> <point fingerprint:16 hex> <micros> <measured_ns> <JSON>
 //
-// (results_version 2 added the measured per-slot wall-clock microseconds;
-// the column is for cost models and is deliberately excluded from
-// row identity, fingerprints and merged report bytes — measurements are
-// the nondeterministic fields in an otherwise bit-reproducible pipeline.
-// results_version 3 added the stage-memo counters; a version-2 file reads
-// fine with all stage counters zero. results_version 4 added the
-// measured_ns column — the compiled kernel body's per-execution wall time
-// from FlowResult::measured_ns, 0 unless the flow ran with measure on —
-// under the same exclusion discipline as micros; version-2/3 files read
-// fine with measured_ns zero.)
+// `micros` is the measured per-slot wall clock, for cost models; it is
+// deliberately excluded from row identity, fingerprints and merged
+// report bytes — measurements are the nondeterministic fields in an
+// otherwise bit-reproducible pipeline. `measured_ns` — the compiled
+// kernel body's per-execution wall time from FlowResult::measured_ns, 0
+// unless the flow ran with measure on — follows the same discipline.
+//
+// Results files never outlive a run, so the reader accepts exactly the
+// version the writer emits (4) and names both on a mismatch.
 //
 // merge_shard_results() reassembles the rows in slot order and produces
 // output byte-identical to sweep_to_json over the unsharded grid. The
@@ -43,7 +42,7 @@
 //     row bytes is a hard conflict (two shards claim to be the same work);
 //   * under the default policy even an *identical* duplicate slot is an
 //     overlap error (static plans are disjoint by construction — overlap
-//     means someone merged the wrong files). Elastic lease re-issue
+//     means someone merged the wrong files). The farm's chunk re-issue
 //     legitimately produces identical duplicates (a straggler and its
 //     replacement both finish), so that path merges with
 //     DuplicatePolicy::AllowIdentical: same fingerprint and same row
@@ -74,7 +73,6 @@ struct ShardRow {
 };
 
 struct ShardResultsFile {
-    int version = 4;
     int shard_index = 0;
     int shard_count = 1;
     size_t total_slots = 0;
@@ -98,7 +96,7 @@ ShardResultsFile load_shard_results(const std::string& path);
 enum class DuplicatePolicy {
     /// Hard error: static shard plans are disjoint, overlap is a bug.
     Error,
-    /// Keep the first row: elastic lease re-issue runs a slot twice when
+    /// Keep the first row: the farm's chunk re-issue runs a slot twice when
     /// a straggler and its replacement both finish. Differing content is
     /// still a conflict under either policy.
     AllowIdentical,

@@ -247,19 +247,11 @@ std::vector<std::vector<size_t>> chunk_grid_slots(
     SLPWLO_CHECK(points.size() == slots.size(),
                  "chunking needs one point per slot");
     SLPWLO_CHECK(!points.empty(), "cannot chunk an empty grid");
-    if (!options.measured_costs.empty()) {
-        for (const size_t slot : slots) {
-            SLPWLO_CHECK(slot < options.measured_costs.size(),
-                         "measured chunk costs need one entry per grid slot");
-        }
-    }
     std::vector<double> costs;
     costs.reserve(points.size());
     double total_cost = 0.0;
-    for (size_t i = 0; i < points.size(); ++i) {
-        costs.push_back(options.measured_costs.empty()
-                            ? estimate_point_cost(points[i])
-                            : options.measured_costs[slots[i]]);
+    for (const SweepPoint& point : points) {
+        costs.push_back(estimate_point_cost(point));
         total_cost += costs.back();
     }
     double target = options.chunk_cost;
@@ -302,7 +294,7 @@ std::vector<double> measured_slot_costs(
             SLPWLO_CHECK(row.slot < total_slots,
                          "measured costs: row slot out of range");
             const double micros = static_cast<double>(row.micros);
-            // Elastic re-issue reports a slot twice (straggler and
+            // A re-run slot may be reported twice (straggler and
             // replacement); keep the faster measurement — the straggler's
             // inflated wall-clock says nothing about the point.
             if (costs[row.slot] < 0.0 || micros < costs[row.slot]) {

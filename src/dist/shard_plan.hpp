@@ -113,9 +113,7 @@ std::vector<ShardPlan> make_shard_plans(std::vector<SweepPoint> grid,
                                         const std::vector<double>& slot_costs);
 
 /// Options for chunk_grid_slots — how a whole grid is chopped into the
-/// demand-paged units an elastic lease directory or a farm daemon hands
-/// to workers. Shared by dist::init_lease_dir and farm::JobBoard so both
-/// layers cut identical chunks from identical inputs.
+/// demand-paged units the farm daemon (farm::JobBoard) hands to workers.
 struct ChunkOptions {
     /// Target estimated cost per chunk (estimate_point_cost units);
     /// <= 0 auto-sizes to total_cost / 16 — roughly four chunks in
@@ -123,16 +121,12 @@ struct ChunkOptions {
     double chunk_cost = 0.0;
     /// Hard cap on slots per chunk; 0 = uncapped.
     size_t max_chunk_slots = 0;
-    /// Measured per-slot costs replacing the estimate_point_cost
-    /// heuristic, one entry per *grid* slot (indexed by slot id, not by
-    /// position in `slots`). Empty = use the heuristic. Costs shape only
-    /// chunk boundaries, never results.
-    std::vector<double> measured_costs;
 };
 
 /// Chop `slots` (ascending grid slots; points[i] is the point at
 /// slots[i]) into cost-balanced chunks: greedy, in slot order, cut when
-/// the accumulated per-point cost reaches the target. A pure function of
+/// the accumulated estimate_point_cost reaches the target. Costs shape
+/// only chunk boundaries, never results. A pure function of
 /// its inputs — the same grid and options always produce the same chunks
 /// on every machine.
 std::vector<std::vector<size_t>> chunk_grid_slots(
@@ -142,8 +136,8 @@ std::vector<std::vector<size_t>> chunk_grid_slots(
 struct ShardResultsFile;
 
 /// Per-slot costs measured by a previous run of the same grid: the
-/// minimum `micros` reported for each slot across `files` (elastic
-/// re-issue legitimately reports a slot twice; the straggler's inflated
+/// minimum `micros` reported for each slot across `files` (a re-run
+/// slot may be reported twice; the straggler's inflated
 /// wall-clock must not poison the plan). Slots no file reported get the
 /// mean of the measured ones (1.0 when nothing was measured), and every
 /// cost is floored at one microsecond so a degenerate measurement cannot

@@ -117,8 +117,6 @@ std::unique_ptr<AccuracyEvaluator> make_noise_evaluator(const Kernel& kernel,
                                                         int runs,
                                                         uint64_t seed) {
     switch (backend) {
-        case SimBackend::Walker:
-            return std::make_unique<WalkerEvaluator>(kernel, runs, seed);
         case SimBackend::Compiled:
             return std::make_unique<CompiledEvaluator>(kernel, runs, seed);
         case SimBackend::Tape:

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -21,8 +20,7 @@ namespace {
 std::atomic<long long> g_hits{0};
 std::atomic<long long> g_builds{0};
 std::atomic<uint64_t> g_tmp_seq{0};
-std::mutex g_mutex;
-std::string g_default_dir;  // guarded by g_mutex
+std::mutex g_mutex;  // one builder per process
 
 uint64_t mix(uint64_t h, uint64_t value) {
     // FNV-1a over the value's bytes, matching the dist-layer fingerprints.
@@ -84,14 +82,7 @@ std::string jit_cache_directory() {
         env != nullptr && env[0] != '\0') {
         return env;
     }
-    std::lock_guard<std::mutex> lock(g_mutex);
-    if (!g_default_dir.empty()) return g_default_dir;
     return (fs::temp_directory_path() / "slpwlo-jit").string();
-}
-
-void set_jit_cache_directory(const std::string& dir) {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    g_default_dir = dir;
 }
 
 std::string jit_obtain(const JitKey& key, const std::string& c_source,
@@ -165,24 +156,6 @@ std::string jit_obtain(const JitKey& key, const std::string& c_source,
     fs::remove(tmp_c, ec);
     g_builds.fetch_add(1);
     return so_path.string();
-}
-
-int jit_cleanup_stale(const std::string& dir, long long age_ms) {
-    std::error_code ec;
-    fs::directory_iterator it(dir, ec);
-    if (ec) return 0;
-    const auto now = fs::file_time_type::clock::now();
-    const auto age = std::chrono::milliseconds(age_ms);
-    int removed = 0;
-    for (const auto& entry : it) {
-        const std::string name = entry.path().filename().string();
-        if (name.find(".tmp.") == std::string::npos) continue;
-        const auto mtime = fs::last_write_time(entry.path(), ec);
-        if (ec) continue;
-        if (now - mtime < age) continue;
-        if (fs::remove(entry.path(), ec) && !ec) removed++;
-    }
-    return removed;
 }
 
 }  // namespace slpwlo::exec

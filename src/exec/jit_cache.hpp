@@ -11,14 +11,12 @@
 //
 // Publishing follows the repo-wide tmp+rename discipline, with the builder
 // pid and a process-local sequence number in the temp name so concurrent
-// builders never collide — and so temp files orphaned by a SIGKILLed
-// worker are identifiable: jit_cleanup_stale() removes `.tmp.` entries
-// older than a TTL (the lease coordinator runs it over the farm's jit
-// directory alongside its own stale-claim sweep).
+// builders never collide and readers never see a partial object. A
+// builder killed mid-compile can only leave a `.tmp.`-marked file behind,
+// which no lookup ever matches.
 //
-// The directory resolves to `$SLPWLO_JIT_DIR` if set, else the process
-// default installed by set_jit_cache_directory() (the lease WorkSource
-// points it at `<lease_dir>/jit`), else `<system temp>/slpwlo-jit`.
+// The directory resolves to `$SLPWLO_JIT_DIR` if set, else
+// `<system temp>/slpwlo-jit`.
 #pragma once
 
 #include <cstdint>
@@ -51,19 +49,10 @@ void reset_jit_cache_stats();
 /// The active cache directory (created on demand by jit_obtain).
 std::string jit_cache_directory();
 
-/// Install the process-default directory (overridden by $SLPWLO_JIT_DIR).
-/// Empty string restores the system-temp default.
-void set_jit_cache_directory(const std::string& dir);
-
 /// Path to the ready shared object for `key`, compiling `c_source` with the
 /// host toolchain when it is not cached yet. Returns an empty string on
 /// failure (no toolchain, compile error) with diagnostics in `error`.
 std::string jit_obtain(const JitKey& key, const std::string& c_source,
                        std::string* error = nullptr);
-
-/// Remove `.tmp.` droppings older than `age_ms` from `dir` (orphans of
-/// SIGKILLed builders). Returns the number of entries removed; a missing
-/// directory is not an error (returns 0).
-int jit_cleanup_stale(const std::string& dir, long long age_ms);
 
 }  // namespace slpwlo::exec

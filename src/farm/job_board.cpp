@@ -134,16 +134,14 @@ const std::string& JobBoard::manifest_text(size_t job) const {
 }
 
 JobBoard::Acquired JobBoard::acquire(const std::string& worker, size_t job_id,
-                                     size_t max_slots, long long now_ms) {
+                                     long long now_ms) {
     heartbeat(worker, now_ms);
     Job& job = job_at(job_id);
     Acquired out;
     if (job.finalized) return out;  // empty, wait = false: move on
 
     // Claim the first pending chunk, whole: one chunk per lease, never
-    // split — the pre-cut chunk is the natural granularity WorkSource
-    // lets a source round a positive max_slots up to.
-    (void)max_slots;
+    // split.
     for (size_t index = 0; index < job.chunks.size(); ++index) {
         Chunk& chunk = job.chunks[index];
         if (chunk.state != Chunk::State::Pending) continue;

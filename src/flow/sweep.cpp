@@ -281,7 +281,7 @@ std::string cache_stats_to_json(const SweepCacheStats& stats) {
        << ",\"stage_entries\":" << stats.stage_entries
        << ",\"contexts\":" << stats.contexts;
     // JIT traffic appears only when the compiled backend actually ran, so
-    // tape/walker sweeps keep their historical report bytes.
+    // tape sweeps keep their historical report bytes.
     if (stats.jit_hits != 0 || stats.jit_builds != 0) {
         os << ",\"jit_hits\":" << stats.jit_hits
            << ",\"jit_builds\":" << stats.jit_builds;

@@ -69,9 +69,9 @@ struct SweepPoint {
 };
 
 /// Execution options shared by every sweep entry point — the in-process
-/// SweepDriver, the sharded worker (dist::run_shard) and the elastic
-/// lease worker (dist::LeaseWorkSource) all consume this one struct, so
-/// a thread count or cache bound means the same thing on every path.
+/// SweepDriver, the sharded worker (dist::run_shard) and the farm worker
+/// (farm::run_farm_worker) all consume this one struct, so a thread
+/// count or cache bound means the same thing on every path.
 struct ExecOptions {
     /// Worker threads; <= 0 picks the hardware concurrency.
     int threads = 0;
@@ -138,7 +138,7 @@ public:
     /// Throws if any point failed; the first failure is rethrown. This is
     /// a thin wrapper: the points become a VectorSource drained by a
     /// SweepService (flow/work_source.hpp) — the same execution path the
-    /// sharded and elastic sweeps use.
+    /// sharded and farm sweeps use.
     std::vector<SweepResult> run(const std::vector<SweepPoint>& points);
 
     /// The execution primitive behind run() and SweepService::drain():

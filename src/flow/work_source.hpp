@@ -17,12 +17,14 @@
 // the work was chopped into leases (the driver's slot-ordered determinism
 // guarantee). Sources differ only in where work lives:
 //
-//   VectorSource          a point vector in this process (SweepDriver::run
-//                         is now a thin wrapper over it);
-//   dist::PlanSource      a static shard plan / manifest (run_shard);
-//   dist::LeaseWorkSource a shared lease directory handing slot ranges to
-//                         worker processes on demand (elastic sweeps with
-//                         expiry and re-issue; dist/lease_coordinator.hpp).
+//   VectorSource           a point vector in this process (SweepDriver::run
+//                          is now a thin wrapper over it);
+//   dist::PlanSource       a static shard plan / manifest (run_shard) —
+//                          the offline path;
+//   farm::SocketWorkSource one job of a farm daemon, handing chunks to
+//                          worker processes on demand (elastic sweeps with
+//                          heartbeat expiry and re-issue;
+//                          farm/farm_client.hpp) — the online path.
 //
 // A source is consumed by one service at a time (methods are not
 // thread-safe); concurrency across *workers* comes from several processes
@@ -39,8 +41,8 @@
 namespace slpwlo {
 
 /// One unit of acquired work: parallel slot/point arrays, slots ascending.
-/// `id` identifies the lease to its source (a chunk index for lease
-/// directories; sources that never re-issue may leave it 0).
+/// `id` identifies the lease to its source (the daemon's lease id for
+/// farm chunks; sources that never re-issue may leave it 0).
 struct Lease {
     uint64_t id = 0;
     std::vector<size_t> slots;       ///< grid slots, ascending
@@ -70,8 +72,8 @@ public:
     virtual size_t total_slots() const = 0;
 
     /// Acquire up to `max_slots` slots of work (0 = no bound; sources
-    /// with a natural granularity, e.g. pre-chopped lease chunks, may
-    /// round a positive bound up to it). Empty lease <=> drained.
+    /// with a natural granularity, e.g. the farm daemon's pre-cut chunks,
+    /// may round a positive bound up to it). Empty lease <=> drained.
     virtual Lease acquire(size_t max_slots) = 0;
 
     /// Report a lease finished; `rows[i]` corresponds to

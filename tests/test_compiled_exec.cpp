@@ -14,7 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 
 #include "accuracy/sim_backend.hpp"
 #include "accuracy/sim_evaluator.hpp"
@@ -43,27 +43,52 @@ uint64_t bits_of(double v) {
     return b;
 }
 
+/// Points $SLPWLO_JIT_DIR (which exec::jit_cache_directory() reads
+/// first) at `dir` for this object's lifetime, then restores the caller's
+/// value.
+class ScopedJitDirEnv {
+public:
+    explicit ScopedJitDirEnv(const std::string& dir) {
+        if (const char* old = std::getenv("SLPWLO_JIT_DIR")) previous_ = old;
+        ::setenv("SLPWLO_JIT_DIR", dir.c_str(), 1);
+    }
+    ~ScopedJitDirEnv() {
+        if (previous_) {
+            ::setenv("SLPWLO_JIT_DIR", previous_->c_str(), 1);
+        } else {
+            ::unsetenv("SLPWLO_JIT_DIR");
+        }
+    }
+    ScopedJitDirEnv(const ScopedJitDirEnv&) = delete;
+    ScopedJitDirEnv& operator=(const ScopedJitDirEnv&) = delete;
+
+private:
+    std::optional<std::string> previous_;
+};
+
 /// Scoped jit-cache directory so cache-counter tests are deterministic and
 /// the suite never litters the shared default directory.
 class TempJitDir {
 public:
-    TempJitDir() {
-        path_ = (fs::temp_directory_path() /
-                 ("slpwlo-jit-test-" + std::to_string(::getpid()) + "-" +
-                  std::to_string(counter_++)))
-                    .string();
-        exec::set_jit_cache_directory(path_);
-    }
+    TempJitDir() : path_(fresh_path()), env_(path_) {}
     ~TempJitDir() {
-        exec::set_jit_cache_directory("");
         std::error_code ec;
         fs::remove_all(path_, ec);
     }
+    TempJitDir(const TempJitDir&) = delete;
+    TempJitDir& operator=(const TempJitDir&) = delete;
     const std::string& path() const { return path_; }
 
 private:
+    static std::string fresh_path() {
+        return (fs::temp_directory_path() /
+                ("slpwlo-jit-test-" + std::to_string(::getpid()) + "-" +
+                 std::to_string(counter_++)))
+            .string();
+    }
     static inline int counter_ = 0;
     std::string path_;
+    ScopedJitDirEnv env_;
 };
 
 bool toolchain_usable() { return exec::host_toolchain().usable; }
@@ -241,29 +266,10 @@ TEST(CompiledExec, JitCacheHitsAndRebuildsOnFingerprintChange) {
     EXPECT_EQ(stats.builds, 3);
 }
 
-TEST(CompiledExec, StaleTempFilesAreSweptByAgeOnly) {
-    TempJitDir jit_dir;
-    fs::create_directories(jit_dir.path());
-    const fs::path stale = fs::path(jit_dir.path()) / "dead.so.tmp.999.0";
-    const fs::path fresh = fs::path(jit_dir.path()) / "live.so.tmp.1000.0";
-    const fs::path object = fs::path(jit_dir.path()) / "0123456789abcdef.so";
-    for (const fs::path& p : {stale, fresh, object}) {
-        std::ofstream(p) << "x";
-    }
-    fs::last_write_time(stale, fs::file_time_type::clock::now() -
-                                   std::chrono::hours(1));
-
-    EXPECT_EQ(exec::jit_cleanup_stale(jit_dir.path(), 60000), 1);
-    EXPECT_FALSE(fs::exists(stale));
-    EXPECT_TRUE(fs::exists(fresh));   // young temp: a build may be running
-    EXPECT_TRUE(fs::exists(object));  // published objects are never swept
-    EXPECT_EQ(exec::jit_cleanup_stale("/nonexistent-dir", 1), 0);
-}
-
 TEST(CompiledExec, EvaluatorDegradesToTapeWhenBuildFails) {
     // An unusable cache directory makes every build fail, which must leave
     // the evaluator bit-identical to the tape backend instead of throwing.
-    exec::set_jit_cache_directory("/dev/null/unwritable");
+    const ScopedJitDirEnv unwritable("/dev/null/unwritable");
     const Kernel& kernel = ::slpwlo::testing::small_fir();
     const exec::CompiledEvaluator compiled_eval(kernel);
     const SimulationEvaluator sim_eval(kernel);
@@ -271,7 +277,6 @@ TEST(CompiledExec, EvaluatorDegradesToTapeWhenBuildFails) {
     EXPECT_EQ(bits_of(compiled_eval.noise_power(spec)),
               bits_of(sim_eval.noise_power(spec)));
     EXPECT_TRUE(compiled_eval.degraded());
-    exec::set_jit_cache_directory("");
 }
 
 TEST(CompiledExec, DegenerateFormatsDegradeToTapeBitIdentically) {
@@ -361,15 +366,21 @@ TEST(CompiledExec, FlowMeasureRunsConfiguredEvaluator) {
 TEST(CompiledExec, FactoryCoversAllBackends) {
     const Kernel& kernel = ::slpwlo::testing::small_fir();
     EXPECT_NE(exec::make_noise_evaluator(kernel, SimBackend::Tape), nullptr);
-    EXPECT_NE(exec::make_noise_evaluator(kernel, SimBackend::Walker),
-              nullptr);
     EXPECT_NE(exec::make_noise_evaluator(kernel, SimBackend::Compiled),
               nullptr);
     EXPECT_EQ(parse_sim_backend("tape"), SimBackend::Tape);
-    EXPECT_EQ(parse_sim_backend("walker"), SimBackend::Walker);
     EXPECT_EQ(parse_sim_backend("compiled"), SimBackend::Compiled);
     EXPECT_EQ(to_string(SimBackend::Compiled), "compiled");
     EXPECT_THROW(parse_sim_backend("native"), Error);
+    // The tree walker is a test oracle, not a user-facing backend.
+    try {
+        parse_sim_backend("walker");
+        ADD_FAILURE() << "`walker` must not parse as a backend";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("expected compiled, tape"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 }  // namespace

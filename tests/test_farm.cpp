@@ -1,7 +1,8 @@
 // FarmService: wire framing edge cases, the JobBoard state machine at
 // ttl 0 (explicit clocks, no sleeps), incremental-re-sweep splicing, and
 // socket end-to-end runs whose reports must be byte-identical to the
-// 1-process sweep — including with a worker that dies mid-`complete`.
+// 1-process sweep — at 1 and 4 workers, and with a worker that dies
+// mid-`complete`.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -10,6 +11,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -191,12 +193,12 @@ TEST(FarmJobBoard, ChunkLifecycleToFinalizedReport) {
     std::vector<std::pair<uint64_t, std::vector<size_t>>> leases;
     for (int i = 0; i < 4; ++i) {
         const JobBoard::Acquired got =
-            board.acquire(i % 2 == 0 ? "w1" : "w2", job, 0, 10);
+            board.acquire(i % 2 == 0 ? "w1" : "w2", job, 10);
         ASSERT_FALSE(got.slots.empty());
         leases.push_back({got.lease, got.slots});
     }
     // Pool empty but unfinished: an idle worker should wait, not leave.
-    const JobBoard::Acquired empty = board.acquire("w3", job, 0, 11);
+    const JobBoard::Acquired empty = board.acquire("w3", job, 11);
     EXPECT_TRUE(empty.slots.empty());
     EXPECT_TRUE(empty.wait);
 
@@ -219,7 +221,7 @@ TEST(FarmJobBoard, ChunkLifecycleToFinalizedReport) {
                   std::string::npos);
     }
     // After finalize: acquire returns empty with wait=false — move on.
-    const JobBoard::Acquired done = board.acquire("w1", job, 0, 30);
+    const JobBoard::Acquired done = board.acquire("w1", job, 30);
     EXPECT_TRUE(done.slots.empty());
     EXPECT_FALSE(done.wait);
 }
@@ -234,13 +236,13 @@ TEST(FarmJobBoard, TtlZeroExpiryReissuesAndAcceptsStragglers) {
     chunking.chunk_cost = 1e18;  // a single chunk covering the grid
     const size_t job = board.submit(text, chunking, "", 0);
 
-    const JobBoard::Acquired first = board.acquire("slow", job, 0, 1);
+    const JobBoard::Acquired first = board.acquire("slow", job, 1);
     ASSERT_FALSE(first.slots.empty());
     EXPECT_EQ(board.expire(1), 1u) << "ttl 0 expires the claim immediately";
     EXPECT_EQ(board.reissues(), 1u);
 
     // The replacement claims the same chunk under a fresh lease.
-    const JobBoard::Acquired second = board.acquire("fast", job, 0, 2);
+    const JobBoard::Acquired second = board.acquire("fast", job, 2);
     ASSERT_EQ(second.slots, first.slots);
     EXPECT_NE(second.lease, first.lease);
 
@@ -266,7 +268,7 @@ TEST(FarmJobBoard, CompletionIsAtomic) {
     chunking.chunk_cost = 1e18;  // cost never cuts...
     chunking.max_chunk_slots = 2;  // ...so the slot cap rules: 2x2
     const size_t job = board.submit(text, chunking, "", 0);
-    const JobBoard::Acquired got = board.acquire("w1", job, 0, 1);
+    const JobBoard::Acquired got = board.acquire("w1", job, 1);
     ASSERT_EQ(got.slots.size(), 2u);
 
     // Rows that do not cover the lease's slots exactly: rejected, and
@@ -293,13 +295,13 @@ TEST(FarmJobBoard, AbandonReturnsChunksToThePool) {
     ChunkOptions chunking;
     chunking.chunk_cost = 1e18;  // one chunk for the whole grid
     const size_t job = board.submit(text, chunking, "", 0);
-    const JobBoard::Acquired got = board.acquire("w1", job, 0, 1);
+    const JobBoard::Acquired got = board.acquire("w1", job, 1);
     ASSERT_FALSE(got.slots.empty());
     board.abandon(job, got.lease);
-    const JobBoard::Acquired again = board.acquire("w2", job, 0, 2);
+    const JobBoard::Acquired again = board.acquire("w2", job, 2);
     EXPECT_EQ(again.slots, got.slots);
     board.abandon(job, got.lease);  // stale: ignored, w2 keeps its claim
-    const JobBoard::Acquired blocked = board.acquire("w3", job, 0, 3);
+    const JobBoard::Acquired blocked = board.acquire("w3", job, 3);
     EXPECT_TRUE(blocked.slots.empty());
     EXPECT_TRUE(blocked.wait);
 }
@@ -313,7 +315,7 @@ TEST(FarmJobBoard, SubmitWithSpliceRowsFinalizesUnchangedGrids) {
     ChunkOptions chunking;
     chunking.chunk_cost = 1e18;  // one chunk for the whole grid
     const size_t first = board.submit(text, chunking, "", 0);
-    const JobBoard::Acquired got = board.acquire("w1", first, 0, 1);
+    const JobBoard::Acquired got = board.acquire("w1", first, 1);
     board.complete("w1", first, got.lease,
                    synthetic_rows(manifest, got.slots), 2);
     const std::string rows = board.rows_text(first);
@@ -325,7 +327,7 @@ TEST(FarmJobBoard, SubmitWithSpliceRowsFinalizesUnchangedGrids) {
     EXPECT_EQ(board.splice_count(second), manifest.total_slots);
     EXPECT_EQ(board.report(second), board.report(first))
         << "a fully-spliced job reproduces the original report bytes";
-    const JobBoard::Acquired none = board.acquire("w1", second, 0, 11);
+    const JobBoard::Acquired none = board.acquire("w1", second, 11);
     EXPECT_TRUE(none.slots.empty());
     EXPECT_FALSE(none.wait);
 }
@@ -341,7 +343,7 @@ TEST(FarmJobBoard, StatusJsonTracksLiveState) {
     ChunkOptions chunking;
     chunking.chunk_cost = 1e18;  // one chunk for the whole grid
     const size_t job = board.submit(text, chunking, "", 0);
-    const JobBoard::Acquired got = board.acquire("wo\"rker", job, 0, 1);
+    const JobBoard::Acquired got = board.acquire("wo\"rker", job, 1);
 
     std::string status = board.status_json(5);
     EXPECT_NE(status.find("\"drained\": false"), std::string::npos);
@@ -467,9 +469,13 @@ protected:
     std::thread thread_;
 };
 
-TEST_F(FarmE2E, FarmSweepIsByteIdenticalToSingleProcess) {
+/// The same farm sweep at several worker counts.
+class FarmE2EWorkers : public FarmE2E,
+                       public ::testing::WithParamInterface<size_t> {};
+
+TEST_P(FarmE2EWorkers, FarmSweepIsByteIdenticalToSingleProcess) {
     const std::vector<SweepPoint> grid = SweepDriver::grid(
-        {"FIR"}, {"XENTIUM"}, {"WLO-SLP"}, {-20.0, -30.0});
+        {"FIR"}, {"XENTIUM"}, {"WLO-SLP"}, {-20.0, -30.0, -40.0, -50.0});
     SweepOptions options;
     options.threads = 1;
     SweepDriver reference(options);
@@ -478,23 +484,23 @@ TEST_F(FarmE2E, FarmSweepIsByteIdenticalToSingleProcess) {
     start(/*ttl_ms=*/10000);
     const size_t job = submit_over_wire(whole_grid_manifest(grid), 1);
 
-    // Two workers race for the two single-slot chunks.
+    // The workers race for the single-slot chunks.
+    const size_t worker_count = GetParam();
     std::vector<std::thread> workers;
-    std::vector<size_t> ran(2, 0);
-    for (int w = 0; w < 2; ++w) {
+    std::vector<size_t> ran(worker_count, 0);
+    for (size_t w = 0; w < worker_count; ++w) {
         workers.emplace_back([this, w, &ran] {
             FarmWorkerOptions options;
             options.worker = "worker" + std::to_string(w);
             options.heartbeat_ms = 50;
             options.poll_ms = 20;
             options.exec.threads = 1;
-            ran[static_cast<size_t>(w)] =
-                run_farm_worker("127.0.0.1", server_->port(), options);
+            ran[w] = run_farm_worker("127.0.0.1", server_->port(), options);
         });
     }
     for (std::thread& t : workers) t.join();
 
-    EXPECT_EQ(ran[0] + ran[1], grid.size())
+    EXPECT_EQ(std::accumulate(ran.begin(), ran.end(), size_t{0}), grid.size())
         << "the workers together executed the whole grid";
     EXPECT_TRUE(server_->board().job_finalized(job));
     EXPECT_EQ(fetch_report(job), reference_json)
@@ -509,6 +515,9 @@ TEST_F(FarmE2E, FarmSweepIsByteIdenticalToSingleProcess) {
     EXPECT_NE(body.find("\"protocol\": \"slpwlo-farm/1\""),
               std::string::npos);
 }
+
+INSTANTIATE_TEST_SUITE_P(WorkerCounts, FarmE2EWorkers,
+                         ::testing::Values(size_t{1}, size_t{4}));
 
 TEST_F(FarmE2E, WorkerKilledMidCompleteDeliversNothing) {
     const std::vector<SweepPoint> grid =

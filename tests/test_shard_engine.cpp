@@ -29,6 +29,23 @@ std::vector<SweepPoint> small_grid() {
                              {"WLO-SLP", "Float"}, {-20.0, -35.0, -50.0});
 }
 
+/// `parse` must throw an Error naming both the version it found and the
+/// one version the reader accepts.
+template <typename Parse>
+void expect_version_rejected(Parse parse, const std::string& found,
+                             const std::string& accepted) {
+    try {
+        parse();
+        ADD_FAILURE() << "version " << found << " was accepted";
+    } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("_version " + found + " "), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("knows " + accepted + ")"), std::string::npos)
+            << what;
+    }
+}
+
 // --- shard planning ------------------------------------------------------------
 
 TEST(ShardPlan, PartitionIsDisjointAndComplete) {
@@ -160,7 +177,6 @@ TEST(ShardManifest, RoundTripsExactly) {
         const ShardManifest manifest =
             parse_shard_manifest(text, "<round-trip>");
 
-        EXPECT_EQ(manifest.version, 4);
         EXPECT_EQ(manifest.shard_index, plan.shard_index);
         EXPECT_EQ(manifest.shard_count, plan.shard_count);
         EXPECT_EQ(manifest.strategy, plan.strategy);
@@ -251,23 +267,15 @@ TEST(ShardManifest, RejectsMalformedInput) {
     const std::string good = shard_manifest_text(plans[0]);
     EXPECT_NO_THROW(parse_shard_manifest(good));
 
-    // Unsupported version (the versioning policy: readers reject what
-    // they do not know — v1 to v4 parse, v5 does not exist yet).
-    {
+    // The reader accepts only the version the writer emits (4): older
+    // and newer headers are rejected, naming both versions.
+    for (const char* version : {"1", "3", "5"}) {
         std::string text = good;
         const size_t pos = text.find("manifest_version = 4");
         ASSERT_NE(pos, std::string::npos);
-        text.replace(pos, 20, "manifest_version = 5");
-        EXPECT_THROW(parse_shard_manifest(text), Error);
-    }
-    // A version-1 header still parses (pre-evaluator manifests remain
-    // readable).
-    {
-        std::string text = good;
-        const size_t pos = text.find("manifest_version = 4");
-        ASSERT_NE(pos, std::string::npos);
-        text.replace(pos, 20, "manifest_version = 1");
-        EXPECT_NO_THROW(parse_shard_manifest(text));
+        text.replace(pos, 20, std::string("manifest_version = ") + version);
+        expect_version_rejected([&] { parse_shard_manifest(text); }, version,
+                                "4");
     }
     // Unterminated point block.
     {
@@ -468,41 +476,39 @@ TEST(CacheSnapshot, RejectsMalformedInput) {
     EXPECT_THROW(parse_cache_snapshot("entries = 0\n"), Error);  // no version
     EXPECT_THROW(parse_cache_snapshot("snapshot_version = 9\n"), Error);
     EXPECT_THROW(
-        parse_cache_snapshot("snapshot_version = 1\nentries = 2\n"), Error);
-    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 1\n"
+        parse_cache_snapshot("snapshot_version = 3\nentries = 2\n"), Error);
+    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 3\n"
                                       "entry = zzz 1 2 0000000000000000\n"),
                  Error);
     // Duplicate header keys must not silently last-win.
     EXPECT_THROW(
-        parse_cache_snapshot("snapshot_version = 1\nsnapshot_version = 1\n"),
+        parse_cache_snapshot("snapshot_version = 3\nsnapshot_version = 3\n"),
         Error);
-    // A version-1 file (no stage lines) still reads; one that smuggles
-    // stage entries in does not.
-    EXPECT_NO_THROW(parse_cache_snapshot(
-        "snapshot_version = 1\n"
-        "entry = 0000000000000001 1 2 0000000000000000\n"));
-    EXPECT_THROW(parse_cache_snapshot(
-                     "snapshot_version = 1\n"
-                     "stage_entry = 0000000000000001 0 0 0 0 0 0 0 0 0 0 0 "
-                     "0 0 0 0 0 0 0 0 0000000000000000 0000000000000000 "
-                     "0 0\n"),
-                 Error);
-    // Truncated or trailing stage_entry token streams are rejected.
-    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 2\n"
-                                      "stage_entry = 0000000000000001 0 1\n"),
-                 Error);
-    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 2\n"
-                                      "stage_entries = 3\n"),
-                 Error);
-    // A version-2 header cannot smuggle the version-3 solver suffix: the
-    // writer's own v3 stage lines have trailing fields under a v2 reader.
+    // Only the version the writer emits (3) reads: a well-formed
+    // version-1 file (no stage lines) and the writer's own bytes under a
+    // version-2 header are both rejected, naming both versions.
+    expect_version_rejected(
+        [] {
+            parse_cache_snapshot(
+                "snapshot_version = 1\n"
+                "entry = 0000000000000001 1 2 0000000000000000\n");
+        },
+        "1", "3");
     {
         std::string text = good;
         const size_t pos = text.find("snapshot_version = 3");
         ASSERT_NE(pos, std::string::npos);
         text.replace(pos, 20, "snapshot_version = 2");
-        EXPECT_THROW(parse_cache_snapshot(text), Error);
+        expect_version_rejected([&] { parse_cache_snapshot(text); }, "2",
+                                "3");
     }
+    // Truncated or trailing stage_entry token streams are rejected.
+    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 3\n"
+                                      "stage_entry = 0000000000000001 0 1\n"),
+                 Error);
+    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 3\n"
+                                      "stage_entries = 3\n"),
+                 Error);
 }
 
 TEST(CacheSnapshot, StageEntriesMergeAndDetectConflicts) {
@@ -641,6 +647,22 @@ TEST(ShardMerger, ResultsFileRoundTrips) {
     // silently last-win its way past the merge checks.
     const std::string text = shard_results_text(file);
     EXPECT_THROW(parse_shard_results(text + text, "<concat>"), Error);
+
+    // Only the version the writer emits (4) reads: a well-formed
+    // version-3 file (three leading row columns, no measured_ns) is
+    // rejected, naming both versions.
+    expect_version_rejected(
+        [] {
+            parse_shard_results("results_version = 3\n"
+                                "shard_index = 0\n"
+                                "shard_count = 1\n"
+                                "total_slots = 1\n"
+                                "grid_fingerprint = 0000000000000001\n"
+                                "rows = 1\n"
+                                "row = 0 000000000000000a 12 {\"x\":1}\n",
+                                "<v3>");
+        },
+        "3", "4");
 }
 
 // --- end to end (in-process) ---------------------------------------------------
