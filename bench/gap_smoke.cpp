@@ -10,7 +10,10 @@
 //      WLO-Optimal's cost objective <= the Tabu cost (bit-equal seeds),
 //      SLP-Optimal's pack benefit >= the greedy benefit, gap >= 0. At
 //      the acceptance constraint (-30 dB) every solve must also *prove*
-//      optimality within the default node budget.
+//      optimality within the default node budget. Per-point node counts
+//      land in the JSON report, where CI caps CONV's SLP-Optimal solve
+//      at 20k nodes (it takes ~2.5k), so a bound that stops seeing the
+//      exclusion graph fails the build.
 //   2. Oracle — on a two-tap kernel small enough to enumerate (2^nodes
 //      specs over two supported WLs), the proven-optimal WLO answer must
 //      match the exhaustive minimum exactly.
@@ -295,8 +298,9 @@ int main(int argc, char** argv) {
         "exact flows must only improve on the paper's heuristics");
 
     // Smoke covers the acceptance constraint alone; the full run widens
-    // the constraint axis (the exact leg stays in seconds — CONV's
-    // ~5.6M-node pack selection is the ceiling).
+    // the constraint axis (the exact leg stays well under a second of
+    // solver time — CONV's ~2.5k-node pack selection is the ceiling,
+    // and CI fails it above 20k nodes).
     const std::vector<double> constraints =
         options.smoke ? std::vector<double>{kAcceptanceDb}
                       : std::vector<double>{-20.0, kAcceptanceDb, -45.0};

@@ -30,9 +30,29 @@ std::vector<std::vector<double>> initial_memory(const Kernel& kernel,
     return mem;
 }
 
+/// Dynamic op instances one walk of `region` visits: loop bounds are
+/// constants, so the step count is closed-form and the tape is sized
+/// once instead of growing by doubling (FIR's tape is ~6 MB).
+size_t dynamic_op_count(const Kernel& kernel, const Region& region) {
+    size_t count = 0;
+    for (const RegionItem& item : region.items) {
+        if (item.kind == RegionItem::Kind::Block) {
+            count += kernel.block(item.block).ops.size();
+        } else {
+            const Loop& loop = kernel.loop(item.loop);
+            if (loop.end > loop.begin) {
+                count += static_cast<size_t>(loop.end - loop.begin) *
+                         dynamic_op_count(kernel, loop.body);
+            }
+        }
+    }
+    return count;
+}
+
 }  // namespace
 
 SimTape::SimTape(const Kernel& kernel) : kernel_(&kernel) {
+    steps_.reserve(dynamic_op_count(kernel, kernel.body()));
     walk_kernel(kernel, [&](OpId op_id, const std::vector<int>& loop_values) {
         const Op& op = kernel.op(op_id);
         TapeStep step;

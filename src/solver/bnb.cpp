@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 
 namespace slpwlo::solver {
 
@@ -33,6 +34,12 @@ public:
                 SLPWLO_CHECK(coeff >= 0.0,
                              "bnb constraint coefficients must be "
                              "non-negative");
+                // available() tests each term against the slack on its
+                // own, so a repeated variable would slip past its sum.
+                SLPWLO_CHECK(terms_of_var_[var].empty() ||
+                                 static_cast<size_t>(
+                                     terms_of_var_[var].back().first) != c,
+                             "bnb constraint names a variable twice");
                 terms_of_var_[var].emplace_back(c, coeff);
             }
         }
@@ -46,6 +53,7 @@ public:
         std::stable_sort(order_.begin(), order_.end(), [&](int a, int b) {
             return weights_[a] > weights_[b];
         });
+        build_exclusion_graph();
         if (options_.budget.max_millis > 0) {
             deadline_ = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.budget.max_millis);
@@ -99,15 +107,71 @@ private:
         return true;
     }
 
-    /// Optimistic completion value from branch position `depth`: every
-    /// still-available free variable joins at full weight. Valid because
-    /// coefficients are non-negative — fixing other variables can only
-    /// shrink slacks, never make an unavailable variable available.
-    double bound_from(size_t depth) const {
+    /// Branch positions k and l exclude each other when some constraint
+    /// holding both cannot fit both at 1 even with every other variable
+    /// at 0. Coefficients are non-negative, so no leaf sets two adjacent
+    /// variables. One bitset row per branch position, over positions.
+    void build_exclusion_graph() {
+        const size_t n = order_.size();
+        words_ = (n + 63) / 64;
+        std::vector<int> position(weights_.size(), -1);
+        for (size_t k = 0; k < n; ++k) {
+            position[static_cast<size_t>(order_[k])] = static_cast<int>(k);
+        }
+        exclusion_.assign(n * words_, 0);
+        for (const BnbConstraint& constraint : problem_.constraints) {
+            const auto& terms = constraint.terms;
+            for (size_t a = 0; a < terms.size(); ++a) {
+                const int k = position[static_cast<size_t>(terms[a].first)];
+                if (k < 0) continue;
+                for (size_t b = a + 1; b < terms.size(); ++b) {
+                    const int l =
+                        position[static_cast<size_t>(terms[b].first)];
+                    if (l < 0 || l == k) continue;
+                    if (terms[a].second + terms[b].second <=
+                        constraint.rhs + options_.eps) {
+                        continue;
+                    }
+                    exclusion_[static_cast<size_t>(k) * words_ + l / 64] |=
+                        uint64_t{1} << (l % 64);
+                    exclusion_[static_cast<size_t>(l) * words_ + k / 64] |=
+                        uint64_t{1} << (k % 64);
+                }
+            }
+        }
+        cliques_.assign(n * words_, 0);
+    }
+
+    /// Optimistic completion value from branch position `depth`: a
+    /// greedy weighted clique cover of the still-available free
+    /// variables. Walking in branch order (weight descending), each
+    /// variable joins the first open clique whose every member excludes
+    /// it, or opens a new clique and adds its weight. A leaf sets at most
+    /// one variable per clique, and each clique's first member is its
+    /// heaviest, so no completion collects more than the bound. Fixing
+    /// variables only shrinks slacks, so an unavailable variable stays
+    /// out of every leaf below.
+    double bound_from(size_t depth) {
         double bound = current_value_;
+        size_t open = 0;
         for (size_t k = depth; k < order_.size(); ++k) {
             const int var = order_[k];
-            if (available(var)) bound += weights_[var];
+            if (!available(var)) continue;
+            // cliques_ row c holds the positions adjacent to every member
+            // of clique c; only words at or after k are ever read again.
+            const size_t word = k / 64;
+            const uint64_t bit = uint64_t{1} << (k % 64);
+            size_t c = 0;
+            while (c < open && (cliques_[c * words_ + word] & bit) == 0) ++c;
+            const uint64_t* row = &exclusion_[k * words_];
+            uint64_t* clique = &cliques_[c * words_];
+            if (c < open) {
+                for (size_t w = word; w < words_; ++w) clique[w] &= row[w];
+            } else {
+                std::copy(row + word, row + words_, clique + word);
+                bound += weights_[var];
+                ++open;
+            }
         }
         return bound;
     }
@@ -176,6 +240,11 @@ private:
     std::vector<std::vector<std::pair<int, double>>> terms_of_var_;
     std::vector<double> slack_;
     std::vector<int> order_;
+    /// Exclusion graph and clique-cover scratch, `words_` words per
+    /// branch position (see build_exclusion_graph and bound_from).
+    size_t words_ = 0;
+    std::vector<uint64_t> exclusion_;
+    std::vector<uint64_t> cliques_;
     double current_value_ = 0.0;
 
     std::vector<char> best_;

@@ -20,15 +20,27 @@
 //
 // Scope: binary variables, linear `<=` constraints with non-negative
 // coefficients and right-hand sides (which covers the pairwise-exclusion
-// models we build: x_i + x_j <= 1), maximize or minimize. The bound is
+// models we build: x_i + x_j <= 1), maximize or minimize. A free
+// variable is *available* while setting it to 1 keeps every
+// constraint's remaining slack non-negative; two variables *exclude*
+// each other when some constraint holds both with coeff_i + coeff_j >
+// rhs. Pack selection is thus maximum-weight independent set on the
+// exclusion graph, and the bound is the standard one for that problem:
 //
 //   bound(partial) = value(fixed vars)
-//                  + sum of favorable weights of still-available vars
+//                  + greedy weighted clique cover of still-available vars
 //
-// where a free variable is *available* while setting it to 1 keeps every
-// constraint's remaining slack non-negative. With non-negative
-// coefficients this is a valid relaxation: no completion can collect
-// weight the bound did not count.
+// The available free variables are walked in branch order (weight
+// descending); each joins the first open clique whose every member it
+// excludes, or opens a new one. Only each clique's first — heaviest —
+// member is counted. With non-negative coefficients this is a valid
+// relaxation: a completion sets at most one variable per clique and
+// never an unavailable one. The bound only decides which subtrees are
+// pruned, and a subtree is pruned only when none of its leaves could
+// beat the incumbent by more than eps; so for a search that finishes
+// within budget, any valid bound makes the same incumbent updates in
+// the same order and returns the same assignment — only the node count
+// differs.
 //
 // An `on_fix` hook lets the caller veto x_i = 1 with state the model
 // cannot express linearly (the accuracy-coupled pack selection applies
@@ -51,10 +63,11 @@ struct SolveBudget {
     /// value assignment tried at one variable). When the budget runs out
     /// the solver returns the best incumbent found so far — anytime
     /// behavior — with `proven_optimal` false. Deterministic: the same
-    /// budget expands the same tree on every machine. The default is
-    /// sized so every registry kernel proves optimality on the shipped
-    /// targets (CONV's pack selection is the ceiling at ~5.6M nodes);
-    /// nodes are cheap — the full four-kernel sweep stays in seconds.
+    /// budget expands the same tree on every machine. The default is far
+    /// above what every registry kernel needs to prove optimality on the
+    /// shipped targets (CONV's pack selection, the ceiling, takes ~2.5k
+    /// nodes). The budget is part of `stage_memo_key`, so lowering it
+    /// changes every optimal-flow memo key.
     long long max_nodes = 8000000;
 
     /// Optional wall-clock budget in milliseconds; 0 disables it. This

@@ -465,6 +465,39 @@ protected:
         return client.call(request).body;
     }
 
+    // The board belongs to the server thread, so the test thread reads
+    // its state through the `status` verb, never through board().
+    std::string fetch_status() {
+        FarmClient client("127.0.0.1", server_->port());
+        Message request;
+        request.verb = "status";
+        return client.call(request).body;
+    }
+
+    bool job_finalized(size_t job) {
+        const std::string status = fetch_status();
+        const size_t at =
+            status.find("{\"job\": " + std::to_string(job) + ",");
+        if (at == std::string::npos) {
+            ADD_FAILURE() << "job " << job << " missing from " << status;
+            return false;
+        }
+        const std::string entry =
+            status.substr(at, status.find('}', at) - at);
+        return entry.find("\"finalized\": true") != std::string::npos;
+    }
+
+    size_t reissues() {
+        const std::string status = fetch_status();
+        const std::string key = "\"reissues\": ";
+        const size_t at = status.find(key);
+        if (at == std::string::npos) {
+            ADD_FAILURE() << "no reissues in " << status;
+            return 0;
+        }
+        return std::stoul(status.substr(at + key.size()));
+    }
+
     std::unique_ptr<FarmServer> server_;
     std::thread thread_;
 };
@@ -502,15 +535,12 @@ TEST_P(FarmE2EWorkers, FarmSweepIsByteIdenticalToSingleProcess) {
 
     EXPECT_EQ(std::accumulate(ran.begin(), ran.end(), size_t{0}), grid.size())
         << "the workers together executed the whole grid";
-    EXPECT_TRUE(server_->board().job_finalized(job));
+    EXPECT_TRUE(job_finalized(job));
     EXPECT_EQ(fetch_report(job), reference_json)
         << "the streamed farm merge must reproduce the 1-process bytes";
 
     // The status verb over the wire reflects the finished state.
-    FarmClient client("127.0.0.1", server_->port());
-    Message status;
-    status.verb = "status";
-    const std::string body = client.call(status).body;
+    const std::string body = fetch_status();
     EXPECT_NE(body.find("\"drained\": true"), std::string::npos);
     EXPECT_NE(body.find("\"protocol\": \"slpwlo-farm/1\""),
               std::string::npos);
@@ -560,7 +590,7 @@ TEST_F(FarmE2E, WorkerKilledMidCompleteDeliversNothing) {
                   static_cast<ssize_t>(half));
         ::close(fd);
     }
-    EXPECT_FALSE(server_->board().job_finalized(job));
+    EXPECT_FALSE(job_finalized(job));
 
     // The ghost's heartbeat goes stale; the chunk expires back and a
     // real worker drains it. The report must still be byte-identical.
@@ -571,8 +601,8 @@ TEST_F(FarmE2E, WorkerKilledMidCompleteDeliversNothing) {
     worker.exec.threads = 1;
     EXPECT_EQ(run_farm_worker("127.0.0.1", server_->port(), worker),
               grid.size());
-    EXPECT_TRUE(server_->board().job_finalized(job));
-    EXPECT_GE(server_->board().reissues(), 1u)
+    EXPECT_TRUE(job_finalized(job));
+    EXPECT_GE(reissues(), 1u)
         << "the ghost's chunk must have been re-issued by expiry";
     EXPECT_EQ(fetch_report(job), reference_json);
 }

@@ -206,6 +206,15 @@ TEST(FixedSim, OverflowCountedWhenIwlTooSmall) {
     EXPECT_GT(result.overflow_count, 0);
 }
 
+TEST(SimTape, StepVectorIsSizedExactly) {
+    // The step count is known before the walk, so the tape never holds
+    // the slack of a doubling vector (FIR's tape is ~6 MB).
+    const Kernel fir = kernels::make_fir64();
+    const SimTape tape(fir);
+    EXPECT_EQ(tape.steps().capacity(), tape.steps().size());
+    EXPECT_GT(tape.steps().size(), 0u);
+}
+
 // --- compiled tape vs tree walker ----------------------------------------
 // The SimTape replay is an optimization, not a semantic change: for every
 // registry kernel, word-length preset and quantization mode, outputs (and

@@ -6,7 +6,9 @@
 // resolution to the exact flows).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "accuracy/analytic_evaluator.hpp"
@@ -84,36 +86,94 @@ double brute_force(const BnbProblem& problem) {
     return best;
 }
 
-TEST(Bnb, MatchesBruteForceOnMixedSignInstances) {
-    // Deterministic pseudo-random instances (fixed LCG): mixed-sign
-    // weights, random pairwise exclusions, both senses.
-    uint64_t state = 0x5eed;
-    const auto next = [&state]() {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        return state >> 33;
-    };
-    for (int trial = 0; trial < 24; ++trial) {
-        const size_t n = 2 + next() % 9;  // 2..10 variables
-        BnbProblem problem;
-        problem.sense = (trial % 2 == 0) ? BnbProblem::Sense::Maximize
-                                         : BnbProblem::Sense::Minimize;
-        for (size_t i = 0; i < n; ++i) {
-            problem.weights.push_back(
-                (static_cast<double>(next() % 41) - 20.0) / 4.0);
+/// Fixed LCG shared by the randomized instances below: the same stream
+/// on every machine.
+class Lcg {
+public:
+    explicit Lcg(uint64_t seed) : state_(seed) {}
+    uint64_t operator()() {
+        state_ = state_ * 6364136223846793005ull + 1442695040888963407ull;
+        return state_ >> 33;
+    }
+
+private:
+    uint64_t state_;
+};
+
+bool satisfies(const BnbProblem& problem, const std::vector<char>& x) {
+    for (const BnbConstraint& c : problem.constraints) {
+        double lhs = 0.0;
+        for (const auto& [var, coeff] : c.terms) {
+            if (x[static_cast<size_t>(var)]) lhs += coeff;
         }
-        for (size_t i = 0; i < n; ++i) {
-            for (size_t j = i + 1; j < n; ++j) {
-                if (next() % 3 == 0) {
-                    problem.constraints.push_back(BnbConstraint{
-                        {{static_cast<int>(i), 1.0},
-                         {static_cast<int>(j), 1.0}},
-                        1.0});
-                }
+        if (lhs > c.rhs + 1e-12) return false;
+    }
+    return true;
+}
+
+double objective(const BnbProblem& problem, const std::vector<char>& x) {
+    double value = 0.0;
+    for (size_t i = 0; i < x.size(); ++i) {
+        if (x[i]) value += problem.weights[i];
+    }
+    return value;
+}
+
+/// Random instance: mixed-sign weights, pairwise exclusions with
+/// probability 1/3 (sparse) or 2/3 (dense), plus a few constraints of
+/// three or four terms whose quarter-step coefficients make some pairs
+/// exclusive and others not. Quarter steps keep every objective exact in
+/// binary, so ties are real ties.
+BnbProblem random_instance(Lcg& next, size_t n, BnbProblem::Sense sense,
+                           bool dense) {
+    BnbProblem problem;
+    problem.sense = sense;
+    for (size_t i = 0; i < n; ++i) {
+        problem.weights.push_back(
+            (static_cast<double>(next() % 41) - 20.0) / 4.0);
+    }
+    for (size_t i = 0; i < n; ++i) {
+        for (size_t j = i + 1; j < n; ++j) {
+            if ((next() % 3 == 0) != dense) {
+                problem.constraints.push_back(BnbConstraint{
+                    {{static_cast<int>(i), 1.0}, {static_cast<int>(j), 1.0}},
+                    1.0});
             }
         }
+    }
+    for (int k = 0; k < 3 && n >= 4; ++k) {
+        BnbConstraint c;
+        const size_t terms = 3 + next() % 2;
+        const size_t first = next() % n;
+        for (size_t t = 0; t < terms; ++t) {
+            c.terms.emplace_back(static_cast<int>((first + t) % n),
+                                 static_cast<double>(1 + next() % 4) / 4.0);
+        }
+        c.rhs = static_cast<double>(4 + next() % 5) / 4.0;
+        problem.constraints.push_back(c);
+    }
+    return problem;
+}
+
+TEST(Bnb, MatchesBruteForceOnMixedSignInstances) {
+    // Deterministic pseudo-random instances up to 16 variables, sparse
+    // and dense exclusion graphs, both senses.
+    Lcg next(0x5eed);
+    for (int trial = 0; trial < 32; ++trial) {
+        const size_t n = 2 + next() % 15;  // 2..16 variables
+        const BnbProblem problem = random_instance(
+            next, n,
+            trial % 2 == 0 ? BnbProblem::Sense::Maximize
+                           : BnbProblem::Sense::Minimize,
+            /*dense=*/trial % 4 >= 2);
         const BnbResult result = solve_bnb(problem);
         EXPECT_TRUE(result.stats.proven_optimal) << "trial " << trial;
         ASSERT_TRUE(result.stats.has_incumbent) << "trial " << trial;
+        EXPECT_TRUE(satisfies(problem, result.assignment))
+            << "trial " << trial;
+        EXPECT_DOUBLE_EQ(objective(problem, result.assignment),
+                         result.stats.best_objective)
+            << "trial " << trial;
         EXPECT_NEAR(result.stats.best_objective, brute_force(problem), 1e-9)
             << "trial " << trial;
 
@@ -162,6 +222,209 @@ TEST(Bnb, HookVetoExcludesBranchAndUnfixNestsLifo) {
     EXPECT_DOUBLE_EQ(result.stats.best_objective, 5.0);
     EXPECT_EQ(result.assignment, (std::vector<char>{0, 1, 1}));
     EXPECT_TRUE(stack.empty());  // every fix was unwound
+}
+
+TEST(Bnb, MultiTermConstraintExcludesOnlyPairsThatOverflow) {
+    // 0.6 + 0.6 > 1: the two variables exclude each other, so the bound
+    // at the root is the heavier weight alone and the greedy seed is
+    // proven without a single node.
+    {
+        BnbProblem problem;
+        problem.weights = {3.0, 2.0};
+        problem.constraints.push_back(
+            BnbConstraint{{{0, 0.6}, {1, 0.6}}, 1.0});
+        const std::vector<char> seed = {1, 0};
+        const BnbResult result = solve_bnb(problem, {}, {}, &seed);
+        EXPECT_TRUE(result.stats.proven_optimal);
+        EXPECT_EQ(result.stats.nodes, 0);
+        EXPECT_EQ(result.assignment, seed);
+    }
+    // Three unit terms under rhs 2: any two fit, so no pair excludes.
+    // Were they treated as one clique, the bound (3) would prune the
+    // root against the seed (4) and the optimum (5) would be missed.
+    {
+        BnbProblem problem;
+        problem.weights = {3.0, 2.0, 1.0};
+        problem.constraints.push_back(
+            BnbConstraint{{{0, 1.0}, {1, 1.0}, {2, 1.0}}, 2.0});
+        const std::vector<char> seed = {1, 0, 1};
+        const BnbResult result = solve_bnb(problem, {}, {}, &seed);
+        EXPECT_TRUE(result.stats.proven_optimal);
+        EXPECT_DOUBLE_EQ(result.stats.best_objective, 5.0);
+        EXPECT_EQ(result.assignment, (std::vector<char>{1, 1, 0}));
+    }
+}
+
+TEST(Bnb, RejectsConstraintNamingAVariableTwice) {
+    // 0.5 + 0.75 > 1, yet each term alone fits: the model must merge
+    // such terms itself.
+    BnbProblem problem;
+    problem.weights = {1.0};
+    problem.constraints.push_back(BnbConstraint{{{0, 0.5}, {0, 0.75}}, 1.0});
+    EXPECT_THROW(solve_bnb(problem), Error);
+}
+
+TEST(Bnb, HookVetoesStayExactOnDenseConflictGraphs) {
+    // The hook enforces what the model cannot see: a cap on how many
+    // variables are set, and a few forbidden pairs. Both depend only on
+    // the set of fixed variables, so the oracle can enumerate them.
+    Lcg next(0x4007);
+    for (int trial = 0; trial < 24; ++trial) {
+        const size_t n = 4 + next() % 11;  // 4..14 variables
+        const BnbProblem problem = random_instance(
+            next, n, BnbProblem::Sense::Maximize, /*dense=*/true);
+        const size_t cap = 1 + next() % 3;
+        std::vector<std::pair<int, int>> forbidden;
+        for (int k = 0; k < 4; ++k) {
+            forbidden.emplace_back(static_cast<int>(next() % n),
+                                   static_cast<int>(next() % n));
+        }
+        const auto admitted = [&](const std::vector<char>& x) {
+            size_t set = 0;
+            for (const char v : x) set += v ? 1 : 0;
+            if (set > cap) return false;
+            for (const auto& [a, b] : forbidden) {
+                if (a != b && x[static_cast<size_t>(a)] &&
+                    x[static_cast<size_t>(b)]) {
+                    return false;
+                }
+            }
+            return true;
+        };
+
+        std::vector<int> stack;
+        std::vector<char> fixed(n, 0);
+        BnbHooks hooks;
+        hooks.on_fix = [&](int var) {
+            fixed[static_cast<size_t>(var)] = 1;
+            if (!admitted(fixed)) {
+                fixed[static_cast<size_t>(var)] = 0;
+                return false;
+            }
+            stack.push_back(var);
+            return true;
+        };
+        hooks.on_unfix = [&](int var) {
+            ASSERT_FALSE(stack.empty());
+            EXPECT_EQ(stack.back(), var);
+            stack.pop_back();
+            fixed[static_cast<size_t>(var)] = 0;
+        };
+        const BnbResult result = solve_bnb(problem, {}, hooks);
+        EXPECT_TRUE(stack.empty()) << "trial " << trial;
+
+        double oracle = 0.0;  // the all-zero assignment is admitted
+        for (size_t mask = 0; mask < (size_t(1) << n); ++mask) {
+            std::vector<char> x(n, 0);
+            for (size_t i = 0; i < n; ++i) x[i] = (mask >> i) & 1;
+            if (satisfies(problem, x) && admitted(x)) {
+                oracle = std::max(oracle, objective(problem, x));
+            }
+        }
+        EXPECT_TRUE(result.stats.proven_optimal) << "trial " << trial;
+        EXPECT_TRUE(admitted(result.assignment)) << "trial " << trial;
+        EXPECT_NEAR(result.stats.best_objective, oracle, 1e-9)
+            << "trial " << trial;
+    }
+}
+
+/// The first optimal leaf in the solver's own branch order: variables
+/// with a favorable weight, weight magnitude descending (index ascending
+/// on ties), x = 1 tried before x = 0; every other variable stays 0.
+/// Leaves in that depth-first order are the position masks counted down
+/// from all-ones, with the first branch position as the top bit.
+std::vector<char> first_optimum_in_branch_order(const BnbProblem& problem) {
+    const double sign =
+        problem.sense == BnbProblem::Sense::Minimize ? -1.0 : 1.0;
+    std::vector<int> order;
+    for (size_t i = 0; i < problem.weights.size(); ++i) {
+        if (sign * problem.weights[i] > 0.0) {
+            order.push_back(static_cast<int>(i));
+        }
+    }
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+        return sign * problem.weights[static_cast<size_t>(a)] >
+               sign * problem.weights[static_cast<size_t>(b)];
+    });
+    const size_t depth = order.size();
+    std::vector<char> first;
+    double best = 0.0;
+    for (size_t mask = (size_t(1) << depth); mask-- > 0;) {
+        std::vector<char> x(problem.weights.size(), 0);
+        for (size_t k = 0; k < depth; ++k) {
+            x[static_cast<size_t>(order[k])] = (mask >> (depth - 1 - k)) & 1;
+        }
+        if (!satisfies(problem, x)) continue;
+        // The first feasible leaf becomes the incumbent; later leaves
+        // replace it only when strictly better.
+        const double value = sign * objective(problem, x);
+        if (first.empty() || value > best) {
+            first = x;
+            best = value;
+        }
+    }
+    return first;
+}
+
+TEST(Bnb, ReturnsFirstOptimumInBranchOrderWithAndWithoutSeed) {
+    // Weights from {1, 2, 3} make optimal ties the rule, not the
+    // exception. Any valid bound must return the first optimum the
+    // depth-first order reaches: pruning never skips a leaf that would
+    // have replaced the incumbent.
+    Lcg next(0x71e);
+    for (int trial = 0; trial < 32; ++trial) {
+        const size_t n = 3 + next() % 10;  // 3..12 variables
+        BnbProblem problem = random_instance(
+            next, n,
+            trial % 2 == 0 ? BnbProblem::Sense::Maximize
+                           : BnbProblem::Sense::Minimize,
+            /*dense=*/true);
+        const double sign = trial % 2 == 0 ? 1.0 : -1.0;
+        for (double& w : problem.weights) {
+            w = sign * static_cast<double>(1 + next() % 3);
+        }
+        const std::vector<char> expected =
+            first_optimum_in_branch_order(problem);
+
+        const BnbResult unseeded = solve_bnb(problem);
+        EXPECT_TRUE(unseeded.stats.proven_optimal) << "trial " << trial;
+        EXPECT_EQ(unseeded.assignment, expected) << "trial " << trial;
+
+        // A strictly worse seed (nothing selected) changes where the
+        // search starts pruning, not which optimum it returns.
+        const std::vector<char> seed(n, 0);
+        const BnbResult seeded = solve_bnb(problem, {}, {}, &seed);
+        EXPECT_TRUE(seeded.stats.proven_optimal) << "trial " << trial;
+        EXPECT_EQ(seeded.assignment, expected) << "trial " << trial;
+    }
+}
+
+TEST(Bnb, CliqueCoverProvesDisjointTrianglesInFixedNodes) {
+    // Eight disjoint triangles of equal weight: the optimum takes one
+    // vertex per triangle. A bound that sums every available weight
+    // counts up to three per triangle and expands 56,782 nodes here; the
+    // clique cover counts each triangle once, so the first leaf is
+    // proven optimal on the way back.
+    BnbProblem problem;
+    problem.weights.assign(24, 1.0);
+    for (int t = 0; t < 8; ++t) {
+        const int a = 3 * t;
+        for (const auto& [i, j] :
+             {std::pair{a, a + 1}, std::pair{a, a + 2},
+              std::pair{a + 1, a + 2}}) {
+            problem.constraints.push_back(
+                BnbConstraint{{{i, 1.0}, {j, 1.0}}, 1.0});
+        }
+    }
+    const BnbResult result = solve_bnb(problem);
+    EXPECT_TRUE(result.stats.proven_optimal);
+    EXPECT_DOUBLE_EQ(result.stats.best_objective, 8.0);
+    // 24 nodes down the first path (one per variable), then one x = 0
+    // try per triangle leader on the way back, each pruned at once.
+    EXPECT_EQ(result.stats.nodes, 32);
+    for (int t = 0; t < 8; ++t) {
+        EXPECT_EQ(result.assignment[static_cast<size_t>(3 * t)], 1);
+    }
 }
 
 // --- exact word-length optimization --------------------------------------------
