@@ -73,9 +73,16 @@ private:
     }
 
     std::string sat(const std::string& expr, int wl) const {
-        return "(" + c_int_type(wl) + ")slpwlo_sat(" + expr + ", " +
-               std::to_string(wl) +
-               (options_.count_overflows ? ", slpwlo_ovf)" : ")");
+        // Appended piece by piece: gcc 12 misreports `"(" + string&&`
+        // (an insert at 0) as an overlapping memcpy under -Wrestrict.
+        std::string out = "(";
+        out += c_int_type(wl);
+        out += ")slpwlo_sat(";
+        out += expr;
+        out += ", ";
+        out += std::to_string(wl);
+        out += options_.count_overflows ? ", slpwlo_ovf)" : ")";
+        return out;
     }
 
     void prologue(const std::string& function_name) {

@@ -143,8 +143,15 @@ private:
     }
 
     std::string sat(const std::string& expr, int wl) const {
-        return "(" + c_int_type(wl) + ")slpwlo_vsat(" + expr + ", " +
-               std::to_string(wl) + ")";
+        // Appended piece by piece, as in fixed_c.cpp (gcc 12 -Wrestrict).
+        std::string out = "(";
+        out += c_int_type(wl);
+        out += ")slpwlo_vsat(";
+        out += expr;
+        out += ", ";
+        out += std::to_string(wl);
+        out += ")";
+        return out;
     }
 
     void prologue(const std::string& function_name) {

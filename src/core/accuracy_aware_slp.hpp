@@ -16,6 +16,8 @@
 //    DESIGN.md "Key design decisions".
 #pragma once
 
+#include <memory>
+
 #include "accuracy/evaluator.hpp"
 #include "slp/plain_extractor.hpp"
 #include "solver/pack_select.hpp"
@@ -48,6 +50,43 @@ struct AccuracySlpConfig {
 /// width; never increasing a WL that is already smaller).
 void set_group_max_wl(FixedPointSpec& spec, const std::vector<OpId>& lanes,
                       int group_width, const TargetModel& target);
+
+/// The hook set accuracy_aware_slp drives the extraction engine with,
+/// bound to one block view, the spec being optimized and one incremental
+/// evaluation session on it. Not copyable: the hooks refer to this
+/// object's round state. `hooks` is a plain member, so a caller may swap
+/// one hook for its own (the tests swap in a probe-per-pair reference).
+///
+/// The conflict hook memoizes within a round. Every candidate's
+/// equation-(1) change list — the sorted (node, new WL) pairs it changes
+/// from the round-base spec — is computed once; a pair's spec state is the
+/// two lists min-merged. A pair whose merged list equals one side's own
+/// list is that candidate's own state, which the validity hook already
+/// accepted on the same base, so it cannot violate; any other state is
+/// probed once and the answer reused for every pair reaching it. Equal
+/// spec states give equal noise bits, so the answers are those of a probe
+/// per pair.
+class AccuracySlpHooks {
+public:
+    AccuracySlpHooks(const PackedView& view, FixedPointSpec& spec,
+                     const AccuracyEvaluator& evaluator,
+                     const TargetModel& target,
+                     const AccuracySlpConfig& config);
+    ~AccuracySlpHooks();
+    AccuracySlpHooks(const AccuracySlpHooks&) = delete;
+    AccuracySlpHooks& operator=(const AccuracySlpHooks&) = delete;
+
+    /// Pass to extract_slp, then call finish().
+    SlpHooks hooks;
+
+    /// Commit the WL changes of a round the engine left open (the last
+    /// one, when it ended without a selection).
+    void finish();
+
+private:
+    struct State;
+    std::unique_ptr<State> state_;
+};
 
 /// Run accuracy-aware extraction on one block view. `spec` is mutated: the
 /// selected groups' nodes end up at their equation-(1) word lengths.

@@ -203,7 +203,10 @@ std::string shard_manifest_text(const ShardPlan& plan,
             point_model[i] = it->second;
             continue;
         }
-        const std::string id = "t" + std::to_string(model_ids.size());
+        // Appended, not `"t" + ...`: gcc 12 misreports that under
+        // -Wrestrict.
+        std::string id = "t";
+        id += std::to_string(model_ids.size());
         point_model[i] = id;
         os << "\nbegin_target " << id << "\n" << desc << "end_target\n";
         model_ids.emplace(std::move(desc), id);
@@ -243,7 +246,10 @@ std::string shard_manifest_text(const ShardPlan& plan,
                          "comment-only lines (canonical_kernel_source)");
             pos = end + 1;
         }
-        const std::string id = "k" + std::to_string(kernel_ids.size());
+        // Appended, not `"k" + ...`: gcc 12 misreports that under
+        // -Wrestrict.
+        std::string id = "k";
+        id += std::to_string(kernel_ids.size());
         point_kernel_src[i] = id;
         os << "\nbegin_kernel " << id << "\n" << src << "end_kernel\n";
         kernel_ids.emplace(src, id);

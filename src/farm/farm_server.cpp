@@ -209,6 +209,9 @@ void FarmServer::run() {
 }
 
 Message FarmServer::handle(const Message& request, long long now) {
+    // Literal field values are assigned as std::string temporaries:
+    // assigning the literal itself makes gcc 12 report a -Wrestrict
+    // false positive inside the inlined std::string code.
     try {
         if (request.verb == "hello" || request.verb == "heartbeat") {
             board_.heartbeat(request.require_field("worker"), now);
@@ -262,9 +265,9 @@ Message FarmServer::handle(const Message& request, long long now) {
             } else if (board_.job_count() == 0) {
                 // Nothing submitted yet: a worker that connected early
                 // should poll, not exit.
-                response.fields["wait"] = "1";
+                response.fields["wait"] = std::string("1");
             } else {
-                response.fields["drained"] = "1";
+                response.fields["drained"] = std::string("1");
             }
             return response;
         }
@@ -280,7 +283,8 @@ Message FarmServer::handle(const Message& request, long long now) {
                 static_cast<size_t>(request.require_ll("job")), now);
             Message response = ok();
             if (acquired.slots.empty()) {
-                response.fields["wait"] = acquired.wait ? "1" : "0";
+                response.fields["wait"] =
+                    std::string(acquired.wait ? "1" : "0");
             } else {
                 response.fields["lease"] = std::to_string(acquired.lease);
                 std::string slots;
@@ -299,7 +303,8 @@ Message FarmServer::handle(const Message& request, long long now) {
                 static_cast<uint64_t>(request.require_ll("lease")),
                 request.body, now);
             Message response = ok();
-            response.fields["finalized"] = finalized ? "1" : "0";
+            response.fields["finalized"] =
+                std::string(finalized ? "1" : "0");
             return response;
         }
         if (request.verb == "abandon") {

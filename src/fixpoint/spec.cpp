@@ -45,13 +45,18 @@ const FixedFormat& FixedPointSpec::array_format(ArrayId a) const {
     return format(NodeRef::of_array(a));
 }
 
-void FixedPointSpec::set_format(NodeRef node, const FixedFormat& fmt) {
+FixedFormat& FixedPointSpec::slot(NodeRef node) {
     SLPWLO_ASSERT(node.valid(), "invalid node");
-    FixedFormat& slot = node.kind == NodeRef::Kind::Var
-                            ? var_formats_.at(static_cast<size_t>(node.id))
-                            : array_formats_.at(static_cast<size_t>(node.id));
-    if (slot.iwl == fmt.iwl && slot.fwl == fmt.fwl) return;
-    slot = fmt;
+    return node.kind == NodeRef::Kind::Var
+               ? var_formats_.at(static_cast<size_t>(node.id))
+               : array_formats_.at(static_cast<size_t>(node.id));
+}
+
+void FixedPointSpec::set_format(NodeRef node, const FixedFormat& fmt) {
+    FixedFormat& current = slot(node);
+    if (current.iwl == fmt.iwl && current.fwl == fmt.fwl) return;
+    if (!marks_.empty()) undo_.push_back(Undo{node, current});
+    current = fmt;
     journal_.push_back(node);
 }
 
@@ -79,36 +84,30 @@ void FixedPointSpec::set_wl(NodeRef node, int wl) {
 }
 
 FixedPointSpec::Checkpoint FixedPointSpec::checkpoint() {
-    stack_.push_back(Snapshot{var_formats_, array_formats_});
-    return stack_.size();
+    marks_.push_back(undo_.size());
+    return marks_.size();
 }
 
 void FixedPointSpec::revert(Checkpoint cp) {
-    SLPWLO_ASSERT(cp == stack_.size(), "checkpoints must unwind in LIFO order");
-    const Snapshot& snap = stack_.back();
-    // Journal every node the restore actually changes, so incremental
-    // evaluators see reverted moves the same way they see applied ones.
-    for (size_t v = 0; v < var_formats_.size(); ++v) {
-        if (var_formats_[v].iwl != snap.var_formats[v].iwl ||
-            var_formats_[v].fwl != snap.var_formats[v].fwl) {
-            journal_.push_back(NodeRef::of_var(VarId(static_cast<int32_t>(v))));
-        }
+    SLPWLO_ASSERT(cp == marks_.size(), "checkpoints must unwind in LIFO order");
+    // Undo newest first, so a node changed twice ends at its oldest
+    // logged format. Every restore is journaled, so incremental
+    // evaluators see reverted moves the same way they see applied ones
+    // (a node restored to an unchanged format is a harmless extra entry).
+    const size_t mark = marks_.back();
+    while (undo_.size() > mark) {
+        const Undo& undo = undo_.back();
+        slot(undo.node) = undo.previous;
+        journal_.push_back(undo.node);
+        undo_.pop_back();
     }
-    for (size_t a = 0; a < array_formats_.size(); ++a) {
-        if (array_formats_[a].iwl != snap.array_formats[a].iwl ||
-            array_formats_[a].fwl != snap.array_formats[a].fwl) {
-            journal_.push_back(
-                NodeRef::of_array(ArrayId(static_cast<int32_t>(a))));
-        }
-    }
-    var_formats_ = std::move(stack_.back().var_formats);
-    array_formats_ = std::move(stack_.back().array_formats);
-    stack_.pop_back();
+    marks_.pop_back();
 }
 
 void FixedPointSpec::commit(Checkpoint cp) {
-    SLPWLO_ASSERT(cp == stack_.size(), "checkpoints must unwind in LIFO order");
-    stack_.pop_back();
+    SLPWLO_ASSERT(cp == marks_.size(), "checkpoints must unwind in LIFO order");
+    marks_.pop_back();
+    if (marks_.empty()) undo_.clear();
 }
 
 std::string FixedPointSpec::str() const {

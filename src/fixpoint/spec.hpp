@@ -76,8 +76,8 @@ public:
     const std::vector<NodeRef>& nodes() const { return nodes_; }
 
     // --- change journal --------------------------------------------------------
-    // Append-only log of nodes whose format actually changed (including
-    // changes undone by revert, which re-appends the affected nodes).
+    // Append-only log of nodes whose format changed (including changes
+    // undone by revert, which re-appends every node it restores).
     // Incremental evaluators keep a cursor into the journal and refresh the
     // cached contribution of every node logged since their last sync; a
     // node may appear multiple times, which is safe (refresh is idempotent).
@@ -85,27 +85,35 @@ public:
     NodeRef journal_entry(size_t i) const { return journal_[i]; }
 
     // --- checkpoints -----------------------------------------------------------
+    // An undo log: while a checkpoint is open, set_format records each
+    // node's previous format. A checkpoint is the log position it opened
+    // at; revert replays the log back to that mark, commit just drops the
+    // mark (and the log with the outermost one). Both cost O(changes since
+    // the checkpoint), not O(nodes).
     /// Opaque checkpoint token; revert/commit must be called in LIFO order.
     using Checkpoint = size_t;
 
     Checkpoint checkpoint();
     void revert(Checkpoint cp);
     void commit(Checkpoint cp);
-    size_t open_checkpoints() const { return stack_.size(); }
+    size_t open_checkpoints() const { return marks_.size(); }
 
     std::string str() const;
 
 private:
-    struct Snapshot {
-        std::vector<FixedFormat> var_formats;
-        std::vector<FixedFormat> array_formats;
+    struct Undo {
+        NodeRef node;
+        FixedFormat previous;
     };
+
+    FixedFormat& slot(NodeRef node);
 
     const Kernel* kernel_;
     std::vector<FixedFormat> var_formats_;
     std::vector<FixedFormat> array_formats_;
     std::vector<NodeRef> nodes_;
-    std::vector<Snapshot> stack_;
+    std::vector<size_t> marks_;  ///< undo-log size at each open checkpoint
+    std::vector<Undo> undo_;
     std::vector<NodeRef> journal_;
     QuantMode quant_mode_ = QuantMode::Truncate;
 };

@@ -155,6 +155,8 @@ private:
     mutable uint64_t fingerprint_ = 0;
 };
 
+/// Like SweepPoint, members without a default initializer carry `{}` so
+/// designated initializers may name only the leading fields.
 struct FlowResult {
     std::string flow_name;
     std::string kernel_name;
@@ -166,16 +168,16 @@ struct FlowResult {
     double accuracy_db = 0.0;
 
     FixedPointSpec spec;  ///< the final fixed-point specification
-    std::vector<BlockGroups> groups;
+    std::vector<BlockGroups> groups{};
 
     long long scalar_cycles = 0;  ///< fixed-point code, no SIMD
     long long simd_cycles = 0;    ///< fixed-point code with the groups
     double analytic_noise_db = 0.0;
 
-    SlpStats slp_stats;
-    ScalingStats scaling_stats;  ///< WLO-SLP only
-    TabuStats tabu_stats;        ///< WLO-First / WLO-Optimal only
-    SolverStats solver_stats;    ///< WLO-Optimal / SLP-Optimal only
+    SlpStats slp_stats{};
+    ScalingStats scaling_stats{};  ///< WLO-SLP only
+    TabuStats tabu_stats{};        ///< WLO-First / WLO-Optimal only
+    SolverStats solver_stats{};    ///< WLO-Optimal / SLP-Optimal only
     int group_count = 0;
 
     /// Median wall time of one compiled kernel execution in nanoseconds

@@ -44,6 +44,8 @@ class ThreadPool;
 /// Optimizer::Optimal the flow name resolves through optimal_flow_for at
 /// run time — the grid (and its fingerprint) is unchanged; only the
 /// pipeline that executes, and the flow name the result reports, differ.
+/// Members without a default initializer carry `{}`, so brace-initialized
+/// points may omit trailing members without -Wmissing-field-initializers.
 struct SweepPoint {
     std::string kernel;
     std::string target;
@@ -51,13 +53,13 @@ struct SweepPoint {
     double accuracy_db = -40.0;
     /// Per-point option overrides (accuracy_db is still taken from the
     /// point); absent points use the sweep-wide defaults.
-    std::optional<FlowOptions> options;
+    std::optional<FlowOptions> options{};
     /// Per-point target override: when present the point runs against
     /// this exact model and `target` is only a label (it is not looked
     /// up). Evaluation memo keys use the model's content fingerprint,
     /// never its name, so same-name points with different models cannot
     /// share cache entries — and a renamed copy of a model still hits.
-    std::optional<TargetModel> target_model;
+    std::optional<TargetModel> target_model{};
     /// DSL source of a file-based kernel, the kernel-side analogue of
     /// `target_model`: when present the driver registers it (idempotent
     /// by content) before resolving `kernel` through the KernelRegistry,
@@ -65,7 +67,7 @@ struct SweepPoint {
     /// file. Built-in kernels leave it empty. Populated by
     /// dist::embed_kernel_sources; point fingerprints mix it in, so
     /// same-name kernels with different sources can never alias.
-    std::optional<std::string> kernel_source;
+    std::optional<std::string> kernel_source{};
 };
 
 /// Execution options shared by every sweep entry point — the in-process

@@ -21,10 +21,17 @@ std::vector<Candidate> select_candidates(
     const PackedView& view, std::vector<Candidate> candidates,
     const ConflictSet& conflicts, const TargetModel& target, BenefitMode mode,
     double min_benefit, const TrySelect& try_select, int* rejected_count) {
-    std::vector<bool> alive(candidates.size(), true);
+    // Each candidate is estimated against the candidates its selection
+    // could coexist with: the alive non-conflicting ones plus the
+    // selections already committed this round. Reuse promised by a
+    // candidate that selecting it would eliminate is not real. The index
+    // scores that pool from the current alive/committed state without
+    // materializing it.
+    const CandidateIndex index(view, candidates, target);
+    CandidateIndex::Pool pool(candidates.size(), &conflicts);
+    std::vector<char>& alive = pool.alive;
 
     std::vector<Candidate> selected;
-    std::vector<Candidate> committed;
     int alive_count = static_cast<int>(candidates.size());
 
     while (alive_count > 0) {
@@ -33,22 +40,7 @@ std::vector<Candidate> select_candidates(
         size_t best = candidates.size();
         for (size_t i = 0; i < candidates.size(); ++i) {
             if (!alive[i]) continue;
-            // Estimate against the candidates this selection could coexist
-            // with: the alive non-conflicting ones plus the selections
-            // already committed this round. Reuse promised by a candidate
-            // that selecting `i` would eliminate is not real. The pool
-            // holds pointers into the (stable) candidate/committed
-            // vectors — rebuilding it per evaluation copies nothing.
-            std::vector<const Candidate*> pool;
-            pool.reserve(static_cast<size_t>(alive_count) + committed.size());
-            for (size_t j = 0; j < candidates.size(); ++j) {
-                if (alive[j] && !conflicts.conflict(i, j)) {
-                    pool.push_back(&candidates[j]);
-                }
-            }
-            for (const Candidate& d : committed) pool.push_back(&d);
-            const Economics econ =
-                evaluate_candidate(view, pool, candidates[i], target);
+            const Economics econ = index.evaluate(i, pool);
             const double score = benefit_score(econ, mode);
             const bool better =
                 best == candidates.size() || score > best_score ||
@@ -62,20 +54,20 @@ std::vector<Candidate> select_candidates(
         SLPWLO_ASSERT(best < candidates.size(), "no candidate selected");
         if (best_score < min_benefit) break;  // only unprofitable ones left
 
-        alive[best] = false;
+        alive[best] = 0;
         alive_count--;
 
         if (try_select && !try_select(candidates[best])) {
             if (rejected_count != nullptr) (*rejected_count)++;
             continue;
         }
+        pool.commit_rank[best] = static_cast<int>(selected.size());
         selected.push_back(candidates[best]);
-        committed.push_back(candidates[best]);
 
         // Eliminate everything in conflict with the selection.
         for (size_t i = 0; i < candidates.size(); ++i) {
             if (alive[i] && conflicts.conflict(best, i)) {
-                alive[i] = false;
+                alive[i] = 0;
                 alive_count--;
             }
         }

@@ -1,6 +1,7 @@
 #include "slp/packing_cost.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace slpwlo {
 
@@ -42,41 +43,6 @@ std::vector<OpId> operand_defs(const PackedView& view,
 
 namespace {
 
-enum class SuperwordMatch { No, Direct, Reversed };
-
-/// Does some candidate or existing group produce exactly `defs` — in lane
-/// order (Direct) or in reverse (Reversed, realizable with one vector
-/// permute; the FIR convolution's x-descending / c-ascending pattern)?
-/// A load producer only counts when its lanes are memory-adjacent: a
-/// gathered (non-contiguous) load group merely relocates the packing cost,
-/// it does not produce a free superword.
-SuperwordMatch producible_as_superword(
-    const PackedView& view, const std::vector<const Candidate*>& available,
-    const std::vector<OpId>& defs) {
-    if (defs.empty()) return SuperwordMatch::No;
-    std::vector<OpId> reversed(defs.rbegin(), defs.rend());
-
-    auto usable = [&view](const std::vector<OpId>& producer_lanes) {
-        if (view.kernel().op(producer_lanes.front()).kind != OpKind::Load) {
-            return true;
-        }
-        return lanes_memory_adjacent(view, producer_lanes);
-    };
-
-    for (const Candidate* c : available) {
-        const std::vector<OpId> lanes = fused_lanes(view, *c);
-        if (lanes == defs && usable(lanes)) return SuperwordMatch::Direct;
-        if (lanes == reversed && usable(lanes)) return SuperwordMatch::Reversed;
-    }
-    for (int i = 0; i < view.size(); ++i) {
-        if (view.width(i) < 2) continue;
-        const std::vector<OpId>& lanes = view.node(i).lanes;
-        if (lanes == defs && usable(lanes)) return SuperwordMatch::Direct;
-        if (lanes == reversed && usable(lanes)) return SuperwordMatch::Reversed;
-    }
-    return SuperwordMatch::No;
-}
-
 /// True if every lane reads the same live-in variable (splat).
 bool is_splat(const PackedView& view, const std::vector<OpId>& lanes,
               int slot) {
@@ -89,111 +55,254 @@ bool is_splat(const PackedView& view, const std::vector<OpId>& lanes,
     return true;
 }
 
+/// A producer only counts when its lanes are memory-adjacent loads or not
+/// loads at all: a gathered (non-contiguous) load group merely relocates
+/// the packing cost, it does not produce a free superword.
+bool usable_producer(const PackedView& view, const std::vector<OpId>& lanes) {
+    if (view.kernel().op(lanes.front()).kind != OpKind::Load) return true;
+    return lanes_memory_adjacent(view, lanes);
+}
+
+struct LanesHash {
+    size_t operator()(const std::vector<OpId>& lanes) const {
+        uint64_t h = 1469598103934665603ull;
+        for (const OpId lane : lanes) {
+            h = (h ^ static_cast<uint32_t>(lane.value)) * 1099511628211ull;
+        }
+        return static_cast<size_t>(h);
+    }
+};
+
+/// Lane list -> the indices (ascending) of the nodes that have it.
+using LanesMap =
+    std::unordered_map<std::vector<OpId>, std::vector<uint32_t>, LanesHash>;
+
+const std::vector<uint32_t>& lookup(const LanesMap& map,
+                                    const std::vector<OpId>& lanes) {
+    static const std::vector<uint32_t> none;
+    const auto it = map.find(lanes);
+    return it == map.end() ? none : it->second;
+}
+
 }  // namespace
+
+CandidateIndex::CandidateIndex(const PackedView& view,
+                               const std::vector<Candidate>& candidates,
+                               const TargetModel& target) {
+    const Kernel& kernel = view.kernel();
+    const size_t n = candidates.size();
+    entries_.resize(n);
+    std::vector<std::vector<OpId>> fused(n);
+    LanesMap by_lanes;
+    std::vector<char> usable(n);
+    for (size_t i = 0; i < n; ++i) {
+        fused[i] = fused_lanes(view, candidates[i]);
+        by_lanes[fused[i]].push_back(static_cast<uint32_t>(i));
+        usable[i] = usable_producer(view, fused[i]);
+    }
+    // Existing groups (width >= 2 view nodes) that can produce a superword.
+    LanesMap groups;
+    for (int g = 0; g < view.size(); ++g) {
+        if (view.width(g) < 2) continue;
+        const std::vector<OpId>& lanes = view.node(g).lanes;
+        if (usable_producer(view, lanes)) {
+            groups[lanes].push_back(static_cast<uint32_t>(g));
+        }
+    }
+
+    for (size_t i = 0; i < n; ++i) {
+        Entry& e = entries_[i];
+        const Candidate& c = candidates[i];
+        const std::vector<OpId>& lanes = fused[i];
+        const int w = static_cast<int>(lanes.size());
+        const OpKind kind = view.kind(c.nodes.front());
+        // n node issues become one (1.0 for a pair; a k-lane run seed
+        // saves k - 1 issues in one step).
+        e.saved_ops = static_cast<double>(c.node_count() - 1);
+        if ((kind == OpKind::Load || kind == OpKind::Store) &&
+            !lanes_memory_adjacent(view, lanes)) {
+            // Gather/scatter: synthesize the vector (or tear it apart)
+            // lane by lane.
+            e.gather_pack = (w - 1) * target.pack2_ops;
+        }
+
+        // Operand superwords of arithmetic ops and the stored value of
+        // stores.
+        const int slots = kernel.op(lanes.front()).num_args();
+        e.slots.resize(static_cast<size_t>(slots));
+        for (int s = 0; s < slots; ++s) {
+            Slot& slot = e.slots[static_cast<size_t>(s)];
+            // acc = acc + p: the operand is the group's own
+            // previous-iteration result, held in a vector register — a
+            // reuse, not a pack.
+            slot.self_accumulation = std::all_of(
+                lanes.begin(), lanes.end(), [&](OpId lane) {
+                    const Op& op = kernel.op(lane);
+                    return op.dest.valid() && op.args[s] == op.dest &&
+                           !view.def_of_arg(lane, s).valid();
+                });
+            if (slot.self_accumulation) continue;
+            const std::vector<OpId> defs = operand_defs(view, lanes, s);
+            if (!defs.empty()) {
+                // Producers: lanes in order (Direct) or in reverse
+                // (Reversed, realizable with one vector permute; the FIR
+                // convolution's x-descending / c-ascending pattern). No
+                // lane list equals both unless defs is a palindrome, so
+                // the two lists are disjoint; sorting restores index
+                // order.
+                const std::vector<OpId> reversed(defs.rbegin(), defs.rend());
+                std::vector<Producer>& producers = slot.producers;
+                for (const uint32_t j : lookup(by_lanes, defs)) {
+                    producers.push_back({j, Match::Direct});
+                }
+                if (reversed != defs) {
+                    for (const uint32_t j : lookup(by_lanes, reversed)) {
+                        producers.push_back({j, Match::Reversed});
+                    }
+                }
+                std::erase_if(producers, [&](const Producer& p) {
+                    return p.candidate == i || !usable[p.candidate];
+                });
+                std::sort(producers.begin(), producers.end(),
+                          [](const Producer& x, const Producer& y) {
+                              return x.candidate < y.candidate;
+                          });
+                const std::vector<uint32_t>& gd = lookup(groups, defs);
+                const std::vector<uint32_t>& gr = lookup(groups, reversed);
+                if (!gd.empty() && (gr.empty() || gd.front() <= gr.front())) {
+                    slot.group = Match::Direct;
+                } else if (!gr.empty()) {
+                    slot.group = Match::Reversed;
+                }
+            }
+            if (!defs.empty() && lanes_memory_adjacent(view, defs)) {
+                // Loads that could be vectorized even w/o a candidate.
+                slot.fallback_reuse = 0.5;
+            } else if (is_splat(view, lanes, s)) {
+                slot.fallback_pack = 1.0;
+            } else {
+                slot.fallback_pack = (w - 1) * target.pack2_ops;
+            }
+        }
+
+        // Result side (stores produce no value).
+        e.produces_value = kind != OpKind::Store;
+        if (!e.produces_value) continue;
+        // A self-accumulating group consumes its own result in the next
+        // iteration.
+        for (int s = 0; s < slots && !e.self_consumed; ++s) {
+            e.self_consumed = std::all_of(
+                lanes.begin(), lanes.end(), [&](OpId lane) {
+                    const Op& op = kernel.op(lane);
+                    return op.dest.valid() && op.args[s] == op.dest;
+                });
+        }
+        int extracted = 0;
+        for (const OpId lane : lanes) {
+            if (!view.consumers_of(lane).empty() ||
+                view.has_external_uses(lane)) {
+                extracted++;
+            }
+        }
+        e.unpack_if_unconsumed = extracted * target.extract_ops;
+    }
+
+    // Consumers: a candidate whose operand lanes match i's lanes (either
+    // order) turns i's result into a reused superword, once per slot.
+    for (size_t j = 0; j < n; ++j) {
+        const std::vector<OpId>& lanes = fused[j];
+        const int slots = kernel.op(lanes.front()).num_args();
+        for (int s = 0; s < slots; ++s) {
+            const std::vector<OpId> defs = operand_defs(view, lanes, s);
+            if (defs.empty()) continue;
+            const std::vector<OpId> reversed(defs.rbegin(), defs.rend());
+            auto add = [&](uint32_t i) {
+                if (i == j || candidates[i] == candidates[j]) return;
+                std::vector<Consumer>& list = entries_[i].consumers;
+                if (!list.empty() && list.back().candidate == j) {
+                    list.back().slots++;
+                } else {
+                    list.push_back({static_cast<uint32_t>(j), 1});
+                }
+            };
+            for (const uint32_t i : lookup(by_lanes, defs)) add(i);
+            if (reversed != defs) {
+                for (const uint32_t i : lookup(by_lanes, reversed)) add(i);
+            }
+        }
+    }
+}
+
+Economics CandidateIndex::evaluate(size_t i, const Pool& pool) const {
+    const Entry& e = entries_[i];
+    auto in_alive_part = [&](uint32_t j) {
+        return pool.alive[j] &&
+               (pool.conflicts == nullptr || !pool.conflicts->conflict(i, j));
+    };
+
+    Economics econ;
+    econ.saved_ops = e.saved_ops;
+    econ.pack_cost = e.gather_pack;
+    for (const Slot& slot : e.slots) {
+        if (slot.self_accumulation) {
+            econ.reuse += 1.0;
+            continue;
+        }
+        Match match = Match::No;
+        for (const Producer& p : slot.producers) {
+            if (in_alive_part(p.candidate)) {
+                match = p.match;
+                break;
+            }
+        }
+        if (match == Match::No) {
+            int first = -1;
+            for (const Producer& p : slot.producers) {
+                const int rank = pool.commit_rank[p.candidate];
+                if (rank >= 0 && (first < 0 || rank < first)) {
+                    first = rank;
+                    match = p.match;
+                }
+            }
+        }
+        if (match == Match::No) match = slot.group;
+        switch (match) {
+            case Match::Direct:
+                econ.reuse += 1.0;
+                break;
+            case Match::Reversed:
+                econ.reuse += 1.0;
+                econ.pack_cost += 1.0;  // one vector permute
+                break;
+            case Match::No:
+                econ.reuse += slot.fallback_reuse;
+                econ.pack_cost += slot.fallback_pack;
+                break;
+        }
+    }
+
+    if (e.produces_value) {
+        bool consumed_as_superword = e.self_consumed;
+        for (const Consumer& c : e.consumers) {
+            if (in_alive_part(c.candidate) ||
+                pool.commit_rank[c.candidate] >= 0) {
+                econ.reuse += c.slots;
+                consumed_as_superword = true;
+            }
+        }
+        if (!consumed_as_superword) econ.unpack_cost = e.unpack_if_unconsumed;
+    }
+    return econ;
+}
 
 Economics evaluate_candidate(const PackedView& view,
                              const std::vector<Candidate>& available,
                              const Candidate& c, const TargetModel& target) {
-    std::vector<const Candidate*> pool;
-    pool.reserve(available.size());
-    for (const Candidate& a : available) pool.push_back(&a);
-    return evaluate_candidate(view, pool, c, target);
-}
-
-Economics evaluate_candidate(const PackedView& view,
-                             const std::vector<const Candidate*>& available,
-                             const Candidate& c, const TargetModel& target) {
-    Economics econ;
-    // n node issues become one (1.0 for a pair; a k-lane run seed saves
-    // k - 1 issues in one step).
-    econ.saved_ops = static_cast<double>(c.node_count() - 1);
-    const Kernel& kernel = view.kernel();
-    const std::vector<OpId> lanes = fused_lanes(view, c);
-    const int w = static_cast<int>(lanes.size());
-    const OpKind kind = view.kind(c.nodes.front());
-
-    if (kind == OpKind::Load || kind == OpKind::Store) {
-        if (!lanes_memory_adjacent(view, lanes)) {
-            // Gather/scatter: synthesize the vector (or tear it apart)
-            // lane by lane.
-            econ.pack_cost += (w - 1) * target.pack2_ops;
-        }
-    }
-
-    // Operand superwords of arithmetic ops and the stored value of stores.
-    const int slots = kernel.op(lanes.front()).num_args();
-    for (int slot = 0; slot < slots; ++slot) {
-        // acc = acc + p: the operand is the group's own previous-iteration
-        // result, held in a vector register — a reuse, not a pack.
-        const bool self_accumulation = std::all_of(
-            lanes.begin(), lanes.end(), [&](OpId lane) {
-                const Op& op = kernel.op(lane);
-                return op.dest.valid() && op.args[slot] == op.dest &&
-                       !view.def_of_arg(lane, slot).valid();
-            });
-        if (self_accumulation) {
-            econ.reuse += 1.0;
-            continue;
-        }
-        const std::vector<OpId> defs = operand_defs(view, lanes, slot);
-        switch (producible_as_superword(view, available, defs)) {
-            case SuperwordMatch::Direct:
-                econ.reuse += 1.0;
-                break;
-            case SuperwordMatch::Reversed:
-                econ.reuse += 1.0;
-                econ.pack_cost += 1.0;  // one vector permute
-                break;
-            case SuperwordMatch::No:
-                if (!defs.empty() && lanes_memory_adjacent(view, defs)) {
-                    // Loads that could be vectorized even w/o a candidate.
-                    econ.reuse += 0.5;
-                } else if (is_splat(view, lanes, slot)) {
-                    econ.pack_cost += 1.0;
-                } else {
-                    econ.pack_cost += (w - 1) * target.pack2_ops;
-                }
-                break;
-        }
-    }
-
-    // Result side (stores produce no value).
-    if (kind != OpKind::Store) {
-        // A consuming candidate whose operand lanes match c's lanes turns
-        // the result into a reused superword. A self-accumulating group
-        // consumes its own result in the next iteration.
-        bool consumed_as_superword = false;
-        for (int slot = 0; slot < slots && !consumed_as_superword; ++slot) {
-            consumed_as_superword = std::all_of(
-                lanes.begin(), lanes.end(), [&](OpId lane) {
-                    const Op& op = kernel.op(lane);
-                    return op.dest.valid() && op.args[slot] == op.dest;
-                });
-        }
-        const std::vector<OpId> lanes_reversed(lanes.rbegin(), lanes.rend());
-        for (const Candidate* d : available) {
-            if (*d == c) continue;
-            const std::vector<OpId> dl = fused_lanes(view, *d);
-            const int dslots = kernel.op(dl.front()).num_args();
-            for (int slot = 0; slot < dslots; ++slot) {
-                const std::vector<OpId> defs = operand_defs(view, dl, slot);
-                if (defs == lanes || defs == lanes_reversed) {
-                    econ.reuse += 1.0;
-                    consumed_as_superword = true;
-                }
-            }
-        }
-        if (!consumed_as_superword) {
-            for (const OpId lane : lanes) {
-                if (!view.consumers_of(lane).empty() ||
-                    view.has_external_uses(lane)) {
-                    econ.unpack_cost += target.extract_ops;
-                }
-            }
-        }
-    }
-
-    return econ;
+    std::vector<Candidate> candidates = available;
+    candidates.push_back(c);
+    const CandidateIndex index(view, candidates, target);
+    return index.evaluate(candidates.size() - 1,
+                          CandidateIndex::Pool(candidates.size(), nullptr));
 }
 
 }  // namespace slpwlo

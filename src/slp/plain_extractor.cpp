@@ -43,7 +43,7 @@ std::vector<SimdGroup> extract_slp(PackedView& view, const TargetModel& target,
             for (size_t i = 0; i < candidates.size(); ++i) {
                 for (size_t j = i + 1; j < candidates.size(); ++j) {
                     if (conflicts.conflict(i, j)) continue;
-                    if (hooks.extra_conflict(candidates[i], candidates[j])) {
+                    if (hooks.extra_conflict(candidates, i, j)) {
                         conflicts.add(i, j);
                         local.extra_conflicts++;
                     }

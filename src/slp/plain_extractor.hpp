@@ -38,8 +38,11 @@ struct SlpHooks {
     /// Fig. 1c lines 6-12: may a candidate be implemented at all?
     std::function<bool(const Candidate&)> candidate_valid;
     /// Fig. 1c lines 16-21: extra (accuracy) conflicts between candidates
-    /// that are not structurally conflicting.
-    std::function<bool(const Candidate&, const Candidate&)> extra_conflict;
+    /// i and j of the round's valid `candidates` (same list for the whole
+    /// round) that are not structurally conflicting.
+    std::function<bool(const std::vector<Candidate>& candidates, size_t i,
+                       size_t j)>
+        extra_conflict;
     /// Fig. 1c line 34 (+ strict feasibility): commit the candidate's WL
     /// reduction; returning false drops it.
     std::function<bool(const Candidate&)> try_select;

@@ -14,17 +14,10 @@ PackSelectResult select_packs_exact(
     // Round-start weights: each candidate scored once against everything
     // it does not conflict with (the greedy loop's first-pick pool).
     std::vector<double> weight(candidates.size(), 0.0);
+    const CandidateIndex index(view, candidates, target);
+    const CandidateIndex::Pool pool(candidates.size(), &conflicts);
     for (size_t i = 0; i < candidates.size(); ++i) {
-        std::vector<const Candidate*> pool;
-        pool.reserve(candidates.size());
-        for (size_t j = 0; j < candidates.size(); ++j) {
-            if (j != i && !conflicts.conflict(i, j)) {
-                pool.push_back(&candidates[j]);
-            }
-        }
-        const Economics econ =
-            evaluate_candidate(view, pool, candidates[i], target);
-        weight[i] = benefit_score(econ, options.benefit_mode);
+        weight[i] = benefit_score(index.evaluate(i, pool), options.benefit_mode);
     }
 
     // Model variables: candidates at or above the profitability floor.

@@ -352,7 +352,9 @@ TEST(CompiledExec, FlowMeasureRunsConfiguredEvaluator) {
     const std::string measured = to_json(a, /*include_measured=*/true);
     EXPECT_NE(measured.find("\"sim_noise_db\":"), std::string::npos);
     EXPECT_NE(measured.find("\"measured_ns\":"), std::string::npos);
-    if (toolchain_usable()) EXPECT_GT(b.measured_ns, 0);
+    if (toolchain_usable()) {
+        EXPECT_GT(b.measured_ns, 0);
+    }
 
     FlowOptions unmeasured = tape;
     unmeasured.measure = false;

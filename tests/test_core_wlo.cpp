@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "accuracy/sim_evaluator.hpp"
+#include "core/accuracy_aware_slp.hpp"
 #include "core/slp_aware_wlo.hpp"
 #include "core/wlo_first.hpp"
+#include "frontend/kernel_file.hpp"
+#include "frontend/kernel_gen.hpp"
 #include "support/diagnostics.hpp"
 #include "target/target_model.hpp"
 #include "test_util.hpp"
@@ -271,6 +274,172 @@ TEST(WloFirst, NeverChangesSpecDuringExtraction) {
     for (const NodeRef node : spec.nodes()) {
         EXPECT_EQ(spec.format(node), before[i++]);
     }
+}
+
+// --- Fig. 1c accuracy conflicts: memoized vs probe-per-pair ----------------------
+
+/// Counts noise evaluations: every full evaluation and every query of a
+/// session it opened (the sessions are the inner evaluator's, wrapped).
+class CountingEvaluator final : public AccuracyEvaluator {
+public:
+    explicit CountingEvaluator(const AccuracyEvaluator& inner)
+        : inner_(inner) {}
+
+    double noise_power(const FixedPointSpec& spec) const override {
+        calls++;
+        return inner_.noise_power(spec);
+    }
+
+    std::unique_ptr<EvalSession> open_session(
+        FixedPointSpec& spec) const override {
+        return std::make_unique<Session>(inner_.open_session(spec), calls);
+    }
+
+    mutable long calls = 0;
+
+private:
+    class Session final : public EvalSession {
+    public:
+        Session(std::unique_ptr<EvalSession> inner, long& calls)
+            : inner_(std::move(inner)), calls_(calls) {}
+        double noise_power() override {
+            calls_++;
+            return inner_->noise_power();
+        }
+        void begin_move(NodeRef node) override { inner_->begin_move(node); }
+        void end_move() override { inner_->end_move(); }
+        FixedPointSpec& spec() override { return inner_->spec(); }
+
+    private:
+        std::unique_ptr<EvalSession> inner_;
+        long& calls_;
+    };
+
+    const AccuracyEvaluator& inner_;
+};
+
+struct AccuracySlpRun {
+    std::vector<std::vector<SimdGroup>> groups;
+    std::vector<FixedFormat> formats;
+    SlpStats stats;
+    long evaluations = 0;
+    long pairs = 0;  ///< conflict-hook answers
+};
+
+/// accuracy_aware_slp over every block, as run_slp_aware_wlo drives it,
+/// with the conflict hook either the memoized one or the reference: a
+/// fresh probe per pair (checkpoint, equation (1) twice, violates,
+/// revert).
+AccuracySlpRun run_accuracy_slp(const kernels::BenchmarkKernel& bench,
+                                const TargetModel& target, double db,
+                                bool strict, bool memoized) {
+    const Kernel& kernel = bench.kernel;
+    FixedPointSpec spec = build_initial_spec(kernel, bench.range_options);
+    for (const NodeRef node : spec.nodes()) {
+        spec.set_wl(node, target.max_wl());
+    }
+    const CountingEvaluator counting(cached_evaluator(kernel));
+    AccuracySlpConfig config;
+    config.accuracy_db = db;
+    config.strict_feasibility = strict;
+
+    AccuracySlpRun run;
+    for (const BlockId block : blocks_by_priority(kernel)) {
+        if (kernel.block(block).ops.size() < 2) continue;
+        PackedView view(kernel, block);
+        AccuracySlpHooks accuracy(view, spec, counting, target, config);
+        const auto memo_hook = accuracy.hooks.extra_conflict;
+        const std::unique_ptr<EvalSession> probe = counting.open_session(spec);
+        accuracy.hooks.extra_conflict =
+            [&](const std::vector<Candidate>& candidates, size_t i,
+                size_t j) {
+                run.pairs++;
+                if (memoized) return memo_hook(candidates, i, j);
+                const auto cp = spec.checkpoint();
+                for (const size_t k : {i, j}) {
+                    const std::vector<OpId> lanes =
+                        fused_lanes(view, candidates[k]);
+                    set_group_max_wl(spec, lanes,
+                                     static_cast<int>(lanes.size()), target);
+                }
+                const bool violated = probe->violates(db);
+                spec.revert(cp);
+                return violated;
+            };
+        run.groups.push_back(
+            extract_slp(view, target, config.slp, accuracy.hooks, &run.stats));
+        accuracy.finish();
+    }
+    EXPECT_EQ(spec.open_checkpoints(), 0u);
+    for (const NodeRef node : spec.nodes()) {
+        run.formats.push_back(spec.format(node));
+    }
+    run.evaluations = counting.calls;
+    return run;
+}
+
+void expect_same_run(const AccuracySlpRun& got, const AccuracySlpRun& want,
+                     const std::string& where) {
+    ASSERT_EQ(got.groups.size(), want.groups.size()) << where;
+    for (size_t b = 0; b < got.groups.size(); ++b) {
+        ASSERT_EQ(got.groups[b].size(), want.groups[b].size()) << where;
+        for (size_t g = 0; g < got.groups[b].size(); ++g) {
+            EXPECT_EQ(got.groups[b][g].lanes, want.groups[b][g].lanes)
+                << where;
+        }
+    }
+    EXPECT_EQ(got.formats, want.formats) << where;
+    const SlpStats& a = got.stats;
+    const SlpStats& e = want.stats;
+    EXPECT_EQ(a.rounds, e.rounds) << where;
+    EXPECT_EQ(a.candidates_seen, e.candidates_seen) << where;
+    EXPECT_EQ(a.invalid_candidates, e.invalid_candidates) << where;
+    EXPECT_EQ(a.structural_conflicts, e.structural_conflicts) << where;
+    EXPECT_EQ(a.extra_conflicts, e.extra_conflicts) << where;
+    EXPECT_EQ(a.selected, e.selected) << where;
+    EXPECT_EQ(a.rejected_at_select, e.rejected_at_select) << where;
+    EXPECT_EQ(a.devirtualized, e.devirtualized) << where;
+    EXPECT_EQ(got.pairs, want.pairs) << where;
+}
+
+TEST(AccuracySlp, MemoizedConflictsMatchProbePerPair) {
+    static const std::vector<kernels::BenchmarkKernel> benches = [] {
+        frontend::GenOptions hostile;
+        hostile.slp_hostile = true;
+        return std::vector<kernels::BenchmarkKernel>{
+            kernels::make_benchmark_kernel("CONV"),
+            frontend::load_kernel_file(SLPWLO_SOURCE_DIR
+                                       "/kernels/stencil2d.slp"),
+            frontend::generate_kernel(2, hostile)};
+    }();
+    // VEX-4's 4x8 configuration makes equation (1) bite hard.
+    const TargetModel target = targets::vex4();
+    int extra_conflicts = 0;
+    for (const kernels::BenchmarkKernel& bench : benches) {
+        long evaluations = 0;
+        long pairs = 0;
+        // -10 dB is far from any violation; -40 to -60 dB is where
+        // candidates turn invalid and pairs start to conflict.
+        for (const double db : {-10.0, -40.0, -50.0, -60.0}) {
+            for (const bool strict : {true, false}) {
+                const AccuracySlpRun got =
+                    run_accuracy_slp(bench, target, db, strict, true);
+                expect_same_run(
+                    got, run_accuracy_slp(bench, target, db, strict, false),
+                    bench.name + " at " + std::to_string(db) +
+                        (strict ? " dB, strict" : " dB"));
+                evaluations += got.evaluations;
+                pairs += got.pairs;
+                extra_conflicts += got.stats.extra_conflicts;
+            }
+        }
+        // The memo answers most pairs without evaluating anything.
+        EXPECT_GT(pairs, 0) << bench.name;
+        EXPECT_LT(evaluations, pairs) << bench.name;
+    }
+    // Some pairs must really conflict, or the memo's stored answers
+    // were never put to the test.
+    EXPECT_GT(extra_conflicts, 0);
 }
 
 }  // namespace

@@ -206,5 +206,76 @@ TEST(EvalDelta, SessionsResyncThroughCheckpointRevert) {
     }
 }
 
+/// Checkpoints are an undo log; the reference here is the obvious
+/// implementation — a full copy of every format per open checkpoint.
+/// Random nested checkpoint/set/revert/commit sequences must restore
+/// exactly the copied formats, and an open session must keep tracking
+/// the spec bit for bit through every revert.
+TEST(EvalDelta, UndoLogCheckpointsMatchFullCopies) {
+    for (const Kernel* kernel : test_kernels()) {
+        const AnalyticEvaluator& evaluator = cached_evaluator(*kernel);
+        FixedPointSpec spec = initial_spec(*kernel);
+        set_uniform_wl(spec, 20);
+        const auto eval = evaluator.open_session(spec);
+        RandomMoves moves(spec, 0x5EED);
+
+        auto formats = [&spec] {
+            std::vector<FixedFormat> out;
+            for (const NodeRef node : spec.nodes()) {
+                out.push_back(spec.format(node));
+            }
+            return out;
+        };
+        auto same = [](const std::vector<FixedFormat>& a,
+                       const std::vector<FixedFormat>& b) {
+            if (a.size() != b.size()) return false;
+            for (size_t i = 0; i < a.size(); ++i) {
+                if (a[i].iwl != b[i].iwl || a[i].fwl != b[i].fwl) return false;
+            }
+            return true;
+        };
+
+        std::vector<std::pair<FixedPointSpec::Checkpoint,
+                              std::vector<FixedFormat>>>
+            open;
+        int reverts = 0;
+        for (int step = 0; step < 600; ++step) {
+            const int action = moves.rng_.uniform_int(0, 9);
+            if (action < 5) {
+                const NodeRef node = moves.node();
+                if (action == 0) {
+                    spec.set_iwl(node, spec.format(node).iwl + 1);
+                } else {
+                    spec.set_wl(node, moves.wl());
+                }
+            } else if (action < 7 && open.size() < 6) {
+                open.emplace_back(spec.checkpoint(), formats());
+            } else if (!open.empty()) {
+                if (action < 9) {
+                    spec.revert(open.back().first);
+                    ASSERT_TRUE(same(formats(), open.back().second))
+                        << kernel->name() << " step " << step;
+                    ASSERT_EQ(bits_of(eval->noise_power()),
+                              bits_of(evaluator.noise_power(spec)))
+                        << kernel->name() << " step " << step;
+                    reverts++;
+                } else {
+                    spec.commit(open.back().first);
+                }
+                open.pop_back();
+            }
+            ASSERT_EQ(spec.open_checkpoints(), open.size());
+        }
+        while (!open.empty()) {
+            spec.revert(open.back().first);
+            ASSERT_TRUE(same(formats(), open.back().second));
+            open.pop_back();
+        }
+        ASSERT_EQ(bits_of(eval->noise_power()),
+                  bits_of(evaluator.noise_power(spec)));
+        EXPECT_GT(reverts, 20) << kernel->name();
+    }
+}
+
 }  // namespace
 }  // namespace slpwlo

@@ -246,7 +246,9 @@ TEST(Scheduler, SoftFloatSerializes) {
             if (op.kind == MachKind::SoftFloat) expected += op.soft_cycles;
         }
         EXPECT_EQ(sched.serial_cycles, expected);
-        if (expected > 0) EXPECT_GE(sched.ii, expected);
+        if (expected > 0) {
+            EXPECT_GE(sched.ii, expected);
+        }
     }
 }
 

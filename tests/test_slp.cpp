@@ -2,9 +2,16 @@
 // economics, extraction engine and the plain (WLO-First) extractor.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "frontend/kernel_file.hpp"
+#include "frontend/kernel_gen.hpp"
+#include "kernels/kernel_registry.hpp"
 #include "slp/plain_extractor.hpp"
 #include "support/diagnostics.hpp"
+#include "target/target_desc.hpp"
 #include "target/target_model.hpp"
+#include "target/target_registry.hpp"
 #include "test_util.hpp"
 
 namespace slpwlo {
@@ -358,6 +365,335 @@ TEST(Extraction, GroupsAreDisjointAndIndependent) {
                 EXPECT_TRUE(seen.insert(lane.index()).second)
                     << "op in two groups";
             }
+        }
+    }
+}
+
+// --- selection: indexed rounds vs the pool-rebuilding loop ----------------------
+
+// The selection loop as it was before the per-round CandidateIndex: every
+// alive candidate re-scored against a freshly built pool on every pick,
+// with the pool scanned for producers and consumers. Kept here, and only
+// here, as the oracle the indexed selection must reproduce pick for pick.
+namespace oracle {
+
+enum class SuperwordMatch { No, Direct, Reversed };
+
+SuperwordMatch producible_as_superword(
+    const PackedView& view, const std::vector<const Candidate*>& available,
+    const std::vector<OpId>& defs) {
+    if (defs.empty()) return SuperwordMatch::No;
+    std::vector<OpId> reversed(defs.rbegin(), defs.rend());
+
+    auto usable = [&view](const std::vector<OpId>& producer_lanes) {
+        if (view.kernel().op(producer_lanes.front()).kind != OpKind::Load) {
+            return true;
+        }
+        return lanes_memory_adjacent(view, producer_lanes);
+    };
+
+    for (const Candidate* c : available) {
+        const std::vector<OpId> lanes = fused_lanes(view, *c);
+        if (lanes == defs && usable(lanes)) return SuperwordMatch::Direct;
+        if (lanes == reversed && usable(lanes)) return SuperwordMatch::Reversed;
+    }
+    for (int i = 0; i < view.size(); ++i) {
+        if (view.width(i) < 2) continue;
+        const std::vector<OpId>& lanes = view.node(i).lanes;
+        if (lanes == defs && usable(lanes)) return SuperwordMatch::Direct;
+        if (lanes == reversed && usable(lanes)) return SuperwordMatch::Reversed;
+    }
+    return SuperwordMatch::No;
+}
+
+bool is_splat(const PackedView& view, const std::vector<OpId>& lanes,
+              int slot) {
+    const Kernel& kernel = view.kernel();
+    const VarId first = kernel.op(lanes.front()).args[slot];
+    for (const OpId lane : lanes) {
+        if (view.def_of_arg(lane, slot).valid()) return false;
+        if (kernel.op(lane).args[slot] != first) return false;
+    }
+    return true;
+}
+
+Economics evaluate_candidate(const PackedView& view,
+                             const std::vector<const Candidate*>& available,
+                             const Candidate& c, const TargetModel& target) {
+    Economics econ;
+    econ.saved_ops = static_cast<double>(c.node_count() - 1);
+    const Kernel& kernel = view.kernel();
+    const std::vector<OpId> lanes = fused_lanes(view, c);
+    const int w = static_cast<int>(lanes.size());
+    const OpKind kind = view.kind(c.nodes.front());
+
+    if (kind == OpKind::Load || kind == OpKind::Store) {
+        if (!lanes_memory_adjacent(view, lanes)) {
+            econ.pack_cost += (w - 1) * target.pack2_ops;
+        }
+    }
+
+    const int slots = kernel.op(lanes.front()).num_args();
+    for (int slot = 0; slot < slots; ++slot) {
+        const bool self_accumulation = std::all_of(
+            lanes.begin(), lanes.end(), [&](OpId lane) {
+                const Op& op = kernel.op(lane);
+                return op.dest.valid() && op.args[slot] == op.dest &&
+                       !view.def_of_arg(lane, slot).valid();
+            });
+        if (self_accumulation) {
+            econ.reuse += 1.0;
+            continue;
+        }
+        const std::vector<OpId> defs = operand_defs(view, lanes, slot);
+        switch (producible_as_superword(view, available, defs)) {
+            case SuperwordMatch::Direct:
+                econ.reuse += 1.0;
+                break;
+            case SuperwordMatch::Reversed:
+                econ.reuse += 1.0;
+                econ.pack_cost += 1.0;
+                break;
+            case SuperwordMatch::No:
+                if (!defs.empty() && lanes_memory_adjacent(view, defs)) {
+                    econ.reuse += 0.5;
+                } else if (is_splat(view, lanes, slot)) {
+                    econ.pack_cost += 1.0;
+                } else {
+                    econ.pack_cost += (w - 1) * target.pack2_ops;
+                }
+                break;
+        }
+    }
+
+    if (kind != OpKind::Store) {
+        bool consumed_as_superword = false;
+        for (int slot = 0; slot < slots && !consumed_as_superword; ++slot) {
+            consumed_as_superword = std::all_of(
+                lanes.begin(), lanes.end(), [&](OpId lane) {
+                    const Op& op = kernel.op(lane);
+                    return op.dest.valid() && op.args[slot] == op.dest;
+                });
+        }
+        const std::vector<OpId> lanes_reversed(lanes.rbegin(), lanes.rend());
+        for (const Candidate* d : available) {
+            if (*d == c) continue;
+            const std::vector<OpId> dl = fused_lanes(view, *d);
+            const int dslots = kernel.op(dl.front()).num_args();
+            for (int slot = 0; slot < dslots; ++slot) {
+                const std::vector<OpId> defs = operand_defs(view, dl, slot);
+                if (defs == lanes || defs == lanes_reversed) {
+                    econ.reuse += 1.0;
+                    consumed_as_superword = true;
+                }
+            }
+        }
+        if (!consumed_as_superword) {
+            for (const OpId lane : lanes) {
+                if (!view.consumers_of(lane).empty() ||
+                    view.has_external_uses(lane)) {
+                    econ.unpack_cost += target.extract_ops;
+                }
+            }
+        }
+    }
+    return econ;
+}
+
+std::vector<Candidate> select_candidates(
+    const PackedView& view, std::vector<Candidate> candidates,
+    const ConflictSet& conflicts, const TargetModel& target, BenefitMode mode,
+    double min_benefit, const TrySelect& try_select, int* rejected_count) {
+    std::vector<bool> alive(candidates.size(), true);
+    std::vector<Candidate> selected;
+    std::vector<Candidate> committed;
+    int alive_count = static_cast<int>(candidates.size());
+
+    while (alive_count > 0) {
+        double best_score = 0.0;
+        double best_saved = 0.0;
+        size_t best = candidates.size();
+        for (size_t i = 0; i < candidates.size(); ++i) {
+            if (!alive[i]) continue;
+            std::vector<const Candidate*> pool;
+            for (size_t j = 0; j < candidates.size(); ++j) {
+                if (alive[j] && !conflicts.conflict(i, j)) {
+                    pool.push_back(&candidates[j]);
+                }
+            }
+            for (const Candidate& d : committed) pool.push_back(&d);
+            const Economics econ =
+                evaluate_candidate(view, pool, candidates[i], target);
+            const double score = benefit_score(econ, mode);
+            const bool better =
+                best == candidates.size() || score > best_score ||
+                (score == best_score && econ.saved_ops > best_saved);
+            if (better) {
+                best = i;
+                best_score = score;
+                best_saved = econ.saved_ops;
+            }
+        }
+        if (best_score < min_benefit) break;
+
+        alive[best] = false;
+        alive_count--;
+
+        if (try_select && !try_select(candidates[best])) {
+            if (rejected_count != nullptr) (*rejected_count)++;
+            continue;
+        }
+        selected.push_back(candidates[best]);
+        committed.push_back(candidates[best]);
+
+        for (size_t i = 0; i < candidates.size(); ++i) {
+            if (alive[i] && conflicts.conflict(best, i)) {
+                alive[i] = false;
+                alive_count--;
+            }
+        }
+    }
+    return selected;
+}
+
+}  // namespace oracle
+
+/// A seeded pseudo-random verdict on a candidate (or a pair): the same
+/// answer for the same nodes, however often and in whatever order asked.
+uint64_t seeded_hash(uint64_t seed, const std::vector<int>& a,
+                     const std::vector<int>& b = {}) {
+    uint64_t h = seed * 0x9E3779B97F4A7C15ull + 0x632BE59BD9B4E019ull;
+    for (const std::vector<int>* nodes : {&a, &b}) {
+        for (const int n : *nodes) {
+            h ^= static_cast<uint64_t>(n) + 0x9E3779B97F4A7C15ull;
+            h *= 0xBF58476D1CE4E5B9ull;
+            h ^= h >> 31;
+        }
+        h = (h ^ 0xFF51AFD7ED558CCDull) * 0x94D049BB54A09ED3ull;
+    }
+    return h ^ (h >> 29);
+}
+
+struct SelectionTally {
+    int rounds = 0;
+    int picks = 0;
+    int rejected = 0;
+};
+
+/// Drive extraction rounds on every multi-op block of `kernel`, comparing
+/// the indexed selection with the oracle on every round. Seeded extra
+/// conflicts (about 1 pair in 8) exercise the pool's conflict filter; the
+/// optional veto rejects about 1 pick in 3.
+void compare_selection(const Kernel& kernel, const TargetModel& target,
+                       const SlpOptions& options, bool veto, uint64_t seed,
+                       SelectionTally& tally) {
+    for (const BlockId block : kernel.blocks_in_order()) {
+        if (kernel.block(block).ops.size() < 2) continue;
+        PackedView view(kernel, block);
+        SlpHooks hooks;
+        hooks.extra_conflict = [&](const std::vector<Candidate>& candidates,
+                                   size_t i, size_t j) {
+            return seeded_hash(seed, candidates[i].nodes,
+                               candidates[j].nodes) % 8 == 0;
+        };
+        int round = 0;
+        hooks.select_round = [&](std::vector<Candidate> candidates,
+                                 const ConflictSet& conflicts, int* rejected) {
+            TrySelect try_select;
+            if (veto) {
+                try_select = [&](const Candidate& c) {
+                    return seeded_hash(seed + static_cast<uint64_t>(round),
+                                       c.nodes) % 3 != 0;
+                };
+            }
+            int expected_rejected = 0;
+            const std::vector<Candidate> expected = oracle::select_candidates(
+                view, candidates, conflicts, target, options.benefit_mode,
+                options.min_benefit, try_select, &expected_rejected);
+            int got_rejected = 0;
+            std::vector<Candidate> got = select_candidates(
+                view, std::move(candidates), conflicts, target,
+                options.benefit_mode, options.min_benefit, try_select,
+                &got_rejected);
+            EXPECT_EQ(got, expected)
+                << kernel.name() << " on " << target.name << ", round "
+                << round << (veto ? " (veto)" : "");
+            EXPECT_EQ(got_rejected, expected_rejected)
+                << kernel.name() << " on " << target.name << ", round "
+                << round;
+            tally.rounds++;
+            tally.picks += static_cast<int>(got.size());
+            tally.rejected += got_rejected;
+            *rejected += got_rejected;
+            round++;
+            return got;
+        };
+        extract_slp(view, target, options, hooks);
+    }
+}
+
+std::vector<kernels::BenchmarkKernel> selection_kernels() {
+    std::vector<kernels::BenchmarkKernel> out;
+    kernels::KernelRegistry& registry = kernels::KernelRegistry::instance();
+    for (const std::string& name : kernels::benchmark_kernel_names()) {
+        out.push_back(registry.get(name));
+    }
+    for (const std::string& name :
+         frontend::load_kernel_corpus(SLPWLO_SOURCE_DIR "/kernels")) {
+        out.push_back(registry.get(name));
+    }
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+        frontend::GenOptions hostile;
+        hostile.slp_hostile = true;
+        out.push_back(frontend::generate_kernel(seed));
+        out.push_back(frontend::generate_kernel(seed, hostile));
+    }
+    return out;
+}
+
+std::vector<TargetModel> selection_targets() {
+    std::vector<TargetModel> out;
+    for (const std::string& name : TargetRegistry::instance().names()) {
+        out.push_back(TargetRegistry::instance().get(name));
+    }
+    // No 2-lane configuration: run seeds and virtual widths apply.
+    out.push_back(load_target_description(SLPWLO_SOURCE_DIR
+                                          "/targets/wide256.target"));
+    return out;
+}
+
+TEST(Selection, IndexedRoundsMatchPoolRebuildingOracle) {
+    const std::vector<kernels::BenchmarkKernel> benches = selection_kernels();
+    const std::vector<TargetModel> targets = selection_targets();
+    SelectionTally plain, vetoed;
+    for (const kernels::BenchmarkKernel& bench : benches) {
+        for (const TargetModel& target : targets) {
+            compare_selection(bench.kernel, target, {}, false, 11, plain);
+            compare_selection(bench.kernel, target, {}, true, 12, vetoed);
+        }
+    }
+    // The comparison must have had something to compare.
+    EXPECT_GT(plain.rounds, 100);
+    EXPECT_GT(plain.picks, 1000);
+    EXPECT_GT(vetoed.rejected, 100);
+}
+
+TEST(Selection, EvaluateCandidateMatchesOracleOnFullPool) {
+    const TargetModel target = targets::vex4();
+    for (const Kernel* k : {&small_fir(), &::slpwlo::testing::small_conv()}) {
+        PackedView view(*k, hot_block(*k));
+        const auto candidates = extract_candidates(view, target);
+        std::vector<const Candidate*> pool;
+        for (const Candidate& c : candidates) pool.push_back(&c);
+        for (const Candidate& c : candidates) {
+            const Economics got =
+                evaluate_candidate(view, candidates, c, target);
+            const Economics want =
+                oracle::evaluate_candidate(view, pool, c, target);
+            EXPECT_EQ(got.reuse, want.reuse);
+            EXPECT_EQ(got.pack_cost, want.pack_cost);
+            EXPECT_EQ(got.unpack_cost, want.unpack_cost);
+            EXPECT_EQ(got.saved_ops, want.saved_ops);
         }
     }
 }

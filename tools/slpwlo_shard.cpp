@@ -501,7 +501,10 @@ int cmd_work(Args args) {
     int port = 0;
     farm::parse_endpoint(connect, host, port);
     if (options.worker.empty()) {
-        options.worker = "w" + std::to_string(::getpid());
+        // Appended, not `"w" + ...`: gcc 12 misreports that under
+        // -Wrestrict.
+        options.worker = "w";
+        options.worker += std::to_string(::getpid());
     }
     const size_t executed = farm::run_farm_worker(host, port, options);
     std::printf("worker %s drained farm %s: %zu slots run here\n",
