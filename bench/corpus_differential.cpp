@@ -17,6 +17,11 @@
 //   3. Determinism — the whole sweep runs twice (1 thread, then N) and
 //      the serialized reports must be byte-identical.
 //
+// It also reports how the accuracy-conflict hook answered its pairs over
+// the 1-thread sweep: pairs the closed-form filter decided and merged-spec
+// probes run. Both counts are deterministic; CI caps the probe count, so
+// a change that silently switches the filter off fails there.
+//
 // Emits a JSON gate report (--json / --json=FILE) for CI artifacts.
 //
 //   $ ./corpus_differential [--corpus DIR]... [--generated N]
@@ -205,7 +210,9 @@ int main(int argc, char** argv) {
 
     bool cycles_positive = true;
     bool constraints_met = true;
+    ConflictProbeStats conflicts;
     for (const SweepResult& r : first) {
+        conflicts += r.flow.conflict_stats;
         if (r.flow.simd_cycles <= 0 || r.flow.scalar_cycles <= 0) {
             cycles_positive = false;
             std::printf("  NON-POSITIVE CYCLES: %s / %s\n",
@@ -230,6 +237,9 @@ int main(int argc, char** argv) {
                 cycles_positive ? "yes" : "NO");
     std::printf("constraints met everywhere: %s\n",
                 constraints_met ? "yes" : "NO");
+    std::printf("accuracy-conflict pairs: %lld decided by the filter, "
+                "%lld probes\n",
+                conflicts.filter_decided, conflicts.probes);
 
     const bool ok =
         evaluators_agree && deterministic && cycles_positive && constraints_met;
@@ -247,6 +257,8 @@ int main(int argc, char** argv) {
            << ",\"generated_kernels\":" << generated
            << ",\"hostile_kernels\":" << hostile
            << ",\"flows\":" << flows.size()
+           << ",\"conflict_filter_decided\":" << conflicts.filter_decided
+           << ",\"conflict_probes\":" << conflicts.probes
            << ",\"gates\":{\"evaluator_agreement\":"
            << (evaluators_agree ? "true" : "false")
            << ",\"determinism\":" << (deterministic ? "true" : "false")

@@ -1,5 +1,7 @@
 #include "accuracy/analytic_evaluator.hpp"
 
+#include <cmath>
+
 #include "support/diagnostics.hpp"
 
 namespace slpwlo {
@@ -39,12 +41,34 @@ public:
         // AnalyticEvaluator::noise_power bit for bit.
         double variance = 0.0;
         double mean = 0.0;
-        for (const Contrib& c : contribs_) {
-            variance += c.v_term;
-            mean += c.m_term;
+        for (const NoiseTerm& c : contribs_) {
+            variance += c.variance;
+            mean += c.mean;
         }
         return variance + mean * mean;
     }
+
+    /// The same two sums as noise_power(), in the same order, plus the
+    /// absolute-value sums.
+    bool noise_split(NoiseSplit* split) override {
+        sync();
+        NoiseSplit s;
+        for (const NoiseTerm& c : contribs_) {
+            s.variance += c.variance;
+            s.mean += c.mean;
+            s.abs_variance += std::fabs(c.variance);
+            s.abs_mean += std::fabs(c.mean);
+        }
+        s.terms = contribs_.size();
+        *split = s;
+        return true;
+    }
+
+    std::span<const uint32_t> terms_of(NodeRef node) override {
+        return evaluator_->sites_of(node);
+    }
+
+    NoiseTerm term(uint32_t index) override { return compute(index); }
 
     void begin_move(NodeRef node) override {
         sync();  // snapshot from a cache that is current
@@ -71,11 +95,6 @@ public:
     FixedPointSpec& spec() override { return *spec_; }
 
 private:
-    struct Contrib {
-        double v_term = 0.0;  ///< stats.variance * gain.a, +0.0 if inactive
-        double m_term = 0.0;  ///< stats.mean * gain.b * dc_sign, ditto
-    };
-
     void sync() {
         while (cursor_ < spec_->journal_size()) {
             const NodeRef node = spec_->journal_entry(cursor_++);
@@ -83,30 +102,28 @@ private:
         }
     }
 
-    void refresh(size_t i) {
+    void refresh(size_t i) { contribs_[i] = compute(i); }
+
+    /// Site i's gain-weighted terms under the spec's current state; +0.0
+    /// terms when the site is inactive.
+    NoiseTerm compute(size_t i) const {
         const NoiseSite& site = evaluator_->sites_[i];
         const NoiseStats stats = compute_site_stats(
             site, *evaluator_->kernel_, *spec_, evaluator_->def_nodes_);
+        if (!site_active(site, stats)) return {};
         const NodeGains& g =
             site.op.valid()
                 ? evaluator_->gains_.op_gains[static_cast<size_t>(
                       site.op.index())]
                 : evaluator_->gains_.array_gains[static_cast<size_t>(
                       site.array.index())];
-        Contrib& c = contribs_[i];
-        if (site_active(site, stats)) {
-            c.v_term = stats.variance * g.a;
-            c.m_term = stats.mean * g.b * site.dc_sign;
-        } else {
-            c.v_term = 0.0;
-            c.m_term = 0.0;
-        }
+        return {stats.variance * g.a, stats.mean * g.b * site.dc_sign};
     }
 
     const AnalyticEvaluator* evaluator_;
     FixedPointSpec* spec_;
-    std::vector<Contrib> contribs_;
-    std::vector<Contrib> saved_contribs_;  ///< begin_move() snapshot scratch
+    std::vector<NoiseTerm> contribs_;
+    std::vector<NoiseTerm> saved_contribs_;  ///< begin_move() snapshot scratch
     const std::vector<uint32_t>* move_sites_ = nullptr;
     size_t cursor_ = 0;
 };

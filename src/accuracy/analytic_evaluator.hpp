@@ -12,7 +12,8 @@
 // total is re-summed over the cached contributions in site order — the same
 // terms in the same order as the full evaluation, so the returned double is
 // bit-identical. An O(n)-op kernel's Tabu iteration drops from O(n^2) noise
-// work to O(n).
+// work to O(n). The session is additive: its sites are the terms of
+// EvalSession::noise_split / terms_of / term.
 #pragma once
 
 #include <cstdint>

@@ -16,14 +16,37 @@
 // returns the exact double the evaluator's full noise_power(spec) would
 // return for the spec's current state. The default session simply forwards
 // to the full evaluation, so simulation-backed evaluators work unchanged.
+//
+// Analytic sessions additionally expose the additive form of their noise,
+// P = V + M² with V and M sums of per-site terms (noise_split, terms_of,
+// term), so a caller can bound the noise of a combination of independent
+// changes without evaluating it (core/accuracy_aware_slp's conflict filter).
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 
 #include "fixpoint/spec.hpp"
 #include "support/dbmath.hpp"
 
 namespace slpwlo {
+
+/// One noise term of an additive session: what a site adds to V and to M.
+struct NoiseTerm {
+    double variance = 0.0;
+    double mean = 0.0;
+};
+
+/// The additive form of an additive session's noise power:
+/// noise_power() == variance + mean * mean, bit for bit.
+struct NoiseSplit {
+    double variance = 0.0;      ///< V: the terms' variances, in term order
+    double mean = 0.0;          ///< M: the terms' signed means, in term order
+    double abs_variance = 0.0;  ///< sum of |term variance|
+    double abs_mean = 0.0;      ///< sum of |term mean|
+    size_t terms = 0;           ///< number of terms in each sum
+};
 
 /// A per-optimization-run evaluation handle bound to one spec.
 ///
@@ -71,6 +94,29 @@ public:
 
     bool violates(double constraint_db) {
         return noise_power_db() > constraint_db;
+    }
+
+    /// Additive sessions fill `split` for the bound spec's current state
+    /// and return true; the others (simulation) return false, and then
+    /// terms_of() is empty and term() must not be called.
+    virtual bool noise_split(NoiseSplit* split) {
+        (void)split;
+        return false;
+    }
+
+    /// Ascending indices of the terms whose value depends on `node`'s
+    /// format.
+    virtual std::span<const uint32_t> terms_of(NodeRef node) {
+        (void)node;
+        return {};
+    }
+
+    /// Term `index` under the bound spec's current state: the exact
+    /// doubles noise_split() would sum for it. A pure query; it does not
+    /// touch the session's cache.
+    virtual NoiseTerm term(uint32_t index) {
+        (void)index;
+        return {};
     }
 
     virtual FixedPointSpec& spec() = 0;

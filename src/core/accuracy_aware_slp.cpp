@@ -1,6 +1,8 @@
 #include "core/accuracy_aware_slp.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 #include <unordered_map>
 
 #include "support/diagnostics.hpp"
@@ -46,6 +48,28 @@ struct ChangeListHash {
     }
 };
 
+/// gamma_k = k u / (1 - k u) with u = 2^-53: the relative error bound of
+/// k floating-point additions in sequence (Higham, "Accuracy and
+/// Stability of Numerical Algorithms", section 3.1).
+double gamma(size_t k) {
+    const double ku = static_cast<double>(k) * 0x1p-53;
+    return ku / (1.0 - ku);
+}
+
+/// True when two ascending index lists share no element.
+bool disjoint(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b) {
+    size_t x = 0, y = 0;
+    while (x < a.size() && y < b.size()) {
+        if (a[x] == b[y]) return false;
+        if (a[x] < b[y]) {
+            ++x;
+        } else {
+            ++y;
+        }
+    }
+    return true;
+}
+
 }  // namespace
 
 struct AccuracySlpHooks::State {
@@ -64,11 +88,47 @@ struct AccuracySlpHooks::State {
     /// Exact selection: the solver's revertible equation-(1) fixes.
     std::vector<FixedPointSpec::Checkpoint> fix_stack{};
 
-    /// Conflict memo of the current round (see the class comment).
-    std::vector<ChangeList> changes{};
-    std::vector<char> has_changes{};
+    /// One distinct equation-(1) change list of the current round, against
+    /// the round-base spec. Candidates with equal lists reach equal spec
+    /// states in every pair, so the hook works per class of candidates.
+    struct ChangeClass {
+        /// Sorted by node.
+        ChangeList changes{};
+        /// Closed-form filter inputs (additive sessions only): the
+        /// ascending noise terms the change touches, a 64-bit signature
+        /// of them (bit t % 64 per term t), the change's effect on V and
+        /// M, and the absolute sums bounding that effect's rounding.
+        std::vector<uint32_t> terms{};
+        uint64_t signature = 0;
+        double d_variance = 0.0;
+        double d_mean = 0.0;
+        double abs_variance = 0.0;
+        double abs_mean = 0.0;
+    };
+    std::vector<ChangeClass> classes{};
+    /// Per candidate of the round: its class; empty until the round's
+    /// first pair.
+    std::vector<uint32_t> class_of{};
+    /// Per pair of distinct classes (the upper triangle, row-major; see
+    /// answer_index): -1 until answered, else the answer. A round's
+    /// candidate pairs repeat class pairs often enough that this cache
+    /// saves about an eighth of a corpus sweep over the filter and memo
+    /// alone.
+    std::vector<int8_t> answers{};
+    /// Merged-state memo of the current round (see the class comment).
     std::unordered_map<ChangeList, bool, ChangeListHash> memo{};
-    ChangeList merged{};  ///< scratch key
+    ChangeList scratch{};  ///< change-list and merge-key scratch
+
+    /// The filter: the round base's split; `additive` says whether the
+    /// session offers one at all.
+    bool additive = false;
+    NoiseSplit base{};
+    /// Noise powers bracketing the constraint: every power at or above
+    /// `power_hi` violates it, none at or below `power_lo` does.
+    /// `bracketed` is false when power_to_db could not confirm that.
+    double power_hi = 0.0;
+    double power_lo = 0.0;
+    bool bracketed = false;
 
     void apply_eq1(const Candidate& c) {
         const std::vector<OpId> lanes = fused_lanes(view, c);
@@ -77,46 +137,161 @@ struct AccuracySlpHooks::State {
 
     bool violates() { return eval->violates(config.accuracy_db); }
 
-    /// Candidate i's equation-(1) change list against the round-base spec
+    /// Guard the constraint's power by 2^-40 relative on each side and
+    /// check both ends with power_to_db itself, so the filter's decisions
+    /// do not lean on the exactness of pow and log10 (DESIGN.md §10).
+    void bracket_constraint() {
+        const double db = config.accuracy_db;
+        const double power = db_to_power(db);
+        power_hi = power * (1.0 + 0x1p-40);
+        power_lo = power * (1.0 - 0x1p-40);
+        bracketed = power_to_db(power_hi) > db && !(power_to_db(power_lo) > db);
+    }
+
+    void begin_round() {
+        class_of.clear();
+        memo.clear();
+    }
+
+    /// Sort the round's candidates into change classes, on its first pair
     /// (the spec is at the round base while conflicts are detected).
-    const ChangeList& changes_of(const std::vector<Candidate>& candidates,
-                                 size_t i) {
-        if (changes.size() != candidates.size()) {
-            changes.assign(candidates.size(), {});
-            has_changes.assign(candidates.size(), 0);
+    void classify(const std::vector<Candidate>& candidates) {
+        additive = bracketed && eval->noise_split(&base);
+        classes.clear();
+        std::unordered_map<ChangeList, uint32_t, ChangeListHash> ids;
+        for (const Candidate& c : candidates) {
+            scratch.clear();
+            const std::vector<OpId> lanes = fused_lanes(view, c);
+            const auto m =
+                target.realized_element_wl(static_cast<int>(lanes.size()));
+            SLPWLO_ASSERT(m.has_value(),
+                          "set_group_max_wl on an unrealizable group size");
+            for (const OpId lane : lanes) {
+                const NodeRef node = spec.node_of(lane);
+                const int wl = spec.format(node).wl();
+                if (*m >= wl) continue;  // no-op
+                scratch.push_back(
+                    {static_cast<uint32_t>(node.id) * 2 +
+                         (node.kind == NodeRef::Kind::Array ? 1u : 0u),
+                     static_cast<int32_t>(*m)});
+            }
+            std::sort(scratch.begin(), scratch.end(),
+                      [](const WlChange& x, const WlChange& y) {
+                          return x.node < y.node;
+                      });
+            // Lanes sharing a node (an array's loads) move it identically.
+            scratch.erase(std::unique(scratch.begin(), scratch.end()),
+                          scratch.end());
+            const auto [it, fresh] = ids.try_emplace(
+                scratch, static_cast<uint32_t>(classes.size()));
+            if (fresh) {
+                classes.push_back({scratch});
+                if (additive) measure_delta(c, classes.back());
+            }
+            class_of.push_back(it->second);
         }
-        ChangeList& list = changes[i];
-        if (has_changes[i]) return list;
-        has_changes[i] = 1;
-        const std::vector<OpId> lanes = fused_lanes(view, candidates[i]);
-        const auto m =
-            target.realized_element_wl(static_cast<int>(lanes.size()));
-        SLPWLO_ASSERT(m.has_value(),
-                      "set_group_max_wl on an unrealizable group size");
-        for (const OpId lane : lanes) {
-            const NodeRef node = spec.node_of(lane);
-            const int wl = spec.format(node).wl();
-            if (*m >= wl) continue;  // no-op
-            list.push_back(
-                {static_cast<uint32_t>(node.id) * 2 +
-                     (node.kind == NodeRef::Kind::Array ? 1u : 0u),
-                 static_cast<int32_t>(*m)});
+        answers.assign(classes.size() * (classes.size() - 1) / 2, -1);
+    }
+
+    /// The class's effect on V and M: each touched term after equation
+    /// (1) minus the same term at the round base.
+    void measure_delta(const Candidate& c, ChangeClass& cls) {
+        for (const WlChange& change : cls.changes) {
+            const NodeRef node{(change.node & 1u) != 0 ? NodeRef::Kind::Array
+                                                       : NodeRef::Kind::Var,
+                               static_cast<int32_t>(change.node / 2)};
+            for (const uint32_t t : eval->terms_of(node)) {
+                cls.terms.push_back(t);
+            }
         }
-        std::sort(list.begin(), list.end(),
-                  [](const WlChange& x, const WlChange& y) {
-                      return x.node < y.node;
-                  });
-        // Lanes sharing a node (an array's loads) move it identically.
-        list.erase(std::unique(list.begin(), list.end()), list.end());
-        return list;
+        if (cls.terms.empty()) return;
+        std::sort(cls.terms.begin(), cls.terms.end());
+        cls.terms.erase(std::unique(cls.terms.begin(), cls.terms.end()),
+                        cls.terms.end());
+        std::vector<NoiseTerm> before;
+        before.reserve(cls.terms.size());
+        for (const uint32_t t : cls.terms) {
+            before.push_back(eval->term(t));
+            cls.signature |= uint64_t{1} << (t % 64);
+        }
+        const auto cp = spec.checkpoint();
+        apply_eq1(c);
+        for (size_t k = 0; k < cls.terms.size(); ++k) {
+            const NoiseTerm after = eval->term(cls.terms[k]);
+            cls.d_variance += after.variance - before[k].variance;
+            cls.d_mean += after.mean - before[k].mean;
+            cls.abs_variance +=
+                std::fabs(after.variance) + std::fabs(before[k].variance);
+            cls.abs_mean += std::fabs(after.mean) + std::fabs(before[k].mean);
+        }
+        spec.revert(cp);
+    }
+
+    /// The closed-form filter. Classes touching disjoint term sets add up
+    /// exactly in real arithmetic, so the pair's V and M are the base's
+    /// plus both deltas. The value computed here and the one a probe
+    /// would compute each lie within half of `margin` of that exact value
+    /// (DESIGN.md §10), so a value clearing the constraint by more than
+    /// `margin` is the probe's answer. Anything else is left undecided.
+    std::optional<bool> filter(const ChangeClass& a,
+                               const ChangeClass& b) const {
+        if ((a.signature & b.signature) != 0 && !disjoint(a.terms, b.terms)) {
+            return std::nullopt;
+        }
+        const double v = base.variance + a.d_variance + b.d_variance;
+        const double m = base.mean + a.d_mean + b.d_mean;
+        const double power = v + m * m;
+        const double abs_v =
+            base.abs_variance + a.abs_variance + b.abs_variance;
+        const double abs_m = base.abs_mean + a.abs_mean + b.abs_mean;
+        const size_t k = base.terms + a.terms.size() + b.terms.size() + 5;
+        const double margin = 4.0 * gamma(k) * (abs_v + 3.0 * abs_m * abs_m);
+        if (power - margin >= power_hi) return true;
+        if (power + margin <= power_lo) return false;
+        return std::nullopt;
     }
 
     bool extra_conflict(const std::vector<Candidate>& candidates, size_t i,
                         size_t j) {
-        const ChangeList& a = changes_of(candidates, i);
-        const ChangeList& b = changes_of(candidates, j);
+        if (class_of.size() != candidates.size()) classify(candidates);
+        const uint32_t ci = class_of[i];
+        const uint32_t cj = class_of[j];
+        // Equal lists: the pair's state is either candidate's own, which
+        // passed the validity hook on the same base.
+        if (ci == cj) return false;
+        int8_t& answer = answers[answer_index(ci, cj)];
+        if (answer < 0) answer = classes_conflict(candidates, i, j, ci, cj);
+        return answer != 0;
+    }
+
+    /// Slot of the pair {a, b}, a != b, in the upper triangle: rows
+    /// 0..lo-1 hold K-1, K-2, ... slots, then hi's place in row lo.
+    size_t answer_index(uint32_t a, uint32_t b) const {
+        const size_t lo = std::min(a, b);
+        const size_t hi = std::max(a, b);
+        const size_t k = classes.size();
+        return lo * (2 * k - lo - 1) / 2 + (hi - lo - 1);
+    }
+
+    /// The answer for a pair of distinct classes, first met as candidates
+    /// i and j.
+    bool classes_conflict(const std::vector<Candidate>& candidates, size_t i,
+                          size_t j, uint32_t ci, uint32_t cj) {
+        const ChangeClass& ca = classes[ci];
+        const ChangeClass& cb = classes[cj];
+        if (additive) {
+            if (const std::optional<bool> decided = filter(ca, cb)) {
+                if (config.conflict_stats != nullptr) {
+                    config.conflict_stats->filter_decided++;
+                }
+                return *decided;
+            }
+        }
+        const ChangeList& a = ca.changes;
+        const ChangeList& b = cb.changes;
         // Min-merge: applying both lists leaves each node at the smaller
         // of the two WLs.
+        ChangeList& merged = scratch;
         merged.clear();
         bool is_a = true;
         bool is_b = true;
@@ -145,6 +320,7 @@ struct AccuracySlpHooks::State {
         apply_eq1(candidates[j]);
         const bool violated = violates();
         spec.revert(cp);
+        if (config.conflict_stats != nullptr) config.conflict_stats->probes++;
         memo.emplace(merged, violated);
         return violated;
     }
@@ -158,6 +334,7 @@ AccuracySlpHooks::AccuracySlpHooks(const PackedView& view,
     : state_(std::make_unique<State>(
           State{view, spec, target, config, evaluator.open_session(spec)})) {
     State& st = *state_;
+    st.bracket_constraint();
 
     // Fig. 1c lines 6-12: a candidate whose own WL reduction (with all
     // other nodes untouched) violates the constraint can never be
@@ -253,9 +430,7 @@ AccuracySlpHooks::AccuracySlpHooks(const PackedView& view,
         if (st.round_open) st.spec.commit(st.round_cp);
         st.round_cp = st.spec.checkpoint();
         st.round_open = true;
-        st.changes.clear();
-        st.has_changes.clear();
-        st.memo.clear();
+        st.begin_round();
     };
     hooks.round_finish = [&st](std::vector<Candidate> selection) {
         const PackedView& view = st.view;

@@ -24,6 +24,24 @@
 
 namespace slpwlo {
 
+/// How the accuracy-conflict hook (Fig. 1c lines 14-25) reached its
+/// answers. Measurements, not outcomes: every answer is the one a probe of
+/// the pair's merged spec gives, whichever way it was reached.
+struct ConflictProbeStats {
+    /// Pairs of change lists the closed-form filter decided without an
+    /// evaluation (once per round, however many candidate pairs share
+    /// the two lists).
+    long long filter_decided = 0;
+    /// Evaluations of a pair's merged spec (memo misses).
+    long long probes = 0;
+
+    ConflictProbeStats& operator+=(const ConflictProbeStats& other) {
+        filter_decided += other.filter_decided;
+        probes += other.probes;
+        return *this;
+    }
+};
+
 struct AccuracySlpConfig {
     /// Accuracy constraint: maximum tolerable output noise power in dB.
     double accuracy_db = -40.0;
@@ -42,6 +60,8 @@ struct AccuracySlpConfig {
     /// When non-null, exact-selection statistics accumulate here (one
     /// solve per round).
     solver::PackSelectStats* solver_stats = nullptr;
+    /// When non-null, the conflict hook's counters accumulate here.
+    ConflictProbeStats* conflict_stats = nullptr;
 };
 
 /// Equation (1): reduce the WL of every node carrying a lane of `lanes` to
@@ -57,15 +77,24 @@ void set_group_max_wl(FixedPointSpec& spec, const std::vector<OpId>& lanes,
 /// object's round state. `hooks` is a plain member, so a caller may swap
 /// one hook for its own (the tests swap in a probe-per-pair reference).
 ///
-/// The conflict hook memoizes within a round. Every candidate's
-/// equation-(1) change list — the sorted (node, new WL) pairs it changes
-/// from the round-base spec — is computed once; a pair's spec state is the
-/// two lists min-merged. A pair whose merged list equals one side's own
-/// list is that candidate's own state, which the validity hook already
-/// accepted on the same base, so it cannot violate; any other state is
-/// probed once and the answer reused for every pair reaching it. Equal
-/// spec states give equal noise bits, so the answers are those of a probe
-/// per pair.
+/// The conflict hook answers most pairs without evaluating them. Every
+/// candidate's equation-(1) change list — the sorted (node, new WL) pairs
+/// it changes from the round-base spec — is computed once per round, and
+/// candidates with equal lists share one answer per partner list. For a
+/// pair of distinct lists, in order:
+///  * when the session is additive (EvalSession::noise_split), each list's
+///    change of V and M and the sorted set of noise terms it touches are
+///    known; two lists touching disjoint term sets add up exactly, so the
+///    pair's noise follows in O(1), and the pair is decided when that
+///    value clears the constraint by more than a rounding-error bound
+///    (DESIGN.md §10);
+///  * otherwise the pair's spec state is the two lists min-merged. A
+///    merged list equal to one side's own list is that candidate's own
+///    state, which the validity hook already accepted on the same base,
+///    so it cannot violate; any other state is probed once and the answer
+///    reused for every pair reaching it.
+/// Equal spec states give equal noise bits, so the answers are those of a
+/// probe per pair.
 class AccuracySlpHooks {
 public:
     AccuracySlpHooks(const PackedView& view, FixedPointSpec& spec,

@@ -48,6 +48,7 @@ WloSlpResult run_slp_aware_wlo(const Kernel& kernel, FixedPointSpec& spec,
     slp_config.slp = options.slp;
 
     WloSlpResult result;
+    slp_config.conflict_stats = &result.conflict_stats;
     slp_config.exact_selection = options.exact_selection;
     slp_config.solver_budget = options.solver_budget;
     if (options.exact_selection) {

@@ -50,6 +50,8 @@ struct WloSlpResult {
     /// Exact-selection statistics, populated when
     /// WloSlpOptions::exact_selection is on (zero solves otherwise).
     solver::PackSelectStats solver_stats;
+    /// How the accuracy-conflict hook answered its pairs (a measurement).
+    ConflictProbeStats conflict_stats;
 
     /// Total number of SIMD groups selected.
     int group_count() const;

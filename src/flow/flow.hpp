@@ -178,6 +178,11 @@ struct FlowResult {
     ScalingStats scaling_stats{};  ///< WLO-SLP only
     TabuStats tabu_stats{};        ///< WLO-First / WLO-Optimal only
     SolverStats solver_stats{};    ///< WLO-Optimal / SLP-Optimal only
+    /// How WLO-SLP / SLP-Optimal answered accuracy-conflict pairs. Like
+    /// measured_ns, a measurement of this run's work, not an outcome: it
+    /// is left out of SlpStats, the stage memo and every identity
+    /// fingerprint, and is zero when a stage-memo hit skipped the work.
+    ConflictProbeStats conflict_stats{};
     int group_count = 0;
 
     /// Median wall time of one compiled kernel execution in nanoseconds

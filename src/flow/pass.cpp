@@ -412,6 +412,7 @@ public:
         ctx.result.groups = out.block_groups;
         ctx.result.slp_stats = out.slp_stats;
         ctx.result.scaling_stats = out.scaling_stats;
+        ctx.result.conflict_stats = out.conflict_stats;
         ctx.result.group_count = count_groups(ctx.result.groups);
         if (exact_selection_) {
             const solver::PackSelectStats& ps = out.solver_stats;

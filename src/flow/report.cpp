@@ -147,6 +147,9 @@ std::string to_json(const FlowResult& result, bool include_measured) {
                << ",\"best_objective\":" << json_number(sv.best_objective)
                << ",\"gap\":" << json_number(sv.gap) << "}";
         }
+        os << ",\"conflicts\":{\"filter_decided\":"
+           << result.conflict_stats.filter_decided
+           << ",\"probes\":" << result.conflict_stats.probes << "}";
     }
     os << "}";
     return os.str();

@@ -49,8 +49,10 @@ std::string json_number(double value);
 /// histogram, and the per-flow optimizer statistics.
 ///
 /// `include_measured` additionally emits "measured_ns", "sim_noise_db",
-/// and — for the exact flows — the "solver" statistics object (nodes,
-/// proven_optimal, heuristic-vs-optimal gap). It defaults off so
+/// for the exact flows the "solver" statistics object (nodes,
+/// proven_optimal, heuristic-vs-optimal gap), and the "conflicts"
+/// counters (accuracy-conflict pairs the closed-form filter decided,
+/// probes run). It defaults off so
 /// default report bytes — and everything fingerprinted from them — stay
 /// independent of wall-clock measurements (same discipline as per-slot
 /// micros in shard result rows).

@@ -6,8 +6,15 @@
 // dependency between the two groups (each group depends on a member of the
 // other). Accuracy conflicts — the paper's extension — are added on top by
 // the accuracy-aware extractor in src/core.
+//
+// Detection works on bitsets over the view's nodes, built once per call:
+// each candidate's members, and its ancestors (every node some member
+// depends on). A pair shares a node when one side's member bits hit the
+// other's; it is cyclic when each side's ancestors hit the other's
+// members. A pair test is thus a few bit lookups per lane.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "slp/candidate.hpp"
@@ -19,26 +26,23 @@ public:
     explicit ConflictSet(size_t candidate_count);
 
     void add(size_t i, size_t j);
-    bool conflict(size_t i, size_t j) const;
+    bool conflict(size_t i, size_t j) const {
+        return (bits_[i * words_ + j / 64] >> (j % 64)) & 1u;
+    }
 
     /// Number of conflicting pairs recorded.
     size_t pair_count() const { return pairs_; }
 
     bool any() const { return pairs_ > 0; }
 
+    friend bool operator==(const ConflictSet&, const ConflictSet&) = default;
+
 private:
-    std::vector<std::vector<bool>> matrix_;
+    size_t size_;
+    size_t words_;                ///< 64-bit words per row
+    std::vector<uint64_t> bits_;  ///< row-major symmetric bit matrix
     size_t pairs_ = 0;
 };
-
-/// True if candidates share a view node (any member of x is a member
-/// of y).
-bool shares_node(const Candidate& x, const Candidate& y);
-
-/// True if selecting both candidates creates a cyclic dependency: some
-/// member of y depends on a member of x and vice versa.
-bool cyclic_dependency(const PackedView& view, const Candidate& x,
-                       const Candidate& y);
 
 /// All structural conflicts among `candidates`.
 ConflictSet detect_structural_conflicts(const PackedView& view,

@@ -1,11 +1,22 @@
 #include "slp/packed_view.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "support/diagnostics.hpp"
 
 namespace slpwlo {
+
+namespace {
+
+size_t words_for(size_t nodes) { return (nodes + 63) / 64; }
+
+void set_bit(uint64_t* row, size_t j) {
+    row[j / 64] |= uint64_t{1} << (j % 64);
+}
+
+}  // namespace
 
 PackedView::PackedView(const Kernel& kernel, BlockId block)
     : kernel_(&kernel), block_(block), deps_(kernel, block) {
@@ -89,10 +100,6 @@ bool PackedView::has_external_uses(OpId op) const {
     return external_use_[static_cast<size_t>(position_of(op))];
 }
 
-bool PackedView::depends(int later, int earlier) const {
-    return node_dep_[static_cast<size_t>(later)][static_cast<size_t>(earlier)];
-}
-
 bool PackedView::independent(int a, int b) const {
     if (a == b) return false;
     return !depends(a, b) && !depends(b, a);
@@ -123,7 +130,16 @@ std::vector<std::vector<bool>> PackedView::full_node_deps() const {
     return dep;
 }
 
-void PackedView::rebuild_node_deps() { node_dep_ = full_node_deps(); }
+void PackedView::rebuild_node_deps() {
+    const std::vector<std::vector<bool>> full = full_node_deps();
+    dep_words_ = words_for(full.size());
+    node_dep_.assign(full.size() * dep_words_, 0);
+    for (size_t i = 0; i < full.size(); ++i) {
+        for (size_t j = 0; j < full.size(); ++j) {
+            if (full[i][j]) set_bit(node_dep_.data() + i * dep_words_, j);
+        }
+    }
+}
 
 void PackedView::fuse(const std::vector<std::vector<int>>& tuples) {
     // Each pending node remembers which pre-fusion nodes it absorbs, so
@@ -172,17 +188,21 @@ void PackedView::fuse(const std::vector<std::vector<int>>& tuples) {
             to_new[static_cast<size_t>(src)] = I;
         }
     }
-    std::vector<std::vector<bool>> dep(
-        next.size(), std::vector<bool>(next.size(), false));
+    const size_t words = words_for(next.size());
+    std::vector<uint64_t> dep(next.size() * words, 0);
     for (size_t i = 0; i < nodes_.size(); ++i) {
-        const std::vector<bool>& row = node_dep_[i];
-        for (size_t j = 0; j < nodes_.size(); ++j) {
-            if (row[j] && to_new[i] != to_new[j]) {
-                dep[to_new[i]][to_new[j]] = true;
+        const uint64_t* row = dep_row(static_cast<int>(i));
+        uint64_t* into = dep.data() + to_new[i] * words;
+        for (size_t w = 0; w < dep_words_; ++w) {
+            for (uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+                const size_t j = w * 64 + static_cast<size_t>(
+                                              std::countr_zero(bits));
+                if (to_new[i] != to_new[j]) set_bit(into, to_new[j]);
             }
         }
     }
     node_dep_ = std::move(dep);
+    dep_words_ = words;
     nodes_.clear();
     nodes_.reserve(next.size());
     for (Pending& pending : next) nodes_.push_back(std::move(pending.node));
@@ -222,19 +242,21 @@ void PackedView::split_to_scalars(const std::vector<int>& nodes) {
     // verbatim; only pairs touching a split-off scalar re-derive from the
     // scalar closure (the old aggregated entry over-approximates a single
     // lane, and two lanes of one former group may depend on each other).
-    std::vector<std::vector<bool>> dep(
-        next.size(), std::vector<bool>(next.size(), false));
+    const size_t words = words_for(next.size());
+    std::vector<uint64_t> dep(next.size() * words, 0);
     for (size_t I = 0; I < next.size(); ++I) {
         for (size_t J = 0; J < next.size(); ++J) {
             if (I == J) continue;
-            if (!next[I].from_split && !next[J].from_split) {
-                dep[I][J] = node_dep_[next[I].source][next[J].source];
-            } else {
-                dep[I][J] = lanes_depend(next[I].node, next[J].node);
-            }
+            const bool d =
+                !next[I].from_split && !next[J].from_split
+                    ? depends(static_cast<int>(next[I].source),
+                              static_cast<int>(next[J].source))
+                    : lanes_depend(next[I].node, next[J].node);
+            if (d) set_bit(dep.data() + I * words, J);
         }
     }
     node_dep_ = std::move(dep);
+    dep_words_ = words;
     nodes_.clear();
     nodes_.reserve(next.size());
     for (Pending& pending : next) nodes_.push_back(std::move(pending.node));

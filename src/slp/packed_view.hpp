@@ -11,6 +11,7 @@
 // lane of j), derived from the block's scalar dependence analysis.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "ir/dependence.hpp"
@@ -50,7 +51,16 @@ public:
 
     /// Node-level dependence: does node `later` transitively depend on node
     /// `earlier` through any lanes?
-    bool depends(int later, int earlier) const;
+    bool depends(int later, int earlier) const {
+        return (dep_row(later)[earlier / 64] >> (earlier % 64)) & 1u;
+    }
+
+    /// Row `later` of the node dependence matrix, dep_words() 64-bit words
+    /// long: bit e % 64 of word e / 64 is depends(later, e).
+    const uint64_t* dep_row(int later) const {
+        return node_dep_.data() + static_cast<size_t>(later) * dep_words_;
+    }
+    size_t dep_words() const { return dep_words_; }
 
     /// True if no dependence connects the two nodes in either direction.
     bool independent(int a, int b) const;
@@ -107,8 +117,10 @@ private:
     BlockId block_;
     BlockDeps deps_;
     std::vector<Node> nodes_;
-    /// node_reach_[i][j]: node i depends on node j (transitively, via lanes).
-    std::vector<std::vector<bool>> node_dep_;
+    /// Row-major bit matrix, dep_words_ words per row: bit j of row i
+    /// says node i depends on node j (transitively, via lanes).
+    std::vector<uint64_t> node_dep_;
+    size_t dep_words_ = 0;
 
     std::vector<int> position_;                    // op index -> block position
     std::vector<std::array<OpId, 2>> def_of_arg_;  // per position

@@ -350,6 +350,16 @@ TEST(FlowEngine, JsonEmissionIsWellFormed) {
     EXPECT_NE(json.find("\"wl_histogram\":{"), std::string::npos);
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
+    // The accuracy-conflict counters are measurements: the measured report
+    // carries them, the identity bytes do not.
+    const ConflictProbeStats& counts = result.conflict_stats;
+    EXPECT_GT(counts.filter_decided + counts.probes, 0);
+    EXPECT_EQ(json.find("\"conflicts\""), std::string::npos);
+    EXPECT_NE(to_json(result, /*include_measured=*/true)
+                  .find("\"conflicts\":{\"filter_decided\":" +
+                        std::to_string(counts.filter_decided) +
+                        ",\"probes\":" + std::to_string(counts.probes) + "}"),
+              std::string::npos);
 
     EXPECT_EQ(json_escape("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     EXPECT_EQ(json_number(-35.25), "-35.25");

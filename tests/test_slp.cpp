@@ -192,10 +192,61 @@ TEST(Candidates, AdjacentLoadsOrientedAscending) {
 
 // --- conflicts -------------------------------------------------------------------
 
+// The structural conflict rules written out per pair, scanning every pair
+// of members: the all-pairs detection as it was before the bitset rows.
+// Kept here, and only here, as the oracle the bitset scan must reproduce.
+namespace conflict_oracle {
+
+bool shares_node(const Candidate& x, const Candidate& y) {
+    for (const int xn : x.nodes) {
+        for (const int yn : y.nodes) {
+            if (xn == yn) return true;
+        }
+    }
+    return false;
+}
+
+/// Some member of `later` depends on a member of `earlier`.
+bool group_depends(const PackedView& view, const Candidate& later,
+                   const Candidate& earlier) {
+    for (const int l : later.nodes) {
+        for (const int e : earlier.nodes) {
+            if (view.depends(l, e)) return true;
+        }
+    }
+    return false;
+}
+
+bool cyclic_dependency(const PackedView& view, const Candidate& x,
+                       const Candidate& y) {
+    return group_depends(view, y, x) && group_depends(view, x, y);
+}
+
+ConflictSet detect(const PackedView& view,
+                   const std::vector<Candidate>& candidates) {
+    ConflictSet conflicts(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+        for (size_t j = i + 1; j < candidates.size(); ++j) {
+            if (shares_node(candidates[i], candidates[j]) ||
+                cyclic_dependency(view, candidates[i], candidates[j])) {
+                conflicts.add(i, j);
+            }
+        }
+    }
+    return conflicts;
+}
+
+}  // namespace conflict_oracle
+
 TEST(Conflicts, SharedNodeConflicts) {
-    const Candidate c1{1, 2}, c2{2, 3}, c3{4, 5};
-    EXPECT_TRUE(shares_node(c1, c2));
-    EXPECT_FALSE(shares_node(c1, c3));
+    const Kernel& k = small_fir();
+    PackedView view(k, hot_block(k));
+    const std::vector<Candidate> candidates{{1, 2}, {2, 3}, {4, 5}};
+    const ConflictSet conflicts =
+        detect_structural_conflicts(view, candidates);
+    EXPECT_TRUE(conflicts.conflict(0, 1));
+    EXPECT_FALSE(conflict_oracle::shares_node(candidates[0], candidates[2]));
+    EXPECT_EQ(conflicts, conflict_oracle::detect(view, candidates));
 }
 
 TEST(Conflicts, DetectedSetIsSymmetric) {
@@ -233,10 +284,108 @@ TEST(Conflicts, CyclicDependencyCase) {
     // containing m2 on both sides is impossible, so check cross deps.
     EXPECT_TRUE(view.depends(4, 3));
     EXPECT_TRUE(view.depends(3, 2));
-    const Candidate g1{2, 4};
-    // g1 is NOT a legal candidate (m3 depends on m1 transitively).
+    // {m1,m3} is NOT a legal candidate (m3 depends on m1 transitively),
+    // but the conflict rules take any tuples: {m1,m3} and {a2,m2} each
+    // depend on the other (m2 on m1, m3 on m2), so they are cyclic without
+    // sharing a node, while {a1,a2} only shares a2 with {a2,m2}.
     EXPECT_FALSE(view.independent(2, 4));
-    (void)g1;
+    const std::vector<Candidate> candidates{{2, 4}, {1, 3}, {0, 1}};
+    EXPECT_FALSE(conflict_oracle::shares_node(candidates[0], candidates[1]));
+    EXPECT_TRUE(
+        conflict_oracle::cyclic_dependency(view, candidates[0], candidates[1]));
+    const ConflictSet conflicts =
+        detect_structural_conflicts(view, candidates);
+    EXPECT_TRUE(conflicts.conflict(0, 1));
+    EXPECT_FALSE(conflicts.conflict(0, 2));
+    EXPECT_TRUE(conflicts.conflict(1, 2));
+    EXPECT_EQ(conflicts, conflict_oracle::detect(view, candidates));
+}
+
+// The bitset scan against the all-pairs oracle on every block of the
+// built-in and corpus kernels, round after round: each round fuses a
+// greedy conflict-free subset of the candidates, so later rounds see
+// multi-lane nodes whose dependences are unions of their lanes'. Random
+// tuples of view nodes (legal candidates or not) ride along to reach
+// cyclic pairs that extraction itself would rarely produce.
+TEST(Conflicts, BitsetScanMatchesAllPairsOracle) {
+    std::vector<kernels::BenchmarkKernel> benches;
+    for (const char* name : {"FIR", "IIR", "CONV", "DOT"}) {
+        benches.push_back(kernels::make_benchmark_kernel(name));
+    }
+    for (const char* file : {"dotprod", "fft4", "fir8", "matmul4", "memcpy2",
+                             "stencil1d", "stencil2d"}) {
+        benches.push_back(frontend::load_kernel_file(
+            std::string(SLPWLO_SOURCE_DIR "/kernels/") + file + ".slp"));
+    }
+    uint64_t rng = 88172645463325252ull;
+    auto next = [&rng](int bound) {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return static_cast<int>(rng % static_cast<uint64_t>(bound));
+    };
+    size_t views = 0;
+    size_t multi_lane_views = 0;
+    size_t cyclic_only = 0;
+    for (const kernels::BenchmarkKernel& bench : benches) {
+        for (const TargetModel& target :
+             {targets::xentium(), targets::vex4()}) {
+            for (const BlockId block : bench.kernel.blocks_in_order()) {
+                PackedView view(bench.kernel, block);
+                for (int round = 0; round < 4 && view.size() >= 2; ++round) {
+                    std::vector<Candidate> candidates =
+                        extract_candidates(view, target);
+                    const size_t legal = candidates.size();
+                    for (int r = 0; r < 24; ++r) {
+                        const int a = next(view.size());
+                        const int b = next(view.size());
+                        if (a != b) candidates.push_back({a, b});
+                    }
+                    const ConflictSet got =
+                        detect_structural_conflicts(view, candidates);
+                    const ConflictSet want =
+                        conflict_oracle::detect(view, candidates);
+                    ASSERT_EQ(got, want)
+                        << bench.name << " on " << target.name << ", round "
+                        << round;
+                    views++;
+                    for (int node = 0; node < view.size(); ++node) {
+                        if (view.width(node) >= 2) {
+                            multi_lane_views++;
+                            break;
+                        }
+                    }
+                    for (size_t i = 0; i < candidates.size(); ++i) {
+                        for (size_t j = i + 1; j < candidates.size(); ++j) {
+                            if (want.conflict(i, j) &&
+                                !conflict_oracle::shares_node(candidates[i],
+                                                              candidates[j])) {
+                                cyclic_only++;
+                            }
+                        }
+                    }
+                    // Fuse a greedy conflict-free subset of the legal
+                    // candidates.
+                    std::vector<std::vector<int>> tuples;
+                    std::vector<size_t> taken;
+                    for (size_t c = 0; c < legal; ++c) {
+                        bool free = true;
+                        for (const size_t t : taken) {
+                            free = free && !got.conflict(c, t);
+                        }
+                        if (!free) continue;
+                        taken.push_back(c);
+                        tuples.push_back(candidates[c].nodes);
+                    }
+                    if (tuples.empty()) break;
+                    view.fuse(tuples);
+                }
+            }
+        }
+    }
+    EXPECT_GT(views, 50u);
+    EXPECT_GT(multi_lane_views, 30u);
+    EXPECT_GT(cyclic_only, 0u);
 }
 
 // --- economics --------------------------------------------------------------------
