@@ -84,24 +84,18 @@ KernelGates check_evaluators(const std::string& name) {
     const FlowResult optimized =
         FlowRegistry::instance().flow("WLO-SLP").run(context, target, options);
 
-    const auto tape = exec::make_noise_evaluator(context.kernel(),
-                                                 SimBackend::Tape);
-    // The walker is off the backend axis; it stays here as the oracle.
+    const SimulationEvaluator tape(context.kernel());
     const WalkerEvaluator walker(context.kernel());
-    const auto compiled = exec::make_noise_evaluator(context.kernel(),
-                                                     SimBackend::Compiled);
+    const exec::CompiledEvaluator compiled(context.kernel());
     for (const FixedPointSpec& spec :
          {context.initial_spec(), optimized.spec}) {
-        const uint64_t reference = bits_of(tape->noise_power(spec));
+        const uint64_t reference = bits_of(tape.noise_power(spec));
         if (bits_of(walker.noise_power(spec)) != reference ||
-            bits_of(compiled->noise_power(spec)) != reference) {
+            bits_of(compiled.noise_power(spec)) != reference) {
             gates.evaluators_agree = false;
         }
     }
-    if (const auto* c =
-            dynamic_cast<const exec::CompiledEvaluator*>(compiled.get())) {
-        gates.compiled_degraded = c->degraded();
-    }
+    gates.compiled_degraded = compiled.degraded();
     return gates;
 }
 

@@ -37,8 +37,8 @@ private:
 /// The tree-walker variant of SimulationEvaluator: same stimuli, same
 /// double references (tape-replayed — the traces are bit-identical), but
 /// each noise_power() runs the recursive walker. Exists as the
-/// differential reference of the `--evaluator` axis; its results are
-/// bit-identical to SimulationEvaluator by the tape/walker contract.
+/// differential reference of the tape and compiled backends; its results
+/// are bit-identical to SimulationEvaluator by the tape/walker contract.
 class WalkerEvaluator final : public AccuracyEvaluator {
 public:
     explicit WalkerEvaluator(const Kernel& kernel, int runs = 2,

@@ -16,7 +16,7 @@ namespace slpwlo::dist {
 namespace {
 
 /// The one manifest format version this writer emits and reader accepts.
-constexpr int kManifestVersion = 4;
+constexpr int kManifestVersion = 5;
 
 std::string quant_mode_kv(QuantMode mode) {
     return mode == QuantMode::Truncate ? "truncate" : "round";
@@ -85,18 +85,15 @@ std::string flow_options_kv(const FlowOptions& options,
          std::to_string(options.wlo_first.tabu.stagnation_limit));
     emit("wlo_first.tabu.infeasibility_penalty",
          kv::exact_double(options.wlo_first.tabu.infeasibility_penalty));
-    // Execution-strategy fields: they never change a result byte, but
-    // workers must inherit the launcher's choice of noise backend and
-    // timing so an --evaluator=compiled sweep runs compiled on every shard.
-    emit("evaluator", to_string(options.evaluator));
+    // Observational timing: it never changes a result byte, but workers
+    // inherit the launcher's choice so a --measure sweep measures on every
+    // shard.
     emit_bool("measure", options.measure);
-    // Solver fields. Unlike evaluator/measure the optimizer axis changes
-    // outcomes, so a worker that dropped it would produce different result
-    // bytes than the launcher's local run.
+    // Solver fields. Unlike measure the optimizer axis changes outcomes,
+    // so a worker that dropped it would produce different result bytes
+    // than the launcher's local run.
     emit("solver.optimizer", to_string(options.solver.optimizer));
     emit("solver.max_nodes", std::to_string(options.solver.budget.max_nodes));
-    emit("solver.max_millis",
-         std::to_string(options.solver.budget.max_millis));
     return os.str();
 }
 
@@ -141,12 +138,6 @@ void apply_flow_option(FlowOptions& options, const std::string& key,
     } else if (key == "wlo_first.tabu.infeasibility_penalty") {
         options.wlo_first.tabu.infeasibility_penalty =
             kv::to_double(source, line, key, value);
-    } else if (key == "evaluator") {
-        try {
-            options.evaluator = parse_sim_backend(value);
-        } catch (const Error& e) {
-            kv::fail(source, line, e.what());
-        }
     } else if (key == "measure") {
         options.measure = kv::to_bool(source, line, key, value);
     } else if (key == "solver.optimizer") {
@@ -157,9 +148,6 @@ void apply_flow_option(FlowOptions& options, const std::string& key,
         }
     } else if (key == "solver.max_nodes") {
         options.solver.budget.max_nodes =
-            kv::to_ll(source, line, key, value);
-    } else if (key == "solver.max_millis") {
-        options.solver.budget.max_millis =
             kv::to_ll(source, line, key, value);
     } else {
         kv::fail(source, line, "unknown option key `" + key + "`");

@@ -11,7 +11,7 @@
 // Format (line-oriented `key = value`, versioned; see DESIGN.md §7):
 //
 //   # slpwlo shard manifest
-//   manifest_version = 4
+//   manifest_version = 5
 //   shard_index = 0
 //   shard_count = 4
 //   strategy = round-robin
@@ -22,7 +22,7 @@
 //   begin_defaults                  # sweep-wide FlowOptions
 //   option.accuracy_db = -40
 //   option.quant_mode = truncate
-//   option.evaluator = tape         # noise backend (never changes bytes)
+//   option.measure = false          # timing only (never changes bytes)
 //   option.solver.optimizer = heuristic
 //   ...
 //   end_defaults
@@ -56,7 +56,7 @@
 // carry no kernel blocks.
 //
 // Versioning policy: manifests never outlive a run, so the reader accepts
-// exactly the version the writer emits (4) and names both on a mismatch.
+// exactly the version the writer emits (5) and names both on a mismatch.
 // Any format change bumps `manifest_version`; unknown keys are errors,
 // not extensions.
 #pragma once

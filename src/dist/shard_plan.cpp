@@ -47,9 +47,10 @@ double estimate_point_cost(const SweepPoint& point) {
     // Per-point model overrides change the work: a wider derived datapath
     // (@simd256) admits more lane counts, and candidate seeding, fusion
     // and equation-(1) WL commitments all grow with them. Points without
-    // an embedded model stay at the neutral weight (make_shard_plans and
-    // the lease coordinator both embed models before costing). The Float
-    // reference skips the SLP machinery entirely, so width is free there.
+    // an embedded model stay at the neutral weight (make_shard_plans
+    // embeds models before costing, and farm chunks cut manifest points,
+    // which always carry one). The Float reference skips the SLP
+    // machinery entirely, so width is free there.
     double width_weight = 1.0;
     if (point.flow != "Float" && point.target_model.has_value()) {
         const int lanes = point.target_model->max_group_size();

@@ -44,7 +44,7 @@ std::string to_string(ShardStrategy strategy);
 ShardStrategy shard_strategy_from_string(const std::string& text);
 
 /// Deterministic relative wall-clock estimate of one sweep point, for
-/// CostBalanced assignment and lease chunk sizing. A heuristic, not a
+/// CostBalanced assignment and farm chunk sizing. A heuristic, not a
 /// measurement: stricter accuracy constraints drive more optimizer
 /// iterations, the decoupled WLO-First flows add a Tabu search, the
 /// Float reference skips optimization entirely, and a point's embedded

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <string>
 
-#include "accuracy/sim_evaluator.hpp"
 #include "support/diagnostics.hpp"
 
 namespace slpwlo::exec {
@@ -110,19 +109,6 @@ double CompiledEvaluator::noise_power(const FixedPointSpec& spec) const {
         total += sum / static_cast<double>(oc);
     }
     return total / runs_;
-}
-
-std::unique_ptr<AccuracyEvaluator> make_noise_evaluator(const Kernel& kernel,
-                                                        SimBackend backend,
-                                                        int runs,
-                                                        uint64_t seed) {
-    switch (backend) {
-        case SimBackend::Compiled:
-            return std::make_unique<CompiledEvaluator>(kernel, runs, seed);
-        case SimBackend::Tape:
-            break;
-    }
-    return std::make_unique<SimulationEvaluator>(kernel, runs, seed);
 }
 
 }  // namespace slpwlo::exec

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "accuracy/evaluator.hpp"
-#include "accuracy/sim_backend.hpp"
 #include "exec/compiled_kernel.hpp"
 #include "sim/sim_tape.hpp"
 
@@ -56,11 +55,5 @@ private:
         cache_;
     mutable bool degraded_ = false;
 };
-
-/// The `--evaluator` axis factory: a simulation-backed noise evaluator for
-/// `backend`, all three bit-identical on the same (kernel, runs, seed).
-std::unique_ptr<AccuracyEvaluator> make_noise_evaluator(
-    const Kernel& kernel, SimBackend backend, int runs = 2,
-    uint64_t seed = 0x5E1F);
 
 }  // namespace slpwlo::exec

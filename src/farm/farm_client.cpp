@@ -256,11 +256,7 @@ size_t run_farm_worker(const std::string& host, int port,
         // sweep-wide flow defaults, and the defaults shape result bytes.
         ExecOptions exec = options.exec;
         exec.flow_options = manifest.defaults;
-        if (options.evaluator) exec.flow_options.evaluator = *options.evaluator;
         if (options.measure) exec.flow_options.measure = true;
-        if (options.optimizer) {
-            exec.flow_options.solver.optimizer = *options.optimizer;
-        }
         SweepService service(exec);
         SocketWorkSource source(client, options.worker, job, manifest,
                                 options.poll_ms, options.straggle_ms);

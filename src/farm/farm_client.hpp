@@ -31,7 +31,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -122,13 +121,10 @@ struct FarmWorkerOptions {
     long long poll_ms = 200;
     ExecOptions exec;             ///< flow_options overridden per job
     long long straggle_ms = 0;    ///< test hook, see SocketWorkSource
-    /// Worker-local execution knobs, re-applied on top of every job's
-    /// manifest defaults (each job replaces flow_options wholesale).
-    /// evaluator/measure never change row bytes; optimizer does — a farm
-    /// must agree on it or the streaming merge rejects the rows.
-    std::optional<SimBackend> evaluator;
+    /// Worker-local timing, re-applied on top of every job's manifest
+    /// defaults (each job replaces flow_options wholesale); it never
+    /// changes row bytes.
     bool measure = false;
-    std::optional<Optimizer> optimizer;
 };
 
 /// The complete worker loop: register, drain every job the daemon hands

@@ -25,7 +25,6 @@
 #include <mutex>
 
 #include "accuracy/analytic_evaluator.hpp"
-#include "accuracy/sim_backend.hpp"
 #include "core/wlo_first.hpp"
 #include "fixpoint/iwl.hpp"
 #include "lower/lowering.hpp"
@@ -36,9 +35,9 @@ namespace slpwlo {
 /// The `--optimizer` sweep axis: run each point's flow as registered
 /// (`Heuristic`), or substitute the exact branch-and-bound counterpart
 /// (`Optimal`) at flow-resolution time — "WLO-SLP" runs as "SLP-Optimal"
-/// and "WLO-First" as "WLO-Optimal" (see optimal_flow_for). Unlike the
-/// `--evaluator` axis this changes *outcomes*, so it is part of every
-/// identity: memo keys, manifests, report bytes.
+/// and "WLO-First" as "WLO-Optimal" (see optimal_flow_for). This changes
+/// *outcomes*, so it is part of every identity: memo keys, manifests,
+/// report bytes.
 enum class Optimizer { Heuristic, Optimal };
 
 /// Parse "heuristic" / "optimal"; an unknown spelling throws Error
@@ -54,19 +53,17 @@ std::string to_string(Optimizer optimizer);
 std::string optimal_flow_for(const std::string& flow_name);
 
 /// Exact-search knobs of the optimal flows. The budget changes which
-/// incumbent an out-of-budget search returns, so — unlike the evaluator
-/// backend — every field here is mixed into stage memo keys and
-/// serialized into shard manifests.
+/// incumbent an out-of-budget search returns, so — unlike `measure` —
+/// every field here is mixed into stage memo keys and serialized into
+/// shard manifests.
 struct SolverOptions {
     Optimizer optimizer = Optimizer::Heuristic;
     solver::SolveBudget budget;
 };
 
 /// Exact-search outcome of one flow run (zero / `ran == false` for the
-/// heuristic flows). Deterministic under the default node budget, but —
-/// like measured_ns — excluded from identity bytes: default to_json
-/// omits it, so a wall-clock budget (which makes node counts machine-
-/// dependent) can never change report identity.
+/// heuristic flows). Deterministic under the node budget, but — like
+/// measured_ns — excluded from identity bytes: default to_json omits it.
 struct SolverStats {
     bool ran = false;
     /// Branch-and-bound nodes expanded, summed over all solves.
@@ -94,20 +91,12 @@ struct FlowOptions {
     QuantMode quant_mode = QuantMode::Truncate;
     WloSlpOptions wlo_slp;      ///< accuracy_db is overridden
     WloFirstOptions wlo_first;  ///< accuracy_db is overridden
-    /// Bit-accurate noise backend for simulation-backed verification:
-    /// measured_noise_db, and the post-flow `measure` hook (FlowResult::
-    /// sim_noise_db). All three backends produce bit-identical noise
-    /// power; `compiled` is the fast path and silently degrades to the
-    /// tape when no host compiler is usable. Execution-strategy only:
-    /// excluded from stage_memo_key and from options_to_json, so switching
-    /// backends can never split the cache or change report bytes.
-    SimBackend evaluator = SimBackend::Tape;
-    /// Time the compiled kernel body after the flow (FlowResult::
-    /// measured_ns). Observational, like `evaluator`: excluded from memo
-    /// keys and default report bytes.
+    /// Time the compiled kernel body and simulate the final spec after
+    /// the flow (FlowResult::measured_ns, sim_noise_db). Observational:
+    /// excluded from memo keys and default report bytes.
     bool measure = false;
     /// Exact-search configuration (outcome-changing: memoized and
-    /// serialized, unlike `evaluator`/`measure`).
+    /// serialized, unlike `measure`).
     SolverOptions solver;
 };
 
@@ -191,12 +180,12 @@ struct FlowResult {
     /// measurement, not an outcome: it is excluded from every identity
     /// fingerprint and from default to_json bytes.
     long long measured_ns = 0;
-    /// Simulation-verified noise of the final spec, run on the configured
-    /// FlowOptions::evaluator backend; 0 unless `measure` was set. All
-    /// backends are bit-identical, so this can never differ across
-    /// `--evaluator` choices — it exists to execute the chosen backend
-    /// (and its degradation path) during real sweeps, and as a sim-vs-
-    /// analytic cross-check. Observational, like measured_ns.
+    /// Simulation-verified noise of the final spec through
+    /// exec::CompiledEvaluator (native when a host compiler is usable,
+    /// the bit-identical tape otherwise); 0 unless `measure` was set. A
+    /// sim-vs-analytic cross-check that also runs the compiled backend's
+    /// degradation path during real sweeps. Observational, like
+    /// measured_ns.
     double sim_noise_db = 0.0;
 };
 

@@ -353,17 +353,15 @@ uint64_t stage_memo_key(const KernelContext& context,
     mix_slp(wf.slp);
 
     // The solver axis changes outcomes (an exact flow under a different
-    // budget can return a different incumbent), so unlike the evaluator
-    // axis it is part of the key. The optimizer enum is mixed even though
-    // flow resolution already folds it into flow_name, so a directly-run
-    // exact flow and one reached through `--optimizer optimal` share
-    // entries only when the whole configuration agrees.
+    // budget can return a different incumbent), so it is part of the key.
+    // The optimizer enum is mixed even though flow resolution already
+    // folds it into flow_name, so a directly-run exact flow and one
+    // reached through `--optimizer optimal` share entries only when the
+    // whole configuration agrees.
     mix(h, static_cast<uint64_t>(options.solver.optimizer));
     mix(h, static_cast<uint64_t>(options.solver.budget.max_nodes));
-    mix(h, static_cast<uint64_t>(options.solver.budget.max_millis));
-    // options.evaluator and options.measure are deliberately NOT mixed:
-    // they pick an execution strategy (and an observational timing), not
-    // an outcome, so switching them must keep hitting the same entries.
+    // options.measure is deliberately NOT mixed: it adds an observational
+    // timing, not an outcome, so toggling it keeps hitting the same entries.
     return h;
 }
 
@@ -699,16 +697,16 @@ FlowResult FlowPipeline::run(const KernelContext& context,
     // Observational timing + simulation-backed verification of the final
     // spec. Outside the memoized region on purpose: a warm (stage- or
     // eval-cached) run still measures, and a measurement never lands in
-    // any cache entry. The noise check runs on the configured `--evaluator`
-    // backend — this is where the axis actually executes during a sweep
-    // (all three backends are bit-identical, so the bytes cannot differ).
-    // The float reference has no fixed-point spec to compile.
+    // any cache entry. The noise check runs compiled when a host compiler
+    // is usable and on the bit-identical tape otherwise, so this is where
+    // the degradation path executes during a sweep. The float reference
+    // has no fixed-point spec to compile.
     if (ctx.options.measure && !ctx.float_variant) {
         ctx.result.measured_ns =
             exec::measure_kernel_ns(context.kernel(), ctx.result.spec);
         ctx.result.sim_noise_db =
-            exec::make_noise_evaluator(context.kernel(), ctx.options.evaluator)
-                ->noise_power_db(ctx.result.spec);
+            exec::CompiledEvaluator(context.kernel())
+                .noise_power_db(ctx.result.spec);
     }
     return std::move(ctx.result);
 }

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "accuracy/sim_evaluator.hpp"
-#include "exec/compiled_evaluator.hpp"
 #include "support/diagnostics.hpp"
 #include "support/text.hpp"
 
@@ -61,14 +60,6 @@ double measured_noise_db(const KernelContext& context,
                          const FlowResult& result, int runs) {
     const SimulationEvaluator sim(context.kernel(), runs);
     return sim.noise_power_db(result.spec);
-}
-
-double measured_noise_db(const KernelContext& context,
-                         const FlowResult& result, int runs,
-                         SimBackend backend) {
-    const std::unique_ptr<AccuracyEvaluator> evaluator =
-        exec::make_noise_evaluator(context.kernel(), backend, runs);
-    return evaluator->noise_power_db(result.spec);
 }
 
 std::string json_escape(const std::string& text) {

@@ -27,14 +27,6 @@ std::string wl_histogram(const FixedPointSpec& spec);
 double measured_noise_db(const KernelContext& context,
                          const FlowResult& result, int runs = 2);
 
-/// Same measurement through a selectable backend (tape or compiled —
-/// exec/compiled_evaluator.hpp's make_noise_evaluator). Every
-/// backend returns bit-identical noise power; `compiled` degrades to the
-/// tape when no host compiler is usable.
-double measured_noise_db(const KernelContext& context,
-                         const FlowResult& result, int runs,
-                         SimBackend backend);
-
 // --- structured emission -------------------------------------------------------
 
 /// JSON string literal with the required escapes.

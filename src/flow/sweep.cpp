@@ -216,9 +216,9 @@ std::string slp_options_to_json(const SlpOptions& slp) {
 
 /// The option fields a per-point override can vary (both flows' ablation
 /// axes); emitted alongside the result so variant rows stay
-/// distinguishable. The evaluator/measure fields are deliberately absent:
-/// they select an execution strategy, not an outcome, so rows produced
-/// under different backends must stay byte-identical.
+/// distinguishable. The measure field is deliberately absent: it adds an
+/// observational timing, not an outcome, so rows produced with and without
+/// it must stay byte-identical.
 std::string options_to_json(const FlowOptions& options) {
     std::ostringstream os;
     os << "{\"quant_mode\":"
@@ -242,8 +242,7 @@ std::string options_to_json(const FlowOptions& options) {
        << "}}"
        << ",\"solver\":{\"optimizer\":\""
        << to_string(options.solver.optimizer)
-       << "\",\"max_nodes\":" << options.solver.budget.max_nodes
-       << ",\"max_millis\":" << options.solver.budget.max_millis << "}}";
+       << "\",\"max_nodes\":" << options.solver.budget.max_nodes << "}}";
     return os.str();
 }
 

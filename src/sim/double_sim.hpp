@@ -63,7 +63,7 @@ DoubleSimResult run_double(const Kernel& kernel, const Stimulus& stimulus,
                            const DoubleSimOptions& options = {});
 
 /// The original recursive-walker implementation, kept as a differential
-/// reference for the tape replay (tests, bench/perf_hotpaths).
+/// reference for the tape replay (tests, bench/corpus_differential).
 DoubleSimResult run_double_walker(const Kernel& kernel,
                                   const Stimulus& stimulus,
                                   const DoubleSimOptions& options = {});

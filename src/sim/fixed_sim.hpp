@@ -31,7 +31,7 @@ FixedSimResult run_fixed(const Kernel& kernel, const FixedPointSpec& spec,
                          const Stimulus& stimulus);
 
 /// The original recursive-walker implementation, kept as a differential
-/// reference for the tape replay (tests, bench/perf_hotpaths).
+/// reference for the tape replay (tests, bench/corpus_differential).
 FixedSimResult run_fixed_walker(const Kernel& kernel,
                                 const FixedPointSpec& spec,
                                 const Stimulus& stimulus);

@@ -6,14 +6,14 @@
 // branch-predictable loop over a contiguous array — no recursive region
 // descent, no loop bookkeeping, no per-instance affine evaluation — which
 // is what makes simulation-backed noise evaluation cheap enough for hot
-// loops (see bench/perf_hotpaths.cpp).
+// loops.
 //
 // Replays are bit-identical to the walker-based run_double/run_fixed: the
 // steps execute in the same order with the same arithmetic, injections
 // match by the same per-static-op occurrence counters, and range recording
 // applies the same hulls. The walker entry points survive as
-// run_double_walker/run_fixed_walker so tests (and the bench) can diff the
-// two implementations.
+// run_double_walker/run_fixed_walker so tests (and corpus_differential) can
+// diff the two implementations.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "solver/bnb.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 
 namespace slpwlo::solver {
@@ -54,10 +53,6 @@ public:
             return weights_[a] > weights_[b];
         });
         build_exclusion_graph();
-        if (options_.budget.max_millis > 0) {
-            deadline_ = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.budget.max_millis);
-        }
     }
 
     void seed(const std::vector<char>& initial) {
@@ -184,11 +179,6 @@ private:
             return false;
         }
         ++nodes_;
-        if (options_.budget.max_millis > 0 && (nodes_ & 63) == 0 &&
-            std::chrono::steady_clock::now() >= deadline_) {
-            out_of_budget_ = true;
-            return false;
-        }
         return true;
     }
 
@@ -253,7 +243,6 @@ private:
 
     long long nodes_ = 0;
     bool out_of_budget_ = false;
-    std::chrono::steady_clock::time_point deadline_;
 };
 
 }  // namespace

@@ -14,9 +14,7 @@
 // same problem and the same budget must expand the same tree and return
 // the same incumbent everywhere. Everything that orders the search —
 // branch variable order, value order, tie-breaks — is fixed up front,
-// and the default budget counts *nodes*, not milliseconds. A wall-clock
-// budget exists for interactive use but is off by default precisely
-// because it breaks the contract (see SolveBudget).
+// and the budget counts *nodes*, never milliseconds (see SolveBudget).
 //
 // Scope: binary variables, linear `<=` constraints with non-negative
 // coefficients and right-hand sides (which covers the pairwise-exclusion
@@ -69,12 +67,6 @@ struct SolveBudget {
     /// nodes). The budget is part of `stage_memo_key`, so lowering it
     /// changes every optimal-flow memo key.
     long long max_nodes = 8000000;
-
-    /// Optional wall-clock budget in milliseconds; 0 disables it. This
-    /// is the one knob that breaks run-to-run determinism (the tree now
-    /// depends on machine speed), so it is off by default and the sweep
-    /// layer never turns it on. Intended for interactive exploration.
-    long long max_millis = 0;
 };
 
 /// Statistics of one exact solve, reported per flow (flow/report.cpp)

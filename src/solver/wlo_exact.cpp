@@ -1,7 +1,6 @@
 #include "solver/wlo_exact.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 namespace slpwlo::solver {
 
@@ -50,10 +49,6 @@ public:
                 remaining_saving_[k + 1] +
                 max_saving[static_cast<size_t>(order_[k])];
         }
-        if (options_.budget.max_millis > 0) {
-            deadline_ = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.budget.max_millis);
-        }
         best_formats_.resize(nodes.size());
     }
 
@@ -83,11 +78,6 @@ public:
 private:
     bool spend_node() {
         if (++nodes_ > options_.budget.max_nodes) {
-            out_of_budget_ = true;
-            return false;
-        }
-        if (options_.budget.max_millis > 0 && (nodes_ & 63) == 0 &&
-            std::chrono::steady_clock::now() >= deadline_) {
             out_of_budget_ = true;
             return false;
         }
@@ -146,7 +136,6 @@ private:
 
     long long nodes_ = 0;
     bool out_of_budget_ = false;
-    std::chrono::steady_clock::time_point deadline_;
 };
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include <filesystem>
 #include <optional>
 
-#include "accuracy/sim_backend.hpp"
 #include "accuracy/sim_evaluator.hpp"
 #include "codegen/fixed_c.hpp"
 #include "exec/compiled_evaluator.hpp"
@@ -326,63 +325,38 @@ TEST(CompiledExec, MeasuredCostReportsPlausibleTiming) {
     }
 }
 
-// The `--evaluator` axis must actually execute during a measured flow:
-// the post-flow hook verifies the final spec on the configured backend
-// (FlowResult::sim_noise_db) while the identity JSON stays byte-identical
-// across backends — including the degraded compiled-without-a-compiler
-// case, which falls back to the tape.
-TEST(CompiledExec, FlowMeasureRunsConfiguredEvaluator) {
+// The post-flow `measure` hook simulates the final spec through the
+// compiled evaluator (FlowResult::sim_noise_db): compiled when a host
+// compiler is usable, the tape otherwise, bit-identical either way. The
+// identity JSON must not change with measure on or off.
+TEST(CompiledExec, FlowMeasureSimulatesTheFinalSpec) {
     TempJitDir jit_dir;
     const KernelContext context(::slpwlo::testing::small_fir());
-    FlowOptions tape;
-    tape.accuracy_db = -25.0;
-    tape.measure = true;
-    tape.evaluator = SimBackend::Tape;
-    FlowOptions compiled = tape;
-    compiled.evaluator = SimBackend::Compiled;
-
-    const FlowResult a = run_wlo_slp_flow(context, targets::xentium(), tape);
-    const FlowResult b =
-        run_wlo_slp_flow(context, targets::xentium(), compiled);
-
-    EXPECT_NE(a.sim_noise_db, 0.0);
-    EXPECT_EQ(bits_of(a.sim_noise_db), bits_of(b.sim_noise_db));
-    EXPECT_EQ(to_json(a), to_json(b));
-
-    const std::string measured = to_json(a, /*include_measured=*/true);
-    EXPECT_NE(measured.find("\"sim_noise_db\":"), std::string::npos);
-    EXPECT_NE(measured.find("\"measured_ns\":"), std::string::npos);
-    if (toolchain_usable()) {
-        EXPECT_GT(b.measured_ns, 0);
-    }
-
-    FlowOptions unmeasured = tape;
+    FlowOptions measured;
+    measured.accuracy_db = -25.0;
+    measured.measure = true;
+    FlowOptions unmeasured = measured;
     unmeasured.measure = false;
-    const FlowResult c =
-        run_wlo_slp_flow(context, targets::xentium(), unmeasured);
-    EXPECT_EQ(c.sim_noise_db, 0.0);
-    EXPECT_EQ(c.measured_ns, 0);
-    EXPECT_EQ(to_json(c), to_json(a));
-}
 
-TEST(CompiledExec, FactoryCoversAllBackends) {
-    const Kernel& kernel = ::slpwlo::testing::small_fir();
-    EXPECT_NE(exec::make_noise_evaluator(kernel, SimBackend::Tape), nullptr);
-    EXPECT_NE(exec::make_noise_evaluator(kernel, SimBackend::Compiled),
-              nullptr);
-    EXPECT_EQ(parse_sim_backend("tape"), SimBackend::Tape);
-    EXPECT_EQ(parse_sim_backend("compiled"), SimBackend::Compiled);
-    EXPECT_EQ(to_string(SimBackend::Compiled), "compiled");
-    EXPECT_THROW(parse_sim_backend("native"), Error);
-    // The tree walker is a test oracle, not a user-facing backend.
-    try {
-        parse_sim_backend("walker");
-        ADD_FAILURE() << "`walker` must not parse as a backend";
-    } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("expected compiled, tape"),
-                  std::string::npos)
-            << e.what();
+    const FlowResult a =
+        run_wlo_slp_flow(context, targets::xentium(), measured);
+    const FlowResult b =
+        run_wlo_slp_flow(context, targets::xentium(), unmeasured);
+
+    const SimulationEvaluator tape(context.kernel(), 2);
+    EXPECT_NE(a.sim_noise_db, 0.0);
+    EXPECT_EQ(bits_of(a.sim_noise_db),
+              bits_of(tape.noise_power_db(a.spec)));
+    if (toolchain_usable()) {
+        EXPECT_GT(a.measured_ns, 0);
     }
+    const std::string json = to_json(a, /*include_measured=*/true);
+    EXPECT_NE(json.find("\"sim_noise_db\":"), std::string::npos);
+    EXPECT_NE(json.find("\"measured_ns\":"), std::string::npos);
+
+    EXPECT_EQ(b.sim_noise_db, 0.0);
+    EXPECT_EQ(b.measured_ns, 0);
+    EXPECT_EQ(to_json(a), to_json(b));
 }
 
 }  // namespace

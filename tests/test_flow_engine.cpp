@@ -265,8 +265,8 @@ TEST(FlowEngine, EvaluationKeySeparatesSpecs) {
 
 TEST(FlowEngine, SweepDeterministicAcrossThreadCounts) {
     const std::vector<SweepPoint> points = SweepDriver::grid(
-        {"FIR", "CONV"}, {"XENTIUM", "VEX-4"}, {"WLO-SLP"},
-        {-15.0, -40.0});
+        {"FIR", "IIR", "CONV"}, {"XENTIUM", "VEX-4"},
+        {"WLO-SLP", "WLO-First"}, {-15.0, -40.0});
 
     SweepOptions serial_options;
     serial_options.threads = 1;
@@ -284,6 +284,7 @@ TEST(FlowEngine, SweepDeterministicAcrossThreadCounts) {
                   parallel_results[i].point.kernel);
         expect_identical(serial_results[i].flow, parallel_results[i].flow);
     }
+    EXPECT_EQ(sweep_to_json(serial_results), sweep_to_json(parallel_results));
 }
 
 TEST(FlowEngine, SweepReportsConfigErrorsBeforeRunning) {

@@ -267,15 +267,24 @@ TEST(ShardManifest, RejectsMalformedInput) {
     const std::string good = shard_manifest_text(plans[0]);
     EXPECT_NO_THROW(parse_shard_manifest(good));
 
-    // The reader accepts only the version the writer emits (4): older
+    // The reader accepts only the version the writer emits (5): older
     // and newer headers are rejected, naming both versions.
-    for (const char* version : {"1", "3", "5"}) {
+    for (const char* version : {"1", "3", "4", "6"}) {
         std::string text = good;
-        const size_t pos = text.find("manifest_version = 4");
+        const size_t pos = text.find("manifest_version = 5");
         ASSERT_NE(pos, std::string::npos);
         text.replace(pos, 20, std::string("manifest_version = ") + version);
         expect_version_rejected([&] { parse_shard_manifest(text); }, version,
-                                "4");
+                                "5");
+    }
+    // A key version 4 carried (the noise backend) is unknown now, not
+    // silently ignored.
+    {
+        std::string text = good;
+        const size_t pos = text.find("end_defaults");
+        ASSERT_NE(pos, std::string::npos);
+        text.insert(pos, "option.evaluator = tape\n");
+        EXPECT_THROW(parse_shard_manifest(text), Error);
     }
     // Unterminated point block.
     {
@@ -669,7 +678,8 @@ TEST(ShardMerger, ResultsFileRoundTrips) {
 
 TEST(ShardEngine, ShardedSweepIsByteIdenticalToSingleProcess) {
     const std::vector<SweepPoint> grid = SweepDriver::grid(
-        {"FIR"}, {"XENTIUM"}, {"WLO-SLP"}, {-20.0, -30.0});
+        {"FIR", "DOT"}, {"XENTIUM"}, {"WLO-SLP", "WLO-First"},
+        {-20.0, -30.0});
 
     SweepOptions options;
     options.threads = 2;

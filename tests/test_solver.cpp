@@ -588,10 +588,6 @@ TEST(OptimalFlows, StageMemoKeyIsolatesOptimizerChoice) {
     bigger.solver.budget.max_nodes += 1;
     EXPECT_NE(stage_memo_key(context, target, "WLO-SLP", optimal),
               stage_memo_key(context, target, "WLO-SLP", bigger));
-    FlowOptions longer = optimal;
-    longer.solver.budget.max_millis = 1000;
-    EXPECT_NE(stage_memo_key(context, target, "WLO-SLP", optimal),
-              stage_memo_key(context, target, "WLO-SLP", longer));
 }
 
 TEST(OptimalFlows, MemoizedOptimalSweepReproducesSolverStats) {

@@ -16,19 +16,17 @@
 //                      [--target-file FILE]...
 //   slpwlo-shard run   --manifest FILE --out FILE [--threads N]
 //                      [--snapshot-in FILE] [--snapshot-out FILE]
-//                      [--cache-capacity N] [--json[=FILE]]
-//                      [--evaluator compiled|tape] [--measure]
+//                      [--cache-capacity N] [--json[=FILE]] [--measure]
 //   slpwlo-shard merge --out FILE RESULTS...
 //                      [--cache FILE]... [--cache-out FILE]
 //
 // The measured-cost loop: a first sweep's result files carry per-slot
 // wall-clock micros; `plan --measured-from` re-balances the *same grid*
 // from those measurements instead of the estimate_point_cost heuristic.
-// `--evaluator compiled` swaps the
-// noise-evaluation backend for the jit-compiled one (bit-identical
-// results, orders-of-magnitude faster on large stimulus sets) and
-// `--measure` adds a measured_ns column to the rows — neither changes a
-// single result byte, so mixed-backend farms still merge cleanly.
+// `--measure` times the compiled kernel body and simulates the final spec
+// (compiled when a host compiler is usable, on the bit-identical tape
+// otherwise); it never changes a single result byte. Every outcome-changing
+// option, the optimizer included, comes from the manifest alone.
 //
 // A typical static 4-machine sweep (one command per line; see DESIGN.md
 // §7 for the shell version with line continuations):
@@ -70,7 +68,6 @@
 
 #include <unistd.h>
 
-#include "accuracy/sim_backend.hpp"
 #include "dist/cache_snapshot.hpp"
 #include "farm/farm_client.hpp"
 #include "farm/farm_server.hpp"
@@ -108,13 +105,11 @@ void usage(FILE* out) {
         "  slpwlo-shard run   --manifest FILE --out FILE [--threads N]\n"
         "                     [--snapshot-in FILE] [--snapshot-out FILE]\n"
         "                     [--cache-capacity N] [--json[=FILE]]\n"
-        "                     [--evaluator compiled|tape]\n"
-        "                     [--optimizer heuristic|optimal] [--measure]\n"
+        "                     [--measure]\n"
         "  slpwlo-shard work  --connect HOST:PORT [--worker ID]\n"
         "                     [--heartbeat-ms T] [--poll-ms T] [--threads N]\n"
         "                     [--cache-capacity N] [--straggle-ms T]\n"
-        "                     [--evaluator compiled|tape]\n"
-        "                     [--optimizer heuristic|optimal] [--measure]\n"
+        "                     [--measure]\n"
         "                     drain a farm daemon's jobs over TCP; missed\n"
         "                     heartbeats expire this worker's chunks for\n"
         "                     re-issue\n"
@@ -177,14 +172,6 @@ double double_flag(const std::string& flag, const std::string& value) {
         return parsed;
     } catch (const std::exception&) {
         bad_usage(flag + ": not a number: `" + value + "`");
-    }
-}
-
-SimBackend backend_flag(const std::string& flag, const std::string& value) {
-    try {
-        return parse_sim_backend(value);
-    } catch (const Error& e) {
-        bad_usage(flag + ": " + e.what());
     }
 }
 
@@ -383,11 +370,7 @@ int cmd_run(Args args) {
     std::string manifest_path, out_path, snapshot_in, snapshot_out, json_path;
     ShardRunOptions options;
     options.threads = 0;
-    bool has_evaluator = false;
-    SimBackend evaluator = SimBackend::Tape;
     bool measure = false;
-    bool has_optimizer = false;
-    Optimizer optimizer = Optimizer::Heuristic;
 
     std::string arg;
     while (args.next(arg)) {
@@ -404,14 +387,8 @@ int cmd_run(Args args) {
         } else if (arg == "--cache-capacity") {
             options.cache_capacity =
                 static_cast<size_t>(int_flag(arg, args.value(arg)));
-        } else if (arg == "--evaluator") {
-            evaluator = backend_flag(arg, args.value(arg));
-            has_evaluator = true;
         } else if (arg == "--measure") {
             measure = true;
-        } else if (arg == "--optimizer") {
-            optimizer = optimizer_flag(arg, args.value(arg));
-            has_optimizer = true;
         } else if (arg == "--json") {
             json_path = "-";
         } else if (arg.rfind("--json=", 0) == 0) {
@@ -424,16 +401,10 @@ int cmd_run(Args args) {
     if (out_path.empty()) bad_usage("run needs --out");
 
     ShardManifest manifest = load_shard_manifest(manifest_path);
-    // Worker-local execution knobs: the evaluator backend and cycle
-    // measurement change how this process runs the manifest, never what
-    // the rows say — mixed-backend shards still merge byte-identically.
-    if (has_evaluator) manifest.defaults.evaluator = evaluator;
+    // Worker-local timing changes how this process runs the manifest,
+    // never what the rows say, so measured and plain shards still merge
+    // byte-identically.
     if (measure) manifest.defaults.measure = true;
-    // Unlike the knobs above, the optimizer axis *does* change row bytes
-    // (heuristic flows resolve to their exact counterparts) — every shard
-    // of one sweep must run with the same setting or the merge will
-    // refuse the mismatched rows.
-    if (has_optimizer) manifest.defaults.solver.optimizer = optimizer;
     CacheSnapshot warm;
     if (!snapshot_in.empty()) {
         warm = load_cache_snapshot(snapshot_in);
@@ -483,12 +454,8 @@ int cmd_work(Args args) {
             // Test hook: hold every chunk this long before completing it,
             // to exercise expiry, re-issue and duplicate resolution.
             options.straggle_ms = int_flag(arg, args.value(arg));
-        } else if (arg == "--evaluator") {
-            options.evaluator = backend_flag(arg, args.value(arg));
         } else if (arg == "--measure") {
             options.measure = true;
-        } else if (arg == "--optimizer") {
-            options.optimizer = optimizer_flag(arg, args.value(arg));
         } else {
             bad_usage("unknown work flag `" + arg + "`");
         }
