@@ -179,13 +179,13 @@ int main(int argc, char** argv) {
         }
         flows.push_back(flow);
     }
-    SweepOptions serial_options;
+    ExecOptions serial_options;
     serial_options.threads = 1;
     // Exact flows must stay deterministic *and* bounded here: cap the
     // branch-and-bound by node count (never wall-clock, which would break
     // the byte-identity gate) well below the prove-everything default.
-    serial_options.flow_options.solver.budget.max_nodes = 200000;
-    SweepOptions parallel_options = serial_options;
+    serial_options.flow_options.solver_budget.max_nodes = 200000;
+    ExecOptions parallel_options = serial_options;
     parallel_options.threads = args.threads;
 
     const std::vector<SweepPoint> grid =

@@ -4,8 +4,8 @@
 // Three checks, each a hard exit-code gate:
 //
 //   1. Gap direction — every registry kernel runs its heuristic flow
-//      (WLO-First, WLO-SLP) and the exact counterpart the --optimizer
-//      axis resolves to (WLO-Optimal, SLP-Optimal). Per point the solver
+//      (WLO-First, WLO-SLP) and its exact counterpart (WLO-Optimal,
+//      SLP-Optimal) on the same grid slot. Per point the solver
 //      must start from the heuristic incumbent and only improve on it:
 //      WLO-Optimal's cost objective <= the Tabu cost (bit-equal seeds),
 //      SLP-Optimal's pack benefit >= the greedy benefit, gap >= 0. At
@@ -74,7 +74,7 @@ bool bits_equal(double a, double b) {
 
 struct GapPoint {
     std::string kernel;
-    std::string flow;  ///< the exact flow that ran (resolved name)
+    std::string flow;  ///< the exact flow that ran
     double accuracy_db = 0.0;
     long long nodes = 0;
     long long solves = 0;
@@ -99,24 +99,23 @@ struct GapReport {
 };
 
 /// Runs the heuristic and exact legs of the same grid and checks the
-/// gap direction point by point. Both legs share one grid; the exact
-/// leg flips only the --optimizer axis, exactly what a sweep user does.
+/// gap direction point by point. The exact leg is the heuristic grid with
+/// each slot's flow renamed to its exact counterpart.
 GapReport run_gap_checks(const std::vector<double>& constraints,
                          int threads) {
     const std::vector<SweepPoint> grid = SweepDriver::grid(
         kernels::benchmark_kernel_names(), {"XENTIUM"},
         {"WLO-First", "WLO-SLP"}, constraints);
+    std::vector<SweepPoint> exact_grid = grid;
+    for (SweepPoint& point : exact_grid) {
+        point.flow = point.flow == "WLO-First" ? "WLO-Optimal" : "SLP-Optimal";
+    }
 
-    SweepOptions heuristic_options;
-    heuristic_options.threads = threads;
-    SweepDriver heuristic(heuristic_options);
-    const std::vector<SweepResult> base = heuristic.run(grid);
-
-    SweepOptions optimal_options;
-    optimal_options.threads = threads;
-    optimal_options.flow_options.solver.optimizer = Optimizer::Optimal;
-    SweepDriver optimal(optimal_options);
-    const std::vector<SweepResult> exact = optimal.run(grid);
+    ExecOptions options;
+    options.threads = threads;
+    SweepDriver driver(options);
+    const std::vector<SweepResult> base = driver.run(grid);
+    const std::vector<SweepResult> exact = driver.run(exact_grid);
 
     GapReport report;
     for (size_t i = 0; i < grid.size(); ++i) {
@@ -231,7 +230,7 @@ PinnedReport run_pinned_check(int threads) {
         kernels::benchmark_kernel_names(), {"XENTIUM"},
         {"WLO-SLP", "WLO-First"}, {-20.0, -30.0, -40.0});
 
-    SweepOptions options;
+    ExecOptions options;
     options.threads = threads;
     SweepDriver driver(options);
     const std::string json = sweep_to_json(driver.run(grid));

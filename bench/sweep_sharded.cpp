@@ -2,8 +2,7 @@
 //
 //   1. single process, one SweepDriver        — the reference report;
 //   2. N worker *processes* (fork/exec of the slpwlo-shard CLI), one
-//      manifest each, merged                  — must be byte-identical,
-//      for both assignment strategies;
+//      manifest each, merged                  — must be byte-identical;
 //   3. shard 0 re-run warm from the merged    — must be byte-identical
 //      cache snapshot of run 2                  and show nonzero cache
 //                                               hits in its report.
@@ -144,7 +143,7 @@ int main(int argc, char** argv) {
                 grid.size(), shards, tool.c_str());
 
     // Reference: one process, one driver.
-    SweepOptions sweep_options;
+    ExecOptions sweep_options;
     sweep_options.threads = args.threads;
     SweepDriver reference(sweep_options);
     const std::vector<SweepResult> reference_results = reference.run(grid);
@@ -158,64 +157,42 @@ int main(int argc, char** argv) {
     }
     const std::string dir = tmp;
 
-    bool ok = true;
-    std::vector<std::string> snapshot_paths;
+    // Plans must be a pure function of (grid, N).
+    const std::vector<ShardPlan> plans = make_shard_plans(grid, shards);
+    bool ok = plans_identical(plans, make_shard_plans(grid, shards));
+    if (!ok) std::printf("plans are NOT deterministic\n");
 
-    for (const ShardStrategy strategy :
-         {ShardStrategy::RoundRobin, ShardStrategy::CostBalanced}) {
-        const std::string tag = to_string(strategy);
-
-        // Plans must be a pure function of (grid, N).
-        const std::vector<ShardPlan> plans =
-            make_shard_plans(grid, shards, strategy);
-        if (!plans_identical(plans,
-                             make_shard_plans(grid, shards, strategy))) {
-            std::printf("[%s] plans are NOT deterministic\n", tag.c_str());
+    std::vector<std::string> results_paths, snapshot_paths;
+    for (size_t s = 0; ok && s < plans.size(); ++s) {
+        const ShardPlan& plan = plans[s];
+        const std::string base =
+            dir + "/shard." + std::to_string(plan.shard_index);
+        write_file(base + ".manifest", shard_manifest_text(plan));
+        const int status = run_process(
+            {tool, "run", "--manifest", base + ".manifest", "--out",
+             base + ".results", "--threads", std::to_string(args.threads),
+             "--snapshot-out", base + ".snap"});
+        if (status != 0) {
+            std::printf("shard %d worker failed (exit %d)\n",
+                        plan.shard_index, status);
             ok = false;
             continue;
         }
+        results_paths.push_back(base + ".results");
+        snapshot_paths.push_back(base + ".snap");
+    }
 
-        std::vector<std::string> results_paths;
-        bool round_ok = true;
-        for (const ShardPlan& plan : plans) {
-            const std::string base =
-                dir + "/" + tag + "." + std::to_string(plan.shard_index);
-            write_file(base + ".manifest", shard_manifest_text(plan));
-            std::vector<std::string> command{
-                tool,   "run",  "--manifest", base + ".manifest",
-                "--out", base + ".results", "--threads",
-                std::to_string(args.threads)};
-            if (strategy == ShardStrategy::RoundRobin) {
-                command.push_back("--snapshot-out");
-                command.push_back(base + ".snap");
-            }
-            const int status = run_process(command);
-            if (status != 0) {
-                std::printf("[%s] shard %d worker failed (exit %d)\n",
-                            tag.c_str(), plan.shard_index, status);
-                round_ok = false;
-                break;
-            }
-            results_paths.push_back(base + ".results");
-            if (strategy == ShardStrategy::RoundRobin) {
-                snapshot_paths.push_back(base + ".snap");
-            }
-        }
-        if (!round_ok) {
-            ok = false;
-            continue;
-        }
-
+    if (ok) {
         std::vector<ShardResultsFile> shard_results;
         for (const std::string& path : results_paths) {
             shard_results.push_back(load_shard_results(path));
         }
         const std::string merged = merge_shard_results(shard_results);
         const bool identical = merged == reference_json;
-        std::printf("[%s] merged %d-process report byte-identical to "
-                    "1-process: %s\n",
-                    tag.c_str(), shards, identical ? "yes" : "NO");
-        ok = ok && identical;
+        std::printf("merged %d-process report byte-identical to 1-process: "
+                    "%s\n",
+                    shards, identical ? "yes" : "NO");
+        ok = identical;
     }
 
     // Warm re-run: shard 0 against the union of every shard's snapshot.
@@ -232,7 +209,7 @@ int main(int argc, char** argv) {
                     warm.entries.size(), warm.stage_entries.size(),
                     snapshot_paths.size());
 
-        const std::string base = dir + "/round-robin.0";
+        const std::string base = dir + "/shard.0";
         const std::string warm_results_path = dir + "/warm.0.results";
         const int status = run_process(
             {tool, "run", "--manifest", base + ".manifest", "--out",

@@ -145,12 +145,12 @@ int main(int argc, char** argv) {
                 points.size(), kernels.size(), isas.size(),
                 constraints.size());
 
-    SweepOptions serial_options;
+    ExecOptions serial_options;
     serial_options.threads = 1;
     SweepDriver serial(serial_options);
     const std::vector<SweepResult> serial_results = serial.run(points);
 
-    SweepOptions parallel_options;
+    ExecOptions parallel_options;
     parallel_options.threads = parallel_threads;
     SweepDriver parallel(parallel_options);
     const std::vector<SweepResult> parallel_results = parallel.run(points);

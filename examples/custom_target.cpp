@@ -58,7 +58,7 @@ int main() {
 
     // Sweep the registered model across SIMD datapath widths (0 keeps the
     // 64-bit original) — one grid, per-point TargetModel overrides.
-    SweepOptions options;
+    ExecOptions options;
     options.threads = 2;
     SweepDriver driver(options);
     const std::vector<SweepResult> results = driver.run(SweepDriver::grid(

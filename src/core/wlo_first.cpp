@@ -12,15 +12,13 @@ int WloFirstResult::group_count() const {
 
 std::vector<BlockGroups> extract_plain_slp_blocks(
     const Kernel& kernel, const TargetModel& target,
-    const FixedPointSpec& spec, const SlpOptions& options, SlpStats* stats,
-    std::vector<std::pair<BlockId, PackedView>>* views) {
+    const FixedPointSpec& spec, const SlpOptions& options, SlpStats* stats) {
     std::vector<BlockGroups> block_groups;
     for (const BlockId block : blocks_by_priority(kernel)) {
         if (kernel.block(block).ops.size() < 2) continue;
         PackedView view(kernel, block);
         std::vector<SimdGroup> groups =
             extract_slp_plain(view, target, spec, options, stats);
-        if (views != nullptr) views->emplace_back(block, std::move(view));
         if (!groups.empty()) {
             block_groups.push_back(BlockGroups{block, std::move(groups)});
         }

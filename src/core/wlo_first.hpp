@@ -35,13 +35,10 @@ WloFirstResult run_wlo_first(const Kernel& kernel, FixedPointSpec& spec,
 
 /// Stage 2 of the WLO-First flow in isolation: plain SLP extraction over
 /// all blocks in priority order (shared by run_wlo_first and the
-/// FlowEngine's plain-slp pass). When `views` is non-null, the final
-/// packed view of every visited block is retained there for downstream
-/// passes (scaling optimization).
+/// FlowEngine's plain-slp pass).
 std::vector<BlockGroups> extract_plain_slp_blocks(
     const Kernel& kernel, const TargetModel& target,
     const FixedPointSpec& spec, const SlpOptions& options,
-    SlpStats* stats = nullptr,
-    std::vector<std::pair<BlockId, PackedView>>* views = nullptr);
+    SlpStats* stats = nullptr);
 
 }  // namespace slpwlo

@@ -16,7 +16,7 @@ namespace slpwlo::dist {
 namespace {
 
 /// The one manifest format version this writer emits and reader accepts.
-constexpr int kManifestVersion = 5;
+constexpr int kManifestVersion = 6;
 
 std::string quant_mode_kv(QuantMode mode) {
     return mode == QuantMode::Truncate ? "truncate" : "round";
@@ -89,11 +89,10 @@ std::string flow_options_kv(const FlowOptions& options,
     // inherit the launcher's choice so a --measure sweep measures on every
     // shard.
     emit_bool("measure", options.measure);
-    // Solver fields. Unlike measure the optimizer axis changes outcomes,
-    // so a worker that dropped it would produce different result bytes
-    // than the launcher's local run.
-    emit("solver.optimizer", to_string(options.solver.optimizer));
-    emit("solver.max_nodes", std::to_string(options.solver.budget.max_nodes));
+    // Unlike measure the solver budget changes outcomes, so a worker that
+    // dropped it would produce different result bytes than the launcher's
+    // local run.
+    emit("solver.max_nodes", std::to_string(options.solver_budget.max_nodes));
     return os.str();
 }
 
@@ -140,15 +139,8 @@ void apply_flow_option(FlowOptions& options, const std::string& key,
             kv::to_double(source, line, key, value);
     } else if (key == "measure") {
         options.measure = kv::to_bool(source, line, key, value);
-    } else if (key == "solver.optimizer") {
-        try {
-            options.solver.optimizer = optimizer_from_string(value);
-        } catch (const Error& e) {
-            kv::fail(source, line, e.what());
-        }
     } else if (key == "solver.max_nodes") {
-        options.solver.budget.max_nodes =
-            kv::to_ll(source, line, key, value);
+        options.solver_budget.max_nodes = kv::to_ll(source, line, key, value);
     } else {
         kv::fail(source, line, "unknown option key `" + key + "`");
     }
@@ -163,7 +155,6 @@ std::string shard_manifest_text(const ShardPlan& plan,
        << "manifest_version = " << kManifestVersion << "\n"
        << "shard_index = " << plan.shard_index << "\n"
        << "shard_count = " << plan.shard_count << "\n"
-       << "strategy = " << to_string(plan.strategy) << "\n"
        << "total_slots = " << plan.total_slots << "\n"
        << "grid_fingerprint = " << fingerprint_hex(plan.grid_fp) << "\n"
        << "points = " << plan.points.size() << "\n\n";
@@ -439,8 +430,6 @@ ShardManifest parse_shard_manifest(const std::string& text,
         } else if (kvline.key == "shard_count") {
             manifest.shard_count =
                 kv::to_int(source, kvline.line, kvline.key, kvline.value);
-        } else if (kvline.key == "strategy") {
-            manifest.strategy = shard_strategy_from_string(kvline.value);
         } else if (kvline.key == "total_slots") {
             manifest.total_slots = static_cast<size_t>(
                 kv::to_ll(source, kvline.line, kvline.key, kvline.value));

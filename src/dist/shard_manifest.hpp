@@ -11,10 +11,9 @@
 // Format (line-oriented `key = value`, versioned; see DESIGN.md §7):
 //
 //   # slpwlo shard manifest
-//   manifest_version = 5
+//   manifest_version = 6
 //   shard_index = 0
 //   shard_count = 4
-//   strategy = round-robin
 //   total_slots = 24
 //   grid_fingerprint = 01b3...16 hex...
 //   points = 6
@@ -23,7 +22,7 @@
 //   option.accuracy_db = -40
 //   option.quant_mode = truncate
 //   option.measure = false          # timing only (never changes bytes)
-//   option.solver.optimizer = heuristic
+//   option.solver.max_nodes = 8000000
 //   ...
 //   end_defaults
 //
@@ -56,7 +55,7 @@
 // carry no kernel blocks.
 //
 // Versioning policy: manifests never outlive a run, so the reader accepts
-// exactly the version the writer emits (5) and names both on a mismatch.
+// exactly the version the writer emits (6) and names both on a mismatch.
 // Any format change bumps `manifest_version`; unknown keys are errors,
 // not extensions.
 #pragma once
@@ -73,7 +72,6 @@ namespace slpwlo::dist {
 struct ShardManifest {
     int shard_index = 0;
     int shard_count = 1;
-    ShardStrategy strategy = ShardStrategy::RoundRobin;
     size_t total_slots = 0;
     uint64_t grid_fp = 0;
     FlowOptions defaults;          ///< sweep-wide flow options

@@ -6,35 +6,16 @@
 #include <numeric>
 
 #include "dist/shard_manifest.hpp"
-#include "dist/shard_merger.hpp"
 #include "flow/pass.hpp"
-#include "flow/report.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "support/diagnostics.hpp"
 #include "target/target_model.hpp"
 
 namespace slpwlo::dist {
 
-std::string to_string(ShardStrategy strategy) {
-    switch (strategy) {
-        case ShardStrategy::RoundRobin: return "round-robin";
-        case ShardStrategy::CostBalanced: return "cost-balanced";
-    }
-    SLPWLO_ASSERT(false, "unhandled ShardStrategy");
-}
-
-ShardStrategy shard_strategy_from_string(const std::string& text) {
-    if (text == "round-robin") return ShardStrategy::RoundRobin;
-    if (text == "cost-balanced") return ShardStrategy::CostBalanced;
-    // Same convention as targets::by_name: an unknown spelling names
-    // every valid one (sorted).
-    throw Error("unknown shard strategy `" + text +
-                "`; known: cost-balanced, round-robin");
-}
-
 double estimate_point_cost(const SweepPoint& point) {
     // Flow weight: the Float reference only lowers and schedules; the
-    // decoupled flows run a Tabu search on top of extraction.
+    // decoupled WLO-First flow runs a Tabu search on top of extraction.
     double flow_weight = 1.0;
     if (point.flow == "Float") {
         flow_weight = 0.1;
@@ -177,16 +158,24 @@ std::vector<int> lpt_assignment(const std::vector<double>& cost,
     return shard_of;
 }
 
-std::vector<ShardPlan> plans_from_assignment(std::vector<SweepPoint> grid,
-                                             int shard_count,
-                                             ShardStrategy strategy,
-                                             uint64_t grid_fp,
-                                             const std::vector<int>& shard_of) {
+}  // namespace
+
+std::vector<ShardPlan> make_shard_plans(std::vector<SweepPoint> grid,
+                                        int shard_count) {
+    SLPWLO_CHECK(shard_count >= 1, "shard count must be >= 1");
+    embed_target_models(grid);
+    embed_kernel_sources(grid);
+    std::vector<double> cost(grid.size());
+    for (size_t i = 0; i < grid.size(); ++i) {
+        cost[i] = estimate_point_cost(grid[i]);
+    }
+    const std::vector<int> shard_of = lpt_assignment(cost, shard_count);
+
     std::vector<ShardPlan> plans(shard_count);
+    const uint64_t grid_fp = grid_fingerprint(grid);
     for (int s = 0; s < shard_count; ++s) {
         plans[s].shard_index = s;
         plans[s].shard_count = shard_count;
-        plans[s].strategy = strategy;
         plans[s].total_slots = grid.size();
         plans[s].grid_fp = grid_fp;
     }
@@ -197,49 +186,6 @@ std::vector<ShardPlan> plans_from_assignment(std::vector<SweepPoint> grid,
         plan.points.push_back(std::move(grid[slot]));
     }
     return plans;
-}
-
-}  // namespace
-
-std::vector<ShardPlan> make_shard_plans(std::vector<SweepPoint> grid,
-                                        int shard_count,
-                                        ShardStrategy strategy) {
-    SLPWLO_CHECK(shard_count >= 1, "shard count must be >= 1");
-    embed_target_models(grid);
-    embed_kernel_sources(grid);
-    const uint64_t grid_fp = grid_fingerprint(grid);
-
-    std::vector<int> shard_of;
-    if (strategy == ShardStrategy::RoundRobin) {
-        shard_of.resize(grid.size(), 0);
-        for (size_t i = 0; i < grid.size(); ++i) {
-            shard_of[i] = static_cast<int>(i % shard_count);
-        }
-    } else {
-        std::vector<double> cost(grid.size());
-        for (size_t i = 0; i < grid.size(); ++i) {
-            cost[i] = estimate_point_cost(grid[i]);
-        }
-        shard_of = lpt_assignment(cost, shard_count);
-    }
-    return plans_from_assignment(std::move(grid), shard_count, strategy,
-                                 grid_fp, shard_of);
-}
-
-std::vector<ShardPlan> make_shard_plans(
-    std::vector<SweepPoint> grid, int shard_count,
-    const std::vector<double>& slot_costs) {
-    SLPWLO_CHECK(shard_count >= 1, "shard count must be >= 1");
-    SLPWLO_CHECK(slot_costs.size() == grid.size(),
-                 "measured-cost plans need one cost per grid slot (" +
-                     std::to_string(slot_costs.size()) + " costs, " +
-                     std::to_string(grid.size()) + " slots)");
-    embed_target_models(grid);
-    embed_kernel_sources(grid);
-    const uint64_t grid_fp = grid_fingerprint(grid);
-    return plans_from_assignment(std::move(grid), shard_count,
-                                 ShardStrategy::CostBalanced, grid_fp,
-                                 lpt_assignment(slot_costs, shard_count));
 }
 
 std::vector<std::vector<size_t>> chunk_grid_slots(
@@ -277,45 +223,6 @@ std::vector<std::vector<size_t>> chunk_grid_slots(
     }
     if (!current.empty()) chunks.push_back(std::move(current));
     return chunks;
-}
-
-std::vector<double> measured_slot_costs(
-    const std::vector<ShardResultsFile>& files, size_t total_slots,
-    uint64_t grid_fp) {
-    std::vector<double> costs(total_slots, -1.0);
-    for (const ShardResultsFile& file : files) {
-        if (file.total_slots != total_slots || file.grid_fp != grid_fp) {
-            throw Error("measured costs: result file for grid " +
-                        fingerprint_hex(file.grid_fp) + " with " +
-                        std::to_string(file.total_slots) +
-                        " slots does not match the grid being planned (" +
-                        std::to_string(total_slots) + " slots)");
-        }
-        for (const ShardRow& row : file.rows) {
-            SLPWLO_CHECK(row.slot < total_slots,
-                         "measured costs: row slot out of range");
-            const double micros = static_cast<double>(row.micros);
-            // A re-run slot may be reported twice (straggler and
-            // replacement); keep the faster measurement — the straggler's
-            // inflated wall-clock says nothing about the point.
-            if (costs[row.slot] < 0.0 || micros < costs[row.slot]) {
-                costs[row.slot] = micros;
-            }
-        }
-    }
-    double sum = 0.0;
-    size_t measured = 0;
-    for (const double c : costs) {
-        if (c < 0.0) continue;
-        sum += c;
-        measured++;
-    }
-    const double fallback = measured > 0 ? sum / measured : 1.0;
-    for (double& c : costs) {
-        if (c < 0.0) c = fallback;
-        if (c < 1.0) c = 1.0;  // floor: zeroes would degenerate the LPT
-    }
-    return costs;
 }
 
 }  // namespace slpwlo::dist

@@ -9,15 +9,12 @@
 // per-shard results back into slot order, so an N-shard run reproduces
 // the 1-process output byte for byte.
 //
-// Two assignment strategies, both deterministic functions of (grid, N):
-//
-//  * RoundRobin     slot i goes to shard i % N — trivially balanced in
-//                   point count, ideal for homogeneous grids;
-//  * CostBalanced   longest-processing-time greedy over a deterministic
-//                   per-point cost heuristic (estimate_point_cost), so a
-//                   grid mixing cheap Float reference points with
-//                   expensive strict-constraint Tabu searches still
-//                   spreads wall-clock evenly across shards.
+// Assignment is a deterministic function of (grid, N): a
+// longest-processing-time greedy over a per-point cost heuristic
+// (estimate_point_cost), so a grid mixing cheap Float reference points
+// with expensive strict-constraint Tabu searches still spreads wall-clock
+// evenly across shards. On a grid of equal costs it reduces to
+// round-robin: slot i goes to shard i % N.
 //
 // Every plan embeds the exact TargetModel each of its points must run
 // against (registry names are resolved at plan time): the manifest a
@@ -32,21 +29,10 @@
 
 namespace slpwlo::dist {
 
-enum class ShardStrategy {
-    RoundRobin,
-    CostBalanced,
-};
-
-/// "round-robin" / "cost-balanced" (the manifest spelling).
-std::string to_string(ShardStrategy strategy);
-
-/// Inverse of to_string; throws Error for unknown spellings.
-ShardStrategy shard_strategy_from_string(const std::string& text);
-
 /// Deterministic relative wall-clock estimate of one sweep point, for
-/// CostBalanced assignment and farm chunk sizing. A heuristic, not a
+/// shard assignment and farm chunk sizing. A heuristic, not a
 /// measurement: stricter accuracy constraints drive more optimizer
-/// iterations, the decoupled WLO-First flows add a Tabu search, the
+/// iterations, the decoupled WLO-First flow adds a Tabu search, the
 /// Float reference skips optimization entirely, and a point's embedded
 /// `target_model` override weighs in through its lane-count menu (a
 /// derived `@simd256` point costs more than its narrow base). Balance
@@ -87,7 +73,6 @@ uint64_t grid_fingerprint(const std::vector<SweepPoint>& points);
 struct ShardPlan {
     int shard_index = 0;
     int shard_count = 1;
-    ShardStrategy strategy = ShardStrategy::RoundRobin;
     size_t total_slots = 0;       ///< size of the full grid
     uint64_t grid_fp = 0;         ///< grid_fingerprint of the full grid
     std::vector<size_t> slots;    ///< this shard's grid slots, ascending
@@ -95,22 +80,13 @@ struct ShardPlan {
 };
 
 /// Partition `grid` into `shard_count` disjoint plans covering every slot
-/// exactly once. Deterministic: the same grid and count produce identical
-/// plans on every run and every machine. Registry names are resolved and
-/// embedded (embed_target_models) before assignment, so the returned
-/// plans are self-contained. Shards may be empty when shard_count exceeds
-/// the grid size.
-std::vector<ShardPlan> make_shard_plans(
-    std::vector<SweepPoint> grid, int shard_count,
-    ShardStrategy strategy = ShardStrategy::RoundRobin);
-
-/// CostBalanced partition with explicit per-slot costs instead of the
-/// estimate_point_cost heuristic — the re-serve path: slot_costs[i] is
-/// the relative cost of grid slot i (one entry per grid point). Costs
-/// only shape the wall-clock balance, never results.
+/// exactly once, balanced by estimate_point_cost (LPT). Deterministic:
+/// the same grid and count produce identical plans on every run and every
+/// machine. Registry names are resolved and embedded (embed_target_models)
+/// before assignment, so the returned plans are self-contained. Shards may
+/// be empty when shard_count exceeds the grid size.
 std::vector<ShardPlan> make_shard_plans(std::vector<SweepPoint> grid,
-                                        int shard_count,
-                                        const std::vector<double>& slot_costs);
+                                        int shard_count);
 
 /// Options for chunk_grid_slots — how a whole grid is chopped into the
 /// demand-paged units the farm daemon (farm::JobBoard) hands to workers.
@@ -132,20 +108,5 @@ struct ChunkOptions {
 std::vector<std::vector<size_t>> chunk_grid_slots(
     const std::vector<SweepPoint>& points, const std::vector<size_t>& slots,
     const ChunkOptions& options = {});
-
-struct ShardResultsFile;
-
-/// Per-slot costs measured by a previous run of the same grid: the
-/// minimum `micros` reported for each slot across `files` (a re-run
-/// slot may be reported twice; the straggler's inflated
-/// wall-clock must not poison the plan). Slots no file reported get the
-/// mean of the measured ones (1.0 when nothing was measured), and every
-/// cost is floored at one microsecond so a degenerate measurement cannot
-/// zero out the LPT ordering. Files whose grid fingerprint or slot count
-/// disagree with (`total_slots`, `grid_fp`) throw — re-serving a
-/// different grid from old measurements would balance garbage.
-std::vector<double> measured_slot_costs(
-    const std::vector<ShardResultsFile>& files, size_t total_slots,
-    uint64_t grid_fp);
 
 }  // namespace slpwlo::dist

@@ -9,23 +9,6 @@
 
 namespace slpwlo {
 
-Optimizer optimizer_from_string(const std::string& text) {
-    if (text == "heuristic") return Optimizer::Heuristic;
-    if (text == "optimal") return Optimizer::Optimal;
-    throw Error("unknown optimizer `" + text +
-                "` (expected heuristic or optimal)");
-}
-
-std::string to_string(Optimizer optimizer) {
-    return optimizer == Optimizer::Optimal ? "optimal" : "heuristic";
-}
-
-std::string optimal_flow_for(const std::string& flow_name) {
-    if (flow_name == "WLO-SLP") return "SLP-Optimal";
-    if (flow_name == "WLO-First") return "WLO-Optimal";
-    return flow_name;
-}
-
 KernelContext::KernelContext(Kernel kernel, const RangeOptions& range,
                              const GainOptions& gains)
     : kernel_(std::move(kernel)),

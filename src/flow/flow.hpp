@@ -32,35 +32,6 @@
 
 namespace slpwlo {
 
-/// The `--optimizer` sweep axis: run each point's flow as registered
-/// (`Heuristic`), or substitute the exact branch-and-bound counterpart
-/// (`Optimal`) at flow-resolution time — "WLO-SLP" runs as "SLP-Optimal"
-/// and "WLO-First" as "WLO-Optimal" (see optimal_flow_for). This changes
-/// *outcomes*, so it is part of every identity: memo keys, manifests,
-/// report bytes.
-enum class Optimizer { Heuristic, Optimal };
-
-/// Parse "heuristic" / "optimal"; an unknown spelling throws Error
-/// listing the valid values sorted (the shard_strategy_from_string /
-/// targets::by_name convention).
-Optimizer optimizer_from_string(const std::string& text);
-std::string to_string(Optimizer optimizer);
-
-/// The exact counterpart a flow resolves to under Optimizer::Optimal:
-/// "WLO-SLP" -> "SLP-Optimal", "WLO-First" -> "WLO-Optimal"; flows
-/// without an exact counterpart (Float, WLO-First+Scaling, the optimal
-/// flows themselves) resolve to themselves.
-std::string optimal_flow_for(const std::string& flow_name);
-
-/// Exact-search knobs of the optimal flows. The budget changes which
-/// incumbent an out-of-budget search returns, so — unlike `measure` —
-/// every field here is mixed into stage memo keys and serialized into
-/// shard manifests.
-struct SolverOptions {
-    Optimizer optimizer = Optimizer::Heuristic;
-    solver::SolveBudget budget;
-};
-
 /// Exact-search outcome of one flow run (zero / `ran == false` for the
 /// heuristic flows). Deterministic under the node budget, but — like
 /// measured_ns — excluded from identity bytes: default to_json omits it.
@@ -95,9 +66,11 @@ struct FlowOptions {
     /// the flow (FlowResult::measured_ns, sim_noise_db). Observational:
     /// excluded from memo keys and default report bytes.
     bool measure = false;
-    /// Exact-search configuration (outcome-changing: memoized and
-    /// serialized, unlike `measure`).
-    SolverOptions solver;
+    /// Node budget of the exact flows (WLO-Optimal, SLP-Optimal). It
+    /// changes which incumbent an out-of-budget search returns, so —
+    /// unlike `measure` — it is mixed into stage memo keys and serialized
+    /// into shard manifests.
+    solver::SolveBudget solver_budget;
 };
 
 class KernelContext {

@@ -352,14 +352,9 @@ uint64_t stage_memo_key(const KernelContext& context,
     mix_double(wf.tabu.infeasibility_penalty);
     mix_slp(wf.slp);
 
-    // The solver axis changes outcomes (an exact flow under a different
+    // The solver budget changes outcomes (an exact flow under a different
     // budget can return a different incumbent), so it is part of the key.
-    // The optimizer enum is mixed even though flow resolution already
-    // folds it into flow_name, so a directly-run exact flow and one
-    // reached through `--optimizer optimal` share entries only when the
-    // whole configuration agrees.
-    mix(h, static_cast<uint64_t>(options.solver.optimizer));
-    mix(h, static_cast<uint64_t>(options.solver.budget.max_nodes));
+    mix(h, static_cast<uint64_t>(options.solver_budget.max_nodes));
     // options.measure is deliberately NOT mixed: it adds an observational
     // timing, not an outcome, so toggling it keeps hitting the same entries.
     return h;
@@ -402,7 +397,7 @@ public:
         WloSlpOptions wlo = ctx.options.wlo_slp;
         wlo.accuracy_db = ctx.options.accuracy_db;
         wlo.exact_selection = exact_selection_;
-        wlo.solver_budget = ctx.options.solver.budget;
+        wlo.solver_budget = ctx.options.solver_budget;
         ctx.context.ensure_evaluator();
         const WloSlpResult out =
             run_slp_aware_wlo(ctx.context.kernel(), ctx.result.spec,
@@ -438,7 +433,7 @@ public:
         ctx.context.ensure_evaluator();
         solver::WloExactOptions options;
         options.tabu = ctx.options.wlo_first.tabu;
-        options.budget = ctx.options.solver.budget;
+        options.budget = ctx.options.solver_budget;
         const solver::WloExactResult out = solver::run_wlo_exact(
             ctx.result.spec, ctx.context.evaluator(), ctx.target,
             ctx.options.accuracy_db, options);
@@ -468,36 +463,12 @@ public:
 
 class PlainSlpPass final : public Pass {
 public:
-    explicit PlainSlpPass(bool retain_views) : retain_views_(retain_views) {}
     const char* name() const override { return "plain-slp"; }
     void run(PassContext& ctx) const override {
         ctx.result.groups = extract_plain_slp_blocks(
             ctx.context.kernel(), ctx.target, ctx.result.spec,
-            ctx.options.wlo_first.slp, &ctx.result.slp_stats,
-            retain_views_ ? &ctx.packed_views : nullptr);
+            ctx.options.wlo_first.slp, &ctx.result.slp_stats);
         ctx.result.group_count = count_groups(ctx.result.groups);
-    }
-
-private:
-    bool retain_views_;
-};
-
-class ScalingOptimPass final : public Pass {
-public:
-    const char* name() const override { return "scaling-optim"; }
-    void run(PassContext& ctx) const override {
-        ctx.context.ensure_evaluator();
-        for (auto& [block, view] : ctx.packed_views) {
-            const auto it = std::find_if(
-                ctx.result.groups.begin(), ctx.result.groups.end(),
-                [block = block](const BlockGroups& bg) {
-                    return bg.block == block;
-                });
-            if (it == ctx.result.groups.end() || it->groups.empty()) continue;
-            ctx.result.scaling_stats += optimize_scalings(
-                view, it->groups, ctx.result.spec, ctx.context.evaluator(),
-                ctx.options.accuracy_db);
-        }
     }
 };
 
@@ -587,12 +558,7 @@ PassRef make_slp_aware_wlo_pass(bool exact_selection) {
 }
 PassRef make_tabu_wlo_pass() { return std::make_shared<TabuWloPass>(); }
 PassRef make_wlo_exact_pass() { return std::make_shared<WloExactPass>(); }
-PassRef make_plain_slp_pass(bool retain_views) {
-    return std::make_shared<PlainSlpPass>(retain_views);
-}
-PassRef make_scaling_optim_pass() {
-    return std::make_shared<ScalingOptimPass>();
-}
+PassRef make_plain_slp_pass() { return std::make_shared<PlainSlpPass>(); }
 PassRef make_lowering_pass() { return std::make_shared<LoweringPass>(); }
 PassRef make_float_lowering_pass() {
     return std::make_shared<FloatLoweringPass>();
@@ -616,8 +582,8 @@ namespace {
 bool is_stage_pass(const char* name) {
     static constexpr const char* kStagePasses[] = {
         "range-analysis", "iwl-determination", "slp-aware-wlo",
-        "tabu-wlo",       "plain-slp",         "scaling-optim",
-        "wlo-exact",      "slp-aware-wlo-exact"};
+        "tabu-wlo",       "plain-slp",         "wlo-exact",
+        "slp-aware-wlo-exact"};
     for (const char* stage : kStagePasses) {
         if (std::strcmp(name, stage) == 0) return true;
     }
@@ -727,18 +693,11 @@ FlowRegistry::FlowRegistry() {
         "WLO-First",
         FlowPipeline("WLO-First", {range, iwl, make_tabu_wlo_pass(),
                                    make_plain_slp_pass(), lower, cycles}));
-    flows_.emplace(
-        "WLO-First+Scaling",
-        FlowPipeline("WLO-First+Scaling",
-                     {range, iwl, make_tabu_wlo_pass(),
-                      make_plain_slp_pass(/*retain_views=*/true),
-                      make_scaling_optim_pass(), lower, cycles}));
     flows_.emplace("Float", FlowPipeline("Float", {make_float_lowering_pass(),
                                                    cycles}));
     // The exact counterparts (src/solver): branch-and-bound WLO seeded by
-    // Tabu, and SLP extraction with exact per-round pack selection. Also
-    // reachable from the heuristic flows via `--optimizer optimal` (see
-    // optimal_flow_for).
+    // Tabu, and SLP extraction with exact per-round pack selection. A grid
+    // sweeps both sides of the gap by naming both flows.
     flows_.emplace(
         "WLO-Optimal",
         FlowPipeline("WLO-Optimal", {range, iwl, make_wlo_exact_pass(),

@@ -9,7 +9,6 @@
 //   SlpAwareWlo       -> Fig. 1a/1c joint WLO+SLP (+ Fig. 1b per block)
 //   TabuWlo           -> Nguyen'11 baseline WLO    (Fig. 5, stage 1)
 //   PlainSlp          -> Liu'12 extraction         (Fig. 5, stage 2)
-//   ScalingOptim      -> Fig. 1b as a standalone pass over extracted groups
 //   Lowering          -> machine IR (scalar + SIMD, or float reference)
 //   CycleEval         -> VLIW schedule + cycle counts + analytic noise
 //
@@ -19,7 +18,6 @@
 //
 //   "WLO-SLP"            Fig. 3   range, iwl, slp-aware-wlo, lower, cycles
 //   "WLO-First"          Fig. 5   range, iwl, tabu, plain-slp, lower, cycles
-//   "WLO-First+Scaling"  variant  ... plain-slp, scaling-optim, lower, cycles
 //   "Float"              Fig. 6   float-lower, cycles
 //   "WLO-Optimal"        exact    range, iwl, wlo-exact, plain-slp, ...
 //   "SLP-Optimal"        exact    range, iwl, slp-aware-wlo-exact, ...
@@ -42,7 +40,6 @@
 #include <vector>
 
 #include "flow/flow.hpp"
-#include "slp/packed_view.hpp"
 
 namespace slpwlo {
 
@@ -197,9 +194,6 @@ struct PassContext {
     FlowResult result;
 
     // --- cross-pass intermediates ---------------------------------------------
-    /// Packed views left behind by an extraction pass, for downstream
-    /// passes that need the final packed state (scaling optimization).
-    std::vector<std::pair<BlockId, PackedView>> packed_views;
     /// Machine kernels produced by the lowering pass (absent on cache hit).
     std::optional<MachineKernel> scalar_machine;
     std::optional<MachineKernel> simd_machine;
@@ -231,17 +225,13 @@ PassRef make_range_analysis_pass();
 PassRef make_iwl_determination_pass();
 /// `exact_selection` replaces the greedy per-round pack selection with the
 /// branch-and-bound solver (solver/pack_select.hpp) — the "SLP-Optimal"
-/// flow; the budget comes from FlowOptions::solver.
+/// flow; the budget comes from FlowOptions::solver_budget.
 PassRef make_slp_aware_wlo_pass(bool exact_selection = false);
 PassRef make_tabu_wlo_pass();
 /// Exact WLO (solver/wlo_exact.hpp): Tabu incumbent + branch-and-bound
 /// over per-node word lengths — the WLO stage of "WLO-Optimal".
 PassRef make_wlo_exact_pass();
-/// `retain_views` keeps each block's final PackedView in the PassContext
-/// for a downstream scaling-optimization pass; leave it off in pipelines
-/// that never read them (the views are not small).
-PassRef make_plain_slp_pass(bool retain_views = false);
-PassRef make_scaling_optim_pass();
+PassRef make_plain_slp_pass();
 PassRef make_lowering_pass();        ///< fixed-point scalar + SIMD lowering
 PassRef make_float_lowering_pass();  ///< float-reference lowering
 PassRef make_cycle_eval_pass();

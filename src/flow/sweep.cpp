@@ -15,7 +15,7 @@
 
 namespace slpwlo {
 
-SweepDriver::SweepDriver(SweepOptions options)
+SweepDriver::SweepDriver(ExecOptions options)
     : options_(std::move(options)) {
     if (options_.cache_capacity.has_value()) {
         eval_cache_.set_capacity(*options_.cache_capacity);
@@ -127,15 +127,7 @@ std::vector<SweepResult> SweepDriver::run_timed(
         }
         job.options = point.options.value_or(options_.flow_options);
         job.options.accuracy_db = point.accuracy_db;
-        // The `--optimizer` axis resolves here: under Optimizer::Optimal a
-        // heuristic flow name runs as its exact counterpart (WLO-SLP ->
-        // SLP-Optimal, WLO-First -> WLO-Optimal). The pipeline stamps its
-        // own name into the result, so rows are byte-identical whether the
-        // point named the exact flow directly or reached it via the axis.
-        job.pipeline = &FlowRegistry::instance().flow(
-            job.options.solver.optimizer == Optimizer::Optimal
-                ? optimal_flow_for(point.flow)
-                : point.flow);
+        job.pipeline = &FlowRegistry::instance().flow(point.flow);
         jobs.push_back(std::move(job));
     }
 
@@ -240,9 +232,8 @@ std::string options_to_json(const FlowOptions& options) {
        << ",\"infeasibility_penalty\":"
        << json_number(options.wlo_first.tabu.infeasibility_penalty)
        << "}}"
-       << ",\"solver\":{\"optimizer\":\""
-       << to_string(options.solver.optimizer)
-       << "\",\"max_nodes\":" << options.solver.budget.max_nodes << "}}";
+       << ",\"solver\":{\"max_nodes\":" << options.solver_budget.max_nodes
+       << "}}";
     return os.str();
 }
 

@@ -40,12 +40,11 @@ class ThreadPool;
 
 /// One point of a sweep grid. `kernel` names a benchmark-registry kernel,
 /// `target` a TargetRegistry model (targets::by_name), `flow` a
-/// FlowRegistry pipeline. When the effective FlowOptions carry
-/// Optimizer::Optimal the flow name resolves through optimal_flow_for at
-/// run time — the grid (and its fingerprint) is unchanged; only the
-/// pipeline that executes, and the flow name the result reports, differ.
-/// Members without a default initializer carry `{}`, so brace-initialized
-/// points may omit trailing members without -Wmissing-field-initializers.
+/// FlowRegistry pipeline — the exact counterparts are flows of their own
+/// (`SLP-Optimal`, `WLO-Optimal`), so the flow name alone picks heuristic
+/// or exact search. Members without a default initializer carry `{}`, so
+/// brace-initialized points may omit trailing members without
+/// -Wmissing-field-initializers.
 struct SweepPoint {
     std::string kernel;
     std::string target;
@@ -86,9 +85,6 @@ struct ExecOptions {
     std::optional<size_t> cache_capacity;
 };
 
-/// Historical name: SweepDriver predates the unified ExecOptions.
-using SweepOptions = ExecOptions;
-
 struct SweepResult {
     SweepPoint point;
     FlowResult flow;
@@ -112,7 +108,7 @@ struct SweepCacheStats {
 
 class SweepDriver {
 public:
-    explicit SweepDriver(SweepOptions options = {});
+    explicit SweepDriver(ExecOptions options = {});
     ~SweepDriver();
 
     /// Cartesian grid helper: every kernel x target x flow x constraint.
@@ -163,10 +159,10 @@ public:
 
     SweepCacheStats cache_stats() const;
 
-    const SweepOptions& options() const { return options_; }
+    const ExecOptions& options() const { return options_; }
 
 private:
-    SweepOptions options_;
+    ExecOptions options_;
     mutable std::mutex contexts_mutex_;
     std::map<std::string, std::unique_ptr<KernelContext>> contexts_;
     EvalCache eval_cache_;

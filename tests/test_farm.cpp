@@ -139,8 +139,7 @@ TEST(FarmFraming, DecodeRejectsMalformedPayloads) {
 /// A small real whole-grid manifest (no flows are run — the board only
 /// parses points and fingerprints).
 std::string whole_grid_manifest(const std::vector<SweepPoint>& grid) {
-    const std::vector<dist::ShardPlan> plans = dist::make_shard_plans(
-        grid, 1, dist::ShardStrategy::RoundRobin);
+    const std::vector<dist::ShardPlan> plans = dist::make_shard_plans(grid, 1);
     return shard_manifest_text(plans.front());
 }
 
@@ -169,8 +168,8 @@ std::string synthetic_rows(const ShardManifest& manifest,
 
 TEST(FarmJobBoard, RejectsPartialGridManifests) {
     JobBoard board(0);
-    const std::vector<dist::ShardPlan> plans = dist::make_shard_plans(
-        board_grid(), 2, dist::ShardStrategy::RoundRobin);
+    const std::vector<dist::ShardPlan> plans =
+        dist::make_shard_plans(board_grid(), 2);
     EXPECT_THROW(
         board.submit(shard_manifest_text(plans[0]), ChunkOptions{}, "", 0),
         Error);
@@ -509,7 +508,7 @@ class FarmE2EWorkers : public FarmE2E,
 TEST_P(FarmE2EWorkers, FarmSweepIsByteIdenticalToSingleProcess) {
     const std::vector<SweepPoint> grid = SweepDriver::grid(
         {"FIR"}, {"XENTIUM"}, {"WLO-SLP"}, {-20.0, -30.0, -40.0, -50.0});
-    SweepOptions options;
+    ExecOptions options;
     options.threads = 1;
     SweepDriver reference(options);
     const std::string reference_json = sweep_to_json(reference.run(grid));
@@ -552,7 +551,7 @@ INSTANTIATE_TEST_SUITE_P(WorkerCounts, FarmE2EWorkers,
 TEST_F(FarmE2E, WorkerKilledMidCompleteDeliversNothing) {
     const std::vector<SweepPoint> grid =
         SweepDriver::grid({"FIR"}, {"XENTIUM"}, {"WLO-SLP"}, {-20.0});
-    SweepOptions options;
+    ExecOptions options;
     options.threads = 1;
     SweepDriver reference(options);
     const std::string reference_json = sweep_to_json(reference.run(grid));

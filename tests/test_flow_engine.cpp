@@ -167,26 +167,11 @@ TEST(FlowEngine, FloatFlowMatchesDirectLowering) {
 TEST(FlowEngine, RegistryHasBuiltinFlows) {
     FlowRegistry& registry = FlowRegistry::instance();
     for (const char* name :
-         {"WLO-SLP", "WLO-First", "WLO-First+Scaling", "Float"}) {
+         {"WLO-SLP", "WLO-First", "Float", "WLO-Optimal", "SLP-Optimal"}) {
         EXPECT_TRUE(registry.contains(name)) << name;
         EXPECT_FALSE(registry.flow(name).passes().empty()) << name;
     }
     EXPECT_THROW(registry.flow("NO-SUCH-FLOW"), Error);
-}
-
-TEST(FlowEngine, ScalingVariantRunsAndMeetsConstraint) {
-    FlowOptions options;
-    options.accuracy_db = -30.0;
-    const FlowResult result =
-        FlowRegistry::instance()
-            .flow("WLO-First+Scaling")
-            .run(ctx_fir(), targets::xentium(), options);
-    EXPECT_GT(result.simd_cycles, 0);
-    EXPECT_LE(result.analytic_noise_db, -30.0 + 1e-9);
-    // The standalone Fig. 1b pass examined the extracted superword reuses.
-    const FlowResult plain =
-        run_wlo_first_flow(ctx_fir(), targets::xentium(), options);
-    EXPECT_LE(result.simd_cycles, plain.simd_cycles);
 }
 
 TEST(FlowEngine, CustomPipelineIsARegistryEntry) {
@@ -214,13 +199,13 @@ TEST(FlowEngine, MemoizedSweepIsIdenticalToCold) {
         {"FIR"}, {"XENTIUM"}, {"WLO-SLP", "WLO-First"},
         {-20.0, -35.0, -50.0});
 
-    SweepOptions no_memo;
+    ExecOptions no_memo;
     no_memo.threads = 1;
     no_memo.memoize = false;
     SweepDriver cold(no_memo);
     const std::vector<SweepResult> reference = cold.run(points);
 
-    SweepOptions memo;
+    ExecOptions memo;
     memo.threads = 1;
     SweepDriver warm(memo);
     const std::vector<SweepResult> first = warm.run(points);
@@ -268,12 +253,12 @@ TEST(FlowEngine, SweepDeterministicAcrossThreadCounts) {
         {"FIR", "IIR", "CONV"}, {"XENTIUM", "VEX-4"},
         {"WLO-SLP", "WLO-First"}, {-15.0, -40.0});
 
-    SweepOptions serial_options;
+    ExecOptions serial_options;
     serial_options.threads = 1;
     SweepDriver serial(serial_options);
     const std::vector<SweepResult> serial_results = serial.run(points);
 
-    SweepOptions parallel_options;
+    ExecOptions parallel_options;
     parallel_options.threads = 4;
     SweepDriver parallel(parallel_options);
     const std::vector<SweepResult> parallel_results = parallel.run(points);

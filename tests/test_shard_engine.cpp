@@ -50,50 +50,61 @@ void expect_version_rejected(Parse parse, const std::string& found,
 
 TEST(ShardPlan, PartitionIsDisjointAndComplete) {
     const std::vector<SweepPoint> grid = small_grid();
-    for (const ShardStrategy strategy :
-         {ShardStrategy::RoundRobin, ShardStrategy::CostBalanced}) {
-        for (const int n : {1, 3, 4, 7, 64}) {
-            const std::vector<ShardPlan> plans =
-                make_shard_plans(grid, n, strategy);
-            ASSERT_EQ(plans.size(), static_cast<size_t>(n));
-            std::set<size_t> seen;
-            for (const ShardPlan& plan : plans) {
-                EXPECT_EQ(plan.shard_count, n);
-                EXPECT_EQ(plan.total_slots, grid.size());
-                EXPECT_EQ(plan.slots.size(), plan.points.size());
-                EXPECT_TRUE(std::is_sorted(plan.slots.begin(),
-                                           plan.slots.end()));
-                for (const size_t slot : plan.slots) {
-                    EXPECT_LT(slot, grid.size());
-                    // Disjoint: no slot assigned twice.
-                    EXPECT_TRUE(seen.insert(slot).second);
-                }
+    for (const int n : {1, 3, 4, 7, 64}) {
+        const std::vector<ShardPlan> plans = make_shard_plans(grid, n);
+        ASSERT_EQ(plans.size(), static_cast<size_t>(n));
+        std::set<size_t> seen;
+        for (const ShardPlan& plan : plans) {
+            EXPECT_EQ(plan.shard_count, n);
+            EXPECT_EQ(plan.total_slots, grid.size());
+            EXPECT_EQ(plan.slots.size(), plan.points.size());
+            EXPECT_TRUE(std::is_sorted(plan.slots.begin(), plan.slots.end()));
+            for (const size_t slot : plan.slots) {
+                EXPECT_LT(slot, grid.size());
+                // Disjoint: no slot assigned twice.
+                EXPECT_TRUE(seen.insert(slot).second);
             }
-            // Complete: every slot assigned.
-            EXPECT_EQ(seen.size(), grid.size());
         }
+        // Complete: every slot assigned.
+        EXPECT_EQ(seen.size(), grid.size());
     }
 }
 
 TEST(ShardPlan, PlansAreDeterministic) {
     const std::vector<SweepPoint> grid = small_grid();
-    for (const ShardStrategy strategy :
-         {ShardStrategy::RoundRobin, ShardStrategy::CostBalanced}) {
-        const std::vector<ShardPlan> a = make_shard_plans(grid, 4, strategy);
-        const std::vector<ShardPlan> b = make_shard_plans(grid, 4, strategy);
-        ASSERT_EQ(a.size(), b.size());
-        for (size_t s = 0; s < a.size(); ++s) {
-            EXPECT_EQ(a[s].slots, b[s].slots);
-            EXPECT_EQ(a[s].grid_fp, b[s].grid_fp);
-            ASSERT_EQ(a[s].points.size(), b[s].points.size());
-            for (size_t i = 0; i < a[s].points.size(); ++i) {
-                EXPECT_EQ(point_fingerprint(a[s].points[i]),
-                          point_fingerprint(b[s].points[i]));
+    const std::vector<ShardPlan> a = make_shard_plans(grid, 4);
+    const std::vector<ShardPlan> b = make_shard_plans(grid, 4);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t s = 0; s < a.size(); ++s) {
+        EXPECT_EQ(a[s].slots, b[s].slots);
+        EXPECT_EQ(a[s].grid_fp, b[s].grid_fp);
+        ASSERT_EQ(a[s].points.size(), b[s].points.size());
+        for (size_t i = 0; i < a[s].points.size(); ++i) {
+            EXPECT_EQ(point_fingerprint(a[s].points[i]),
+                      point_fingerprint(b[s].points[i]));
+        }
+    }
+    // The grid fingerprint is shard-count independent.
+    EXPECT_EQ(a.front().grid_fp, make_shard_plans(grid, 9).front().grid_fp);
+}
+
+TEST(ShardPlan, EqualCostsAssignRoundRobin) {
+    // estimate_point_cost sees neither the kernel nor which of these
+    // flows runs, so on one target and constraint every point costs the
+    // same, and LPT's ties (lower slot first, onto the lowest-index
+    // lightest shard) deal slot i to shard i % N.
+    const std::vector<SweepPoint> grid = SweepDriver::grid(
+        {"FIR", "DOT", "IIR", "CONV"}, {"XENTIUM"},
+        {"WLO-SLP", "SLP-Optimal", "WLO-Optimal"}, {-30.0});
+    for (const int n : {2, 3, 4, 5, 6, 7}) {
+        const std::vector<ShardPlan> plans = make_shard_plans(grid, n);
+        for (const ShardPlan& plan : plans) {
+            for (const size_t slot : plan.slots) {
+                EXPECT_EQ(slot % static_cast<size_t>(n),
+                          static_cast<size_t>(plan.shard_index))
+                    << "slot " << slot << ", " << n << " shards";
             }
         }
-        // The grid fingerprint is shard-count independent.
-        EXPECT_EQ(a.front().grid_fp,
-                  make_shard_plans(grid, 9, strategy).front().grid_fp);
     }
 }
 
@@ -102,8 +113,7 @@ TEST(ShardPlan, EmbedsTargetModels) {
     for (const SweepPoint& point : grid) {
         EXPECT_FALSE(point.target_model.has_value());
     }
-    const std::vector<ShardPlan> plans =
-        make_shard_plans(grid, 2, ShardStrategy::RoundRobin);
+    const std::vector<ShardPlan> plans = make_shard_plans(grid, 2);
     for (const ShardPlan& plan : plans) {
         for (const SweepPoint& point : plan.points) {
             ASSERT_TRUE(point.target_model.has_value());
@@ -118,8 +128,7 @@ TEST(ShardPlan, CostBalancedSpreadsLoad) {
     const std::vector<SweepPoint> grid = SweepDriver::grid(
         {"FIR"}, {"XENTIUM"}, {"WLO-First", "Float"},
         {-10.0, -20.0, -30.0, -40.0, -50.0, -60.0});
-    const std::vector<ShardPlan> plans =
-        make_shard_plans(grid, 3, ShardStrategy::CostBalanced);
+    const std::vector<ShardPlan> plans = make_shard_plans(grid, 3);
     std::vector<double> load;
     for (const ShardPlan& plan : plans) {
         EXPECT_FALSE(plan.points.empty());
@@ -170,8 +179,7 @@ TEST(ShardManifest, RoundTripsExactly) {
     defaults.accuracy_db = -33.5;
     defaults.wlo_first.tabu.tenure = 11;
 
-    const std::vector<ShardPlan> plans =
-        make_shard_plans(grid, 3, ShardStrategy::CostBalanced);
+    const std::vector<ShardPlan> plans = make_shard_plans(grid, 3);
     for (const ShardPlan& plan : plans) {
         const std::string text = shard_manifest_text(plan, defaults);
         const ShardManifest manifest =
@@ -179,7 +187,6 @@ TEST(ShardManifest, RoundTripsExactly) {
 
         EXPECT_EQ(manifest.shard_index, plan.shard_index);
         EXPECT_EQ(manifest.shard_count, plan.shard_count);
-        EXPECT_EQ(manifest.strategy, plan.strategy);
         EXPECT_EQ(manifest.total_slots, plan.total_slots);
         EXPECT_EQ(manifest.grid_fp, plan.grid_fp);
         EXPECT_EQ(manifest.slots, plan.slots);
@@ -207,8 +214,7 @@ TEST(ShardManifest, KeepsNamesOfRenamedIdenticalModels) {
     std::vector<SweepPoint> grid{
         SweepPoint{"FIR", base.name, "WLO-SLP", -20.0, {}, base, {}},
         SweepPoint{"FIR", renamed.name, "WLO-SLP", -20.0, {}, renamed, {}}};
-    const std::vector<ShardPlan> plans =
-        make_shard_plans(grid, 1, ShardStrategy::RoundRobin);
+    const std::vector<ShardPlan> plans = make_shard_plans(grid, 1);
     const ShardManifest manifest =
         parse_shard_manifest(shard_manifest_text(plans[0]), "<renamed>");
     ASSERT_EQ(manifest.points.size(), 2u);
@@ -233,8 +239,7 @@ TEST(ShardManifest, EmbedsFileKernelSourceAndRoundTrips) {
         "}\n");
     const std::vector<SweepPoint> grid = SweepDriver::grid(
         {"manifest_trip", "FIR"}, {"XENTIUM"}, {"WLO-SLP"}, {-20.0});
-    const std::vector<ShardPlan> plans =
-        make_shard_plans(grid, 1, ShardStrategy::RoundRobin);
+    const std::vector<ShardPlan> plans = make_shard_plans(grid, 1);
     ASSERT_EQ(plans[0].points.size(), 2u);
 
     // Planning embedded the canonical source for the DSL kernel only.
@@ -262,28 +267,36 @@ TEST(ShardManifest, EmbedsFileKernelSourceAndRoundTrips) {
 }
 
 TEST(ShardManifest, RejectsMalformedInput) {
-    const std::vector<ShardPlan> plans =
-        make_shard_plans(small_grid(), 2, ShardStrategy::RoundRobin);
+    const std::vector<ShardPlan> plans = make_shard_plans(small_grid(), 2);
     const std::string good = shard_manifest_text(plans[0]);
     EXPECT_NO_THROW(parse_shard_manifest(good));
 
-    // The reader accepts only the version the writer emits (5): older
+    // The reader accepts only the version the writer emits (6): older
     // and newer headers are rejected, naming both versions.
-    for (const char* version : {"1", "3", "4", "6"}) {
+    for (const char* version : {"1", "4", "5", "7"}) {
         std::string text = good;
-        const size_t pos = text.find("manifest_version = 5");
+        const size_t pos = text.find("manifest_version = 6");
         ASSERT_NE(pos, std::string::npos);
         text.replace(pos, 20, std::string("manifest_version = ") + version);
         expect_version_rejected([&] { parse_shard_manifest(text); }, version,
-                                "5");
+                                "6");
     }
-    // A key version 4 carried (the noise backend) is unknown now, not
-    // silently ignored.
-    {
+    // Keys older versions carried — the noise backend (4), the optimizer
+    // axis (5) — are unknown now, not silently ignored.
+    for (const char* old_key : {"option.evaluator = tape\n",
+                                "option.solver.optimizer = heuristic\n"}) {
         std::string text = good;
         const size_t pos = text.find("end_defaults");
         ASSERT_NE(pos, std::string::npos);
-        text.insert(pos, "option.evaluator = tape\n");
+        text.insert(pos, old_key);
+        EXPECT_THROW(parse_shard_manifest(text), Error) << old_key;
+    }
+    // So is the shard strategy header version 5 carried.
+    {
+        std::string text = good;
+        const size_t pos = text.find("total_slots = ");
+        ASSERT_NE(pos, std::string::npos);
+        text.insert(pos, "strategy = round-robin\n");
         EXPECT_THROW(parse_shard_manifest(text), Error);
     }
     // Unterminated point block.
@@ -677,17 +690,18 @@ TEST(ShardMerger, ResultsFileRoundTrips) {
 // --- end to end (in-process) ---------------------------------------------------
 
 TEST(ShardEngine, ShardedSweepIsByteIdenticalToSingleProcess) {
+    // The exact flows travel by name, like any other flow.
     const std::vector<SweepPoint> grid = SweepDriver::grid(
-        {"FIR", "DOT"}, {"XENTIUM"}, {"WLO-SLP", "WLO-First"},
+        {"FIR", "DOT"}, {"XENTIUM"},
+        {"WLO-SLP", "WLO-First", "SLP-Optimal", "WLO-Optimal"},
         {-20.0, -30.0});
 
-    SweepOptions options;
+    ExecOptions options;
     options.threads = 2;
     SweepDriver reference(options);
     const std::string reference_json = sweep_to_json(reference.run(grid));
 
-    const std::vector<ShardPlan> plans =
-        make_shard_plans(grid, 2, ShardStrategy::RoundRobin);
+    const std::vector<ShardPlan> plans = make_shard_plans(grid, 2);
     std::vector<ShardResultsFile> shard_files;
     std::vector<CacheSnapshot> snapshots;
     for (const ShardPlan& plan : plans) {

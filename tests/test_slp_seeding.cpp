@@ -215,7 +215,7 @@ TEST(VirtualWidth, GroupsAreDisjointOnCliffTargets) {
 TEST(CliffFlow, WloSlpFormsWideGroupsAndBeatsScalar) {
     // The full WLO-SLP flow on the cliff derivative: >= 4-lane groups and
     // a SIMD schedule faster than the scalar baseline.
-    SweepOptions options;
+    ExecOptions options;
     options.threads = 1;
     SweepDriver driver(options);
     SweepPoint point;
@@ -284,12 +284,12 @@ TEST(PresetSweep, ReportMatchesCheckedInFingerprintAtAnyThreadCount) {
     const std::vector<SweepPoint> points = preset_grid();
     ASSERT_EQ(points.size(), 18u);  // 3 ISAs x 3 widths x 2 constraints
 
-    SweepOptions serial_options;
+    ExecOptions serial_options;
     serial_options.threads = 1;
     SweepDriver serial(serial_options);
     const std::string serial_json = sweep_to_json(serial.run(points));
 
-    SweepOptions parallel_options;
+    ExecOptions parallel_options;
     parallel_options.threads = 4;
     SweepDriver parallel(parallel_options);
     const std::string parallel_json = sweep_to_json(parallel.run(points));

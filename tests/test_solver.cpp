@@ -473,36 +473,6 @@ TEST(WloExact, MatchesExhaustiveOracleOnTinyKernel) {
 
 // --- the optimal flows ---------------------------------------------------------
 
-TEST(OptimalFlows, RegisteredAndResolvedFromOptimizerAxis) {
-    FlowRegistry& registry = FlowRegistry::instance();
-    EXPECT_TRUE(registry.contains("WLO-Optimal"));
-    EXPECT_TRUE(registry.contains("SLP-Optimal"));
-    EXPECT_EQ(optimal_flow_for("WLO-SLP"), "SLP-Optimal");
-    EXPECT_EQ(optimal_flow_for("WLO-First"), "WLO-Optimal");
-    // Flows with no exact counterpart resolve to themselves.
-    EXPECT_EQ(optimal_flow_for("Float"), "Float");
-    EXPECT_EQ(optimal_flow_for("WLO-Optimal"), "WLO-Optimal");
-}
-
-TEST(OptimalFlows, OptimizerSpellingErrorsListValidValues) {
-    EXPECT_EQ(to_string(optimizer_from_string("heuristic")), "heuristic");
-    EXPECT_EQ(to_string(optimizer_from_string("optimal")), "optimal");
-    try {
-        optimizer_from_string("optimla");
-        FAIL() << "expected Error for unknown optimizer";
-    } catch (const Error& e) {
-        const std::string message = e.what();
-        // The misspelling is echoed and the valid values are listed, in
-        // sorted order, so the fix is visible in the error itself.
-        EXPECT_NE(message.find("optimla"), std::string::npos) << message;
-        const size_t heuristic = message.find("heuristic");
-        const size_t optimal = message.find("optimal");
-        ASSERT_NE(heuristic, std::string::npos) << message;
-        ASSERT_NE(optimal, std::string::npos) << message;
-        EXPECT_LT(heuristic, optimal) << message;
-    }
-}
-
 TEST(OptimalFlows, WloOptimalNeverWorseThanWloFirst) {
     FlowOptions options;
     options.accuracy_db = -30.0;
@@ -529,7 +499,7 @@ TEST(OptimalFlows, WloOptimalNeverWorseThanWloFirst) {
 TEST(OptimalFlows, SlpOptimalProvesOptimalityOnRegistryKernels) {
     // The acceptance bar: SLP-Optimal proves per-round optimality on all
     // four registry kernels for a shipped target within default budget.
-    SweepOptions sweep_options;
+    ExecOptions sweep_options;
     sweep_options.threads = 2;
     SweepDriver driver(sweep_options);
     const std::vector<SweepResult> results = driver.run(
@@ -548,52 +518,22 @@ TEST(OptimalFlows, SlpOptimalProvesOptimalityOnRegistryKernels) {
     }
 }
 
-// --- the heuristic/optimal sweep axis ------------------------------------------
-
-TEST(OptimalFlows, OptimizerAxisResolvesToExactFlows) {
-    // `--optimizer optimal` over the heuristic flow names must produce
-    // the same rows as naming the exact flows directly.
-    SweepOptions axis_options;
-    axis_options.threads = 1;
-    axis_options.flow_options.solver.optimizer = Optimizer::Optimal;
-    SweepDriver axis(axis_options);
-    const std::vector<SweepResult> via_axis = axis.run(
-        SweepDriver::grid({"FIR"}, {"XENTIUM"}, {"WLO-First"}, {-25.0}));
-
-    SweepOptions direct_options;
-    direct_options.threads = 1;
-    SweepDriver direct(direct_options);
-    const std::vector<SweepResult> named = direct.run(
-        SweepDriver::grid({"FIR"}, {"XENTIUM"}, {"WLO-Optimal"}, {-25.0}));
-
-    ASSERT_EQ(via_axis.size(), 1u);
-    ASSERT_EQ(named.size(), 1u);
-    EXPECT_EQ(via_axis[0].flow.flow_name, "WLO-Optimal");
-    EXPECT_EQ(to_json(via_axis[0].flow), to_json(named[0].flow));
-    EXPECT_TRUE(via_axis[0].flow.solver_stats.ran);
-}
-
-TEST(OptimalFlows, StageMemoKeyIsolatesOptimizerChoice) {
+TEST(OptimalFlows, StageMemoKeyIsolatesSolverBudget) {
     const KernelContext context(small_fir());
     const TargetModel target = targets::xentium();
-    FlowOptions heuristic;
-    FlowOptions optimal;
-    optimal.solver.optimizer = Optimizer::Optimal;
-    // A heuristic sweep must never serve a memoized optimal stage (or
-    // vice versa), and the budget is part of the identity too: a bigger
-    // budget can change the incumbent.
-    EXPECT_NE(stage_memo_key(context, target, "WLO-SLP", heuristic),
-              stage_memo_key(context, target, "WLO-SLP", optimal));
-    FlowOptions bigger = optimal;
-    bigger.solver.budget.max_nodes += 1;
-    EXPECT_NE(stage_memo_key(context, target, "WLO-SLP", optimal),
-              stage_memo_key(context, target, "WLO-SLP", bigger));
+    // The budget is part of the identity: a bigger budget can change the
+    // incumbent an exact flow returns.
+    FlowOptions options;
+    FlowOptions bigger;
+    bigger.solver_budget.max_nodes += 1;
+    EXPECT_NE(stage_memo_key(context, target, "SLP-Optimal", options),
+              stage_memo_key(context, target, "SLP-Optimal", bigger));
 }
 
 TEST(OptimalFlows, MemoizedOptimalSweepReproducesSolverStats) {
     const std::vector<SweepPoint> points = SweepDriver::grid(
         {"FIR"}, {"XENTIUM"}, {"SLP-Optimal"}, {-25.0});
-    SweepOptions options;
+    ExecOptions options;
     options.threads = 1;
     SweepDriver driver(options);
     const std::vector<SweepResult> cold = driver.run(points);

@@ -25,7 +25,7 @@ std::vector<SweepPoint> tiny_grid() {
 /// The single-process reference bytes every other execution shape must
 /// reproduce exactly.
 std::string reference_json(const std::vector<SweepPoint>& grid) {
-    SweepOptions options;
+    ExecOptions options;
     options.threads = 2;
     SweepDriver driver(options);
     return sweep_to_json(driver.run(grid));
@@ -100,8 +100,7 @@ TEST(SweepService, PlanSourceMatchesDriverRunBytes) {
     const std::vector<SweepPoint> grid = tiny_grid();
     const std::string reference = reference_json(grid);
 
-    const std::vector<ShardPlan> plans =
-        make_shard_plans(grid, 2, ShardStrategy::RoundRobin);
+    const std::vector<ShardPlan> plans = make_shard_plans(grid, 2);
     std::vector<ShardResultsFile> files;
     for (const ShardPlan& plan : plans) {
         const ShardManifest manifest =
@@ -122,8 +121,7 @@ TEST(SweepService, RunShardStillMatchesReferenceSlice) {
     const std::vector<SweepPoint> grid = tiny_grid();
     const std::string reference = reference_json(grid);
 
-    const std::vector<ShardPlan> plans =
-        make_shard_plans(grid, 2, ShardStrategy::CostBalanced);
+    const std::vector<ShardPlan> plans = make_shard_plans(grid, 2);
     std::vector<ShardResultsFile> files;
     for (const ShardPlan& plan : plans) {
         const ShardManifest manifest =

@@ -362,7 +362,7 @@ TEST(TargetSweep, SameNameDifferentModelsNeverShareCacheEntries) {
     TargetModel simd = targets::st240();
     simd.name = "CLASH";
 
-    SweepOptions options;
+    ExecOptions options;
     options.threads = 1;
     SweepDriver driver(options);
     const std::vector<SweepResult> results =
@@ -385,7 +385,7 @@ TEST(TargetSweep, RenamedIdenticalModelHitsTheCache) {
     TargetModel renamed = original;
     renamed.name = "XENTIUM-UNDER-ANOTHER-NAME";
 
-    SweepOptions options;
+    ExecOptions options;
     options.threads = 1;
     SweepDriver driver(options);
     const std::vector<SweepResult> first = driver.run(
@@ -429,12 +429,12 @@ TEST(TargetSweep, WidthAxisGridAcrossRegistryAndFileTargets) {
     ASSERT_TRUE(points[2].target_model.has_value());
     EXPECT_EQ(points[2].target_model->simd_width_bits, 64);
 
-    SweepOptions serial_options;
+    ExecOptions serial_options;
     serial_options.threads = 1;
     SweepDriver serial(serial_options);
     const std::vector<SweepResult> serial_results = serial.run(points);
 
-    SweepOptions parallel_options;
+    ExecOptions parallel_options;
     parallel_options.threads = 4;
     SweepDriver parallel(parallel_options);
     const std::vector<SweepResult> parallel_results = parallel.run(points);

@@ -11,27 +11,25 @@
 //
 //   slpwlo-shard plan  --shards N --out-prefix P --kernels A,B
 //                      --targets X,Y [--widths 0,64] [--flows F,G]
-//                      [--constraints -20,-30] [--strategy round-robin|
-//                      cost-balanced] [--measured-from RESULTS]...
-//                      [--target-file FILE]...
+//                      [--constraints -20,-30] [--target-file FILE]...
 //   slpwlo-shard run   --manifest FILE --out FILE [--threads N]
 //                      [--snapshot-in FILE] [--snapshot-out FILE]
 //                      [--cache-capacity N] [--json[=FILE]] [--measure]
 //   slpwlo-shard merge --out FILE RESULTS...
 //                      [--cache FILE]... [--cache-out FILE]
 //
-// The measured-cost loop: a first sweep's result files carry per-slot
-// wall-clock micros; `plan --measured-from` re-balances the *same grid*
-// from those measurements instead of the estimate_point_cost heuristic.
-// `--measure` times the compiled kernel body and simulates the final spec
-// (compiled when a host compiler is usable, on the bit-identical tape
-// otherwise); it never changes a single result byte. Every outcome-changing
-// option, the optimizer included, comes from the manifest alone.
+// `plan` balances shards by the estimate_point_cost heuristic. The flow
+// names pick heuristic or exact search: `--flows WLO-SLP,SLP-Optimal`
+// sweeps both sides of the gap in one grid. `--measure` times the
+// compiled kernel body and simulates the final spec (compiled when a host
+// compiler is usable, on the bit-identical tape otherwise); it never
+// changes a single result byte. Every outcome-changing option comes from
+// the manifest alone.
 //
 // A typical static 4-machine sweep (one command per line; see DESIGN.md
 // §7 for the shell version with line continuations):
 //
-//   $ slpwlo-shard plan --shards 4 --strategy cost-balanced
+//   $ slpwlo-shard plan --shards 4
 //       --kernels FIR,IIR,CONV --targets XENTIUM --flows WLO-SLP,WLO-First
 //       --constraints -30,-40,-50 --out-prefix sweep
 //   ... ship sweep.<i>.manifest to worker i ...
@@ -55,11 +53,10 @@
 //   $ slpwlo-shard status --connect :7477          # live JSON
 //   $ slpwlo-shard merge --connect :7477 --job 0 --out sweep.json
 //
-// Incremental re-sweeps: `merge ... --rows-out sweep.rows` keeps the
-// per-slot rows; after the grid changes, `submit --splice-from sweep.rows`
-// (or offline: `merge --manifest new.manifest --splice-from sweep.rows`)
-// re-uses every slot whose point fingerprint is unchanged, so only the
-// changed slots are re-run.
+// Incremental re-sweeps: `merge --connect ... --rows-out sweep.rows`
+// keeps the per-slot rows; after the grid changes, `submit --splice-from
+// sweep.rows` re-uses every slot whose point fingerprint is unchanged, so
+// only the changed slots are re-run.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -92,13 +89,11 @@ void usage(FILE* out) {
         "  slpwlo-shard plan  --shards N --out-prefix P --kernels A,B\n"
         "                     --targets X,Y [--widths 0,64] [--flows F,G]\n"
         "                     [--constraints -20,-30]\n"
-        "                     [--strategy round-robin|cost-balanced]\n"
-        "                     [--optimizer heuristic|optimal]\n"
-        "                     [--measured-from RESULTS]...\n"
         "                     [--target-file FILE]...\n"
         "                     [--kernel-file FILE]... [--corpus DIR]...\n"
-        "                     --measured-from re-balances the same grid\n"
-        "                     from a previous run's per-slot wall-clocks;\n"
+        "                     shards are balanced by estimated point cost;\n"
+        "                     name SLP-Optimal / WLO-Optimal in --flows\n"
+        "                     for exact search;\n"
         "                     --kernel-file / --corpus register .slp DSL\n"
         "                     kernels (corpus names join the kernel axis;\n"
         "                     manifests embed their source)\n"
@@ -120,13 +115,7 @@ void usage(FILE* out) {
         "                     fetch a finalized farm job's streamed report\n"
         "                     (byte-identical to the 1-process sweep);\n"
         "                     --rows-out keeps per-slot rows for later\n"
-        "                     --splice-from re-sweeps\n"
-        "  slpwlo-shard merge --manifest FILE --splice-from ROWS...\n"
-        "                     --rows-out FILE [--out FILE]\n"
-        "                     offline incremental re-sweep: re-slot rows\n"
-        "                     whose point fingerprints still appear in the\n"
-        "                     new manifest; --out additionally writes the\n"
-        "                     report when nothing changed\n"
+        "                     submit --splice-from re-sweeps\n"
         "  slpwlo-shard daemon --listen PORT [--ttl-ms T] [--tick-ms T]\n"
         "                     [--all-interfaces]\n"
         "                     serve the farm protocol until shutdown: jobs\n"
@@ -173,26 +162,6 @@ double double_flag(const std::string& flag, const std::string& value) {
     } catch (const std::exception&) {
         bad_usage(flag + ": not a number: `" + value + "`");
     }
-}
-
-Optimizer optimizer_flag(const std::string& flag, const std::string& value) {
-    try {
-        return optimizer_from_string(value);
-    } catch (const Error& e) {
-        bad_usage(flag + ": " + e.what());
-    }
-}
-
-/// Load the rows files behind --measured-from into per-slot costs,
-/// checked against the grid being planned.
-std::vector<double> load_measured_costs(const std::vector<std::string>& paths,
-                                        size_t total_slots, uint64_t grid_fp) {
-    std::vector<ShardResultsFile> files;
-    files.reserve(paths.size());
-    for (const std::string& path : paths) {
-        files.push_back(load_shard_results(path));
-    }
-    return measured_slot_costs(files, total_slots, grid_fp);
 }
 
 std::vector<std::string> split_list(const std::string& text) {
@@ -252,26 +221,17 @@ private:
 
 int cmd_plan(Args args) {
     int shards = 0;
-    ShardStrategy strategy = ShardStrategy::RoundRobin;
-    bool has_strategy = false;
     std::string out_prefix;
     std::vector<std::string> kernels, target_names, flows{"WLO-SLP"};
-    std::vector<std::string> measured_from;
     std::vector<int> widths;
     bool has_widths = false;
     std::vector<double> constraints{-40.0};
     bool has_constraints = false;
-    FlowOptions defaults;
 
     std::string arg;
     while (args.next(arg)) {
         if (arg == "--shards") {
             shards = int_flag(arg, args.value(arg));
-        } else if (arg == "--strategy") {
-            strategy = shard_strategy_from_string(args.value(arg));
-            has_strategy = true;
-        } else if (arg == "--measured-from") {
-            measured_from.push_back(args.value(arg));
         } else if (arg == "--out-prefix") {
             out_prefix = args.value(arg);
         } else if (arg == "--kernels") {
@@ -291,8 +251,6 @@ int cmd_plan(Args args) {
             for (const std::string& c : split_list(args.value(arg))) {
                 constraints.push_back(double_flag(arg, c));
             }
-        } else if (arg == "--optimizer") {
-            defaults.solver.optimizer = optimizer_flag(arg, args.value(arg));
         } else if (arg == "--target-file") {
             TargetRegistry::instance().add(
                 load_target_description(args.value(arg)));
@@ -315,53 +273,29 @@ int cmd_plan(Args args) {
     if (out_prefix.empty()) bad_usage("plan needs --out-prefix");
     if (kernels.empty()) bad_usage("plan needs --kernels or --corpus");
     if (target_names.empty()) bad_usage("plan needs --targets");
-    if (!measured_from.empty() && has_strategy &&
-        strategy == ShardStrategy::RoundRobin) {
-        bad_usage("--measured-from balances by cost; it cannot combine "
-                  "with --strategy round-robin");
-    }
     if (!has_constraints) {
         std::printf("using default constraint grid: -40 dB\n");
     }
 
-    std::vector<SweepPoint> grid =
+    const std::vector<SweepPoint> grid =
         has_widths ? SweepDriver::grid(kernels, target_names, widths, flows,
                                        constraints)
                    : SweepDriver::grid(kernels, target_names, flows,
                                        constraints);
+    const std::vector<ShardPlan> plans = make_shard_plans(grid, shards);
 
-    std::vector<ShardPlan> plans;
-    std::vector<double> measured;
-    if (!measured_from.empty()) {
-        // The measurements must come from a run of this exact grid —
-        // measured_slot_costs checks the fingerprint, so we need the
-        // models (and any file-kernel sources, which fingerprints mix)
-        // embedded before the files are loaded.
-        embed_target_models(grid);
-        embed_kernel_sources(grid);
-        measured = load_measured_costs(measured_from, grid.size(),
-                                       grid_fingerprint(grid));
-        plans = make_shard_plans(grid, shards, measured);
-    } else {
-        plans = make_shard_plans(grid, shards, strategy);
-    }
-
-    std::printf("grid: %zu points -> %d shards (%s)\n", grid.size(), shards,
-                measured.empty() ? to_string(strategy).c_str()
-                                 : "cost-balanced, measured");
+    std::printf("grid: %zu points -> %d shards\n", grid.size(), shards);
     for (const ShardPlan& plan : plans) {
         double cost = 0.0;
-        for (size_t i = 0; i < plan.points.size(); ++i) {
-            cost += measured.empty() ? estimate_point_cost(plan.points[i])
-                                     : measured[plan.slots[i]];
+        for (const SweepPoint& point : plan.points) {
+            cost += estimate_point_cost(point);
         }
         const std::string path = out_prefix + "." +
                                  std::to_string(plan.shard_index) +
                                  ".manifest";
-        write_file(path, shard_manifest_text(plan, defaults));
-        std::printf("  %s: %zu points, %s cost %.1f\n", path.c_str(),
-                    plan.points.size(), measured.empty() ? "est." : "meas.",
-                    cost);
+        write_file(path, shard_manifest_text(plan));
+        std::printf("  %s: %zu points, est. cost %.1f\n", path.c_str(),
+                    plan.points.size(), cost);
     }
     return 0;
 }
@@ -480,10 +414,9 @@ int cmd_work(Args args) {
 }
 
 int cmd_merge(Args args) {
-    std::string out_path, cache_out, connect, manifest_path;
-    std::string rows_out;
+    std::string out_path, cache_out, connect, rows_out;
     long long job = -1;
-    std::vector<std::string> results_paths, cache_paths, splice_from;
+    std::vector<std::string> results_paths, cache_paths;
 
     std::string arg;
     while (args.next(arg)) {
@@ -497,10 +430,6 @@ int cmd_merge(Args args) {
             connect = args.value(arg);
         } else if (arg == "--job") {
             job = int_flag(arg, args.value(arg));
-        } else if (arg == "--manifest") {
-            manifest_path = args.value(arg);
-        } else if (arg == "--splice-from") {
-            splice_from.push_back(args.value(arg));
         } else if (arg == "--rows-out") {
             rows_out = args.value(arg);
         } else if (!arg.empty() && arg[0] == '-') {
@@ -533,47 +462,8 @@ int cmd_merge(Args args) {
         return 0;
     }
 
-    if (!manifest_path.empty() || !splice_from.empty()) {
-        // Offline incremental re-sweep: re-slot a previous run's rows
-        // onto the new grid by point fingerprint. Unchanged slots come
-        // back verbatim; the rows file of what's left seeds the next run
-        // (or the farm submit's --splice-from).
-        if (manifest_path.empty() || splice_from.empty()) {
-            bad_usage("splice needs both --manifest and --splice-from");
-        }
-        if (rows_out.empty()) bad_usage("splice needs --rows-out");
-        const ShardManifest manifest = load_shard_manifest(manifest_path);
-        if (manifest.slots.size() != manifest.total_slots) {
-            bad_usage("--manifest must be a whole grid (plan --shards 1)");
-        }
-        std::vector<uint64_t> slot_fps;
-        slot_fps.reserve(manifest.points.size());
-        for (const SweepPoint& point : manifest.points) {
-            slot_fps.push_back(point_fingerprint(point));
-        }
-        std::vector<ShardResultsFile> old_files;
-        old_files.reserve(splice_from.size());
-        for (const std::string& path : splice_from) {
-            old_files.push_back(load_shard_results(path));
-        }
-        const ShardResultsFile spliced =
-            splice_rows(old_files, slot_fps, manifest.grid_fp);
-        write_file(rows_out, shard_results_text(spliced));
-        std::printf("spliced %zu of %zu slots (%zu changed) -> %s\n",
-                    spliced.rows.size(), manifest.total_slots,
-                    manifest.total_slots - spliced.rows.size(),
-                    rows_out.c_str());
-        if (!out_path.empty()) {
-            // A report needs every slot; merge_shard_results lists the
-            // holes when slots still must be re-run.
-            write_file(out_path, merge_shard_results({spliced}));
-            std::printf("nothing changed: full report -> %s\n",
-                        out_path.c_str());
-        }
-        return 0;
-    }
-
     if (out_path.empty()) bad_usage("merge needs --out");
+    if (!rows_out.empty()) bad_usage("--rows-out needs --connect");
     if (results_paths.empty()) bad_usage("merge needs result files");
     // Validate the cache pairing before any output is written: a usage
     // error after side effects would leave a half-done merge behind, and
