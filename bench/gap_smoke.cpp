@@ -19,8 +19,8 @@
 //      match the exhaustive minimum exactly.
 //   3. Pinned heuristic fingerprint — the heuristic-flow sweep report
 //      over a fixed grid is fingerprinted and compared against a
-//      checked-in constant. The sharded merge path reassembles this very
-//      byte stream (sweep_sharded proves merge == in-process), so this
+//      checked-in constant. The farm's streamed merge reassembles this
+//      very byte stream (test_farm proves farm == in-process), so this
 //      one constant pins the merged heuristic reports too: the solver
 //      subsystem must be able to ride along without moving a single
 //      heuristic byte.

@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
     std::printf(
         "\nscaling up: the same sweep runs as a farm. Start a daemon\n"
         "(slpwlo-shard daemon --listen 7477), submit the grid\n"
-        "(slpwlo-shard plan --shards 1 ... ; slpwlo-shard submit\n"
-        "--connect :7477 --manifest grid.0.manifest), then point any\n"
+        "(slpwlo-shard plan --out grid.manifest ... ; slpwlo-shard\n"
+        "submit --connect :7477 --manifest grid.manifest), then point any\n"
         "number of machines at it (slpwlo-shard work --connect\n"
         "host:7477). Rows stream into the daemon's merger as workers\n"
         "finish, `status --connect` is live JSON, and `merge --connect\n"

@@ -479,4 +479,19 @@ ShardManifest load_shard_manifest(const std::string& path) {
     return parse_shard_manifest(text.str(), path);
 }
 
+void require_whole_grid(const ShardManifest& manifest,
+                        const std::string& source) {
+    bool whole = manifest.slots.size() == manifest.total_slots;
+    for (size_t i = 0; whole && i < manifest.slots.size(); ++i) {
+        whole = manifest.slots[i] == i;
+    }
+    if (!whole) {
+        throw Error(source + ": manifest covers " +
+                    std::to_string(manifest.slots.size()) + " of " +
+                    std::to_string(manifest.total_slots) +
+                    " grid slots — only whole grids are served (plan "
+                    "--out writes one)");
+    }
+}
+
 }  // namespace slpwlo::dist

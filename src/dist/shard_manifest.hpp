@@ -68,7 +68,7 @@
 
 namespace slpwlo::dist {
 
-/// A parsed manifest: everything run_shard (shard_runner.hpp) needs.
+/// A parsed manifest: everything a worker needs to run its points.
 struct ShardManifest {
     int shard_index = 0;
     int shard_count = 1;
@@ -92,6 +92,13 @@ ShardManifest parse_shard_manifest(const std::string& text,
 
 /// Read `path` and parse it; throws Error when the file cannot be read.
 ShardManifest load_shard_manifest(const std::string& path);
+
+/// Throw Error (naming `source`) unless `manifest` covers its whole grid:
+/// slot i at position i for every i < total_slots. The farm and the local
+/// `run` serve whole grids only, so any lease slot indexes straight into
+/// manifest.points and the report covers every slot.
+void require_whole_grid(const ShardManifest& manifest,
+                        const std::string& source);
 
 // --- FlowOptions serialization -------------------------------------------------
 // The `option.`-prefixed keys used in defaults and per-point blocks. The

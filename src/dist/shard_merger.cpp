@@ -1,6 +1,5 @@
 #include "dist/shard_merger.hpp"
 
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -14,7 +13,7 @@ namespace slpwlo::dist {
 namespace {
 
 /// The one results format version this writer emits and reader accepts.
-constexpr int kResultsVersion = 4;
+constexpr int kResultsVersion = 5;
 
 }  // namespace
 
@@ -22,16 +21,8 @@ std::string shard_results_text(const ShardResultsFile& results) {
     std::ostringstream os;
     os << "# slpwlo shard results\n"
        << "results_version = " << kResultsVersion << "\n"
-       << "shard_index = " << results.shard_index << "\n"
-       << "shard_count = " << results.shard_count << "\n"
        << "total_slots = " << results.total_slots << "\n"
        << "grid_fingerprint = " << fingerprint_hex(results.grid_fp) << "\n"
-       << "eval_hits = " << results.eval_hits << "\n"
-       << "eval_misses = " << results.eval_misses << "\n"
-       << "eval_entries = " << results.eval_entries << "\n"
-       << "stage_hits = " << results.stage_hits << "\n"
-       << "stage_misses = " << results.stage_misses << "\n"
-       << "stage_entries = " << results.stage_entries << "\n"
        << "rows = " << results.rows.size() << "\n";
     for (const ShardRow& row : results.rows) {
         SLPWLO_CHECK(row.json.find('\n') == std::string::npos,
@@ -121,36 +112,12 @@ ShardResultsFile parse_shard_results(const std::string& text,
                                  std::to_string(kResultsVersion) + ")");
             }
             saw_version = true;
-        } else if (line.key == "shard_index") {
-            results.shard_index =
-                kv::to_int(source, line.line, line.key, line.value);
-        } else if (line.key == "shard_count") {
-            results.shard_count =
-                kv::to_int(source, line.line, line.key, line.value);
         } else if (line.key == "total_slots") {
             results.total_slots = static_cast<size_t>(
                 kv::to_ll(source, line.line, line.key, line.value));
         } else if (line.key == "grid_fingerprint") {
             results.grid_fp =
                 kv::to_fingerprint(source, line.line, line.key, line.value);
-        } else if (line.key == "eval_hits") {
-            results.eval_hits = static_cast<size_t>(
-                kv::to_ll(source, line.line, line.key, line.value));
-        } else if (line.key == "eval_misses") {
-            results.eval_misses = static_cast<size_t>(
-                kv::to_ll(source, line.line, line.key, line.value));
-        } else if (line.key == "eval_entries") {
-            results.eval_entries = static_cast<size_t>(
-                kv::to_ll(source, line.line, line.key, line.value));
-        } else if (line.key == "stage_hits") {
-            results.stage_hits = static_cast<size_t>(
-                kv::to_ll(source, line.line, line.key, line.value));
-        } else if (line.key == "stage_misses") {
-            results.stage_misses = static_cast<size_t>(
-                kv::to_ll(source, line.line, line.key, line.value));
-        } else if (line.key == "stage_entries") {
-            results.stage_entries = static_cast<size_t>(
-                kv::to_ll(source, line.line, line.key, line.value));
         } else if (line.key == "rows") {
             declared = kv::to_ll(source, line.line, line.key, line.value);
         } else if (line.key.empty()) {
@@ -176,35 +143,16 @@ ShardResultsFile parse_shard_results(const std::string& text,
     return results;
 }
 
-ShardResultsFile load_shard_results(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) throw Error("cannot read shard results `" + path + "`");
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parse_shard_results(text.str(), path);
-}
-
-std::string merge_shard_results(const std::vector<ShardResultsFile>& shards,
-                                DuplicatePolicy duplicates) {
-    SLPWLO_CHECK(!shards.empty(), "nothing to merge: no shard result files");
-    RowAccumulator accumulator(shards.front().total_slots,
-                               shards.front().grid_fp, duplicates);
-    for (const ShardResultsFile& shard : shards) accumulator.add(shard);
-    return accumulator.report();
-}
-
 // --- RowAccumulator ------------------------------------------------------------
 
-RowAccumulator::RowAccumulator(size_t total_slots, uint64_t grid_fp,
-                               DuplicatePolicy duplicates)
-    : total_slots_(total_slots), grid_fp_(grid_fp), duplicates_(duplicates) {
+RowAccumulator::RowAccumulator(size_t total_slots, uint64_t grid_fp)
+    : total_slots_(total_slots), grid_fp_(grid_fp) {
     SLPWLO_CHECK(total_slots_ > 0, "cannot accumulate a zero-slot grid");
 }
 
 size_t RowAccumulator::add(const ShardResultsFile& file) {
     if (file.total_slots != total_slots_ || file.grid_fp != grid_fp_) {
-        throw Error("shard merge: grid mismatch — shard " +
-                    std::to_string(file.shard_index) + " ran grid " +
+        throw Error("shard merge: grid mismatch — rows for grid " +
                     fingerprint_hex(file.grid_fp) + " with " +
                     std::to_string(file.total_slots) +
                     " slots, expected grid " + fingerprint_hex(grid_fp_) +
@@ -240,9 +188,7 @@ size_t RowAccumulator::add(const ShardResultsFile& file) {
                         fingerprint_hex(existing->point_fp) + " vs " +
                         fingerprint_hex(row.point_fp) + ")");
         }
-        if (duplicates_ == DuplicatePolicy::AllowIdentical) continue;
-        throw Error("shard merge: slot " + std::to_string(row.slot) +
-                    " reported by more than one shard (overlapping plans)");
+        // Identical: a re-issued chunk finished twice; keep the first.
     }
     for (const auto& [slot, row] : fresh) rows_.emplace(slot, *row);
     return fresh.size();
@@ -273,8 +219,8 @@ std::string RowAccumulator::report() const {
                     std::to_string(total_slots_) +
                     " slots missing (first: " + listed + ")");
     }
-    // Reassemble exactly as sweep_to_json does, so a sharded sweep, a
-    // farm-streamed sweep and a single-process sweep emit the same bytes.
+    // Reassemble exactly as sweep_to_json does, so a farm-streamed sweep
+    // and a single-process sweep emit the same bytes.
     std::ostringstream os;
     os << "[";
     bool first = true;
@@ -292,8 +238,6 @@ ShardResultsFile RowAccumulator::rows_file() const {
     // The holes check (and its error message) is report()'s.
     if (!complete()) report();
     ShardResultsFile file;
-    file.shard_index = 0;
-    file.shard_count = 1;
     file.total_slots = total_slots_;
     file.grid_fp = grid_fp_;
     file.rows.reserve(rows_.size());
@@ -327,8 +271,6 @@ ShardResultsFile splice_rows(const std::vector<ShardResultsFile>& old_files,
     }
 
     ShardResultsFile spliced;
-    spliced.shard_index = 0;
-    spliced.shard_count = 1;
     spliced.total_slots = slot_fps.size();
     spliced.grid_fp = grid_fp;
     for (size_t slot = 0; slot < slot_fps.size(); ++slot) {

@@ -9,7 +9,7 @@
 #include <cstring>
 
 #include "dist/shard_merger.hpp"
-#include "dist/shard_runner.hpp"
+#include "dist/shard_plan.hpp"
 #include "support/diagnostics.hpp"
 
 namespace slpwlo::farm {
@@ -51,6 +51,21 @@ int connect_to(const std::string& host, int port) {
 
 void sleep_ms(long long ms) {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+/// Package one completed point as the row the daemon's merge consumes:
+/// `json` is exactly sweep_result_to_json, `point_fp` the point's
+/// fingerprint, `micros` and `measured_ns` the measurements (never part
+/// of row identity).
+dist::ShardRow make_shard_row(size_t slot, const SweepPoint& point,
+                              const WorkRow& row) {
+    dist::ShardRow out;
+    out.slot = slot;
+    out.point_fp = dist::point_fingerprint(point);
+    out.json = sweep_result_to_json(row.result);
+    out.micros = row.micros;
+    out.measured_ns = row.result.flow.measured_ns;
+    return out;
 }
 
 }  // namespace
@@ -137,9 +152,7 @@ SocketWorkSource::SocketWorkSource(FarmClient& client, std::string worker,
       manifest_(manifest),
       poll_ms_(poll_ms),
       straggle_ms_(straggle_ms) {
-    SLPWLO_CHECK(manifest_.slots.size() == manifest_.total_slots,
-                 "farm: SocketWorkSource needs the whole-grid manifest the "
-                 "daemon serves");
+    dist::require_whole_grid(manifest_, "farm job " + std::to_string(job));
 }
 
 size_t SocketWorkSource::total_slots() const { return manifest_.total_slots; }
@@ -187,13 +200,11 @@ void SocketWorkSource::complete(const Lease& lease,
     SLPWLO_CHECK(rows.size() == lease.slots.size(),
                  "farm: lease completion row count mismatch");
     dist::ShardResultsFile file;
-    file.shard_index = 0;
-    file.shard_count = 1;
     file.total_slots = manifest_.total_slots;
     file.grid_fp = manifest_.grid_fp;
     file.rows.reserve(rows.size());
     for (size_t i = 0; i < rows.size(); ++i) {
-        file.rows.push_back(dist::make_shard_row(
+        file.rows.push_back(make_shard_row(
             lease.slots[i], manifest_.points[lease.slots[i]], rows[i]));
     }
     if (straggle_ms_ > 0) sleep_ms(straggle_ms_);
@@ -223,6 +234,9 @@ void SocketWorkSource::abandon(const Lease& lease) {
 size_t run_farm_worker(const std::string& host, int port,
                        const FarmWorkerOptions& options) {
     SLPWLO_CHECK(!options.worker.empty(), "farm: worker id must not be empty");
+    // A zero or negative poll period would spin next_job/acquire against
+    // the daemon instead of waiting.
+    SLPWLO_CHECK(options.poll_ms > 0, "farm: poll period must be positive");
     FarmClient client(host, port);
 
     Message hello;

@@ -15,9 +15,9 @@
 //   SocketWorkSource  one job's slice of the daemon as a WorkSource:
 //                     acquire() is the `acquire` verb (polling while the
 //                     daemon says wait — claimed chunks elsewhere may
-//                     expire back), complete() packages rows with the
-//                     same dist::make_shard_row the offline runner uses
-//                     and ships them as one atomic `complete` frame.
+//                     expire back), complete() packages the rows as a
+//                     results file and ships it as one atomic `complete`
+//                     frame.
 //
 // run_worker() is the whole worker loop the CLI's `work --connect` verb
 // wraps: register, then per job — fetch the manifest, build a
@@ -117,8 +117,8 @@ private:
 /// Options for one farm worker process.
 struct FarmWorkerOptions {
     std::string worker;           ///< worker id (must be unique per farm)
-    long long heartbeat_ms = 1000;
-    long long poll_ms = 200;
+    long long heartbeat_ms = 1000;  ///< must be positive
+    long long poll_ms = 200;        ///< must be positive
     ExecOptions exec;             ///< flow_options overridden per job
     long long straggle_ms = 0;    ///< test hook, see SocketWorkSource
     /// Worker-local timing, re-applied on top of every job's manifest

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 
 #include "farm/framing.hpp"
 #include "support/diagnostics.hpp"
@@ -54,6 +55,16 @@ Message error_message(const std::string& text) {
 
 FarmServer::FarmServer(const ServerOptions& options)
     : options_(options), board_(options.ttl_ms), start_ns_(steady_ns()) {
+    // Checked before binding: htons would truncate an out-of-range port
+    // to some other port, and poll() treats a negative timeout as
+    // "forever", which would stall heartbeat expiry on an idle daemon.
+    SLPWLO_CHECK(options.port >= 0 && options.port <= 65535,
+                 "farm: port " + std::to_string(options.port) +
+                     " out of range 0..65535");
+    SLPWLO_CHECK(options.tick_ms >= 1 &&
+                     options.tick_ms <= std::numeric_limits<int>::max(),
+                 "farm: tick period " + std::to_string(options.tick_ms) +
+                     " ms out of range 1..INT_MAX");
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     SLPWLO_CHECK(listen_fd_ >= 0, std::string("farm: socket failed: ") +
                                       std::strerror(errno));

@@ -46,7 +46,8 @@
 namespace slpwlo::farm {
 
 struct ServerOptions {
-    /// TCP port to listen on; 0 picks an ephemeral port (see port()).
+    /// TCP port to listen on, 0..65535; 0 picks an ephemeral port (see
+    /// port()).
     int port = 0;
     /// Bind all interfaces instead of loopback only. Off by default:
     /// the protocol is unauthenticated, exposing it is an operator
@@ -54,14 +55,14 @@ struct ServerOptions {
     bool all_interfaces = false;
     /// Heartbeat time-to-live (JobBoard).
     long long ttl_ms = 10000;
-    /// poll() timeout — the expiry tick period.
+    /// poll() timeout — the expiry tick period, 1..INT_MAX.
     long long tick_ms = 100;
 };
 
 class FarmServer {
 public:
     /// Binds and listens immediately (so port() is valid before run());
-    /// throws Error when the port is taken.
+    /// throws Error when the port is taken or an option is out of range.
     explicit FarmServer(const ServerOptions& options = {});
     ~FarmServer();
 

@@ -19,27 +19,16 @@ size_t JobBoard::submit(const std::string& manifest_text,
     dist::ShardManifest manifest =
         dist::parse_shard_manifest(manifest_text, source);
 
-    // The farm serves whole grids: slot i must be grid slot i, so a
-    // worker can look any lease slot up directly in manifest.points.
-    SLPWLO_CHECK(manifest.slots.size() == manifest.total_slots,
-                 "farm: submitted manifest covers " +
-                     std::to_string(manifest.slots.size()) + " of " +
-                     std::to_string(manifest.total_slots) +
-                     " slots — the farm serves whole grids only");
-    for (size_t i = 0; i < manifest.slots.size(); ++i) {
-        SLPWLO_CHECK(manifest.slots[i] == i,
-                     "farm: submitted manifest is not a whole grid (slot " +
-                         std::to_string(manifest.slots[i]) + " at position " +
-                         std::to_string(i) + ")");
-    }
+    // Slot i must be grid slot i, so a worker can look any lease slot up
+    // directly in manifest.points.
+    dist::require_whole_grid(manifest, source);
 
     const size_t total_slots = manifest.total_slots;
     const uint64_t grid_fp = manifest.grid_fp;
     Job job{manifest_text,
             std::move(manifest),
             {},
-            dist::RowAccumulator(total_slots, grid_fp,
-                                 dist::DuplicatePolicy::AllowIdentical),
+            dist::RowAccumulator(total_slots, grid_fp),
             0,
             false,
             now_ms,

@@ -18,12 +18,11 @@
 //     liveness by heartbeat, and a worker whose heartbeat goes stale for
 //     ttl_ms has every claimed chunk silently re-issued;
 //   * a straggler that completes after its chunk was re-issued is not an
-//     error: its rows merge under DuplicatePolicy::AllowIdentical —
-//     byte-identical duplicates deduplicate, anything else is a
-//     conflict;
+//     error: the RowAccumulator deduplicates byte-identical rows, and
+//     anything else is a conflict;
 //   * completed rows stream into a per-job dist::RowAccumulator the
 //     moment they arrive, and the job finalizes — report bytes ready —
-//     the instant the last slot lands. No offline merge step exists;
+//     the instant the last slot lands. No separate merge step exists;
 //     byte-identity to the 1-process sweep is RowAccumulator's
 //     construction guarantee.
 //

@@ -16,84 +16,13 @@ namespace slpwlo {
 // --- EvalCache -----------------------------------------------------------------
 
 bool EvalCache::Entry::operator==(const Entry& other) const {
-    // Bit-wise on the noise double: snapshot round-trips are bit-exact,
-    // and -inf (an exact spec) must compare equal to itself.
+    // Bit-wise on the noise double: -inf (an exact spec) must compare
+    // equal to itself.
     uint64_t a, b;
     std::memcpy(&a, &analytic_noise_db, sizeof(a));
     std::memcpy(&b, &other.analytic_noise_db, sizeof(b));
     return scalar_cycles == other.scalar_cycles &&
            simd_cycles == other.simd_cycles && a == b;
-}
-
-namespace {
-
-uint64_t double_bits(double v) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
-
-}  // namespace
-
-bool EvalCache::StageEntry::operator==(const StageEntry& other) const {
-    if (quant_mode != other.quant_mode || group_count != other.group_count) {
-        return false;
-    }
-    if (formats.size() != other.formats.size()) return false;
-    for (size_t i = 0; i < formats.size(); ++i) {
-        if (formats[i].iwl != other.formats[i].iwl ||
-            formats[i].fwl != other.formats[i].fwl) {
-            return false;
-        }
-    }
-    if (groups.size() != other.groups.size()) return false;
-    for (size_t i = 0; i < groups.size(); ++i) {
-        if (groups[i].block != other.groups[i].block ||
-            groups[i].groups.size() != other.groups[i].groups.size()) {
-            return false;
-        }
-        for (size_t g = 0; g < groups[i].groups.size(); ++g) {
-            if (groups[i].groups[g].lanes != other.groups[i].groups[g].lanes) {
-                return false;
-            }
-        }
-    }
-    const SlpStats& s = slp_stats;
-    const SlpStats& os = other.slp_stats;
-    if (s.rounds != os.rounds || s.candidates_seen != os.candidates_seen ||
-        s.invalid_candidates != os.invalid_candidates ||
-        s.structural_conflicts != os.structural_conflicts ||
-        s.extra_conflicts != os.extra_conflicts || s.selected != os.selected ||
-        s.rejected_at_select != os.rejected_at_select ||
-        s.devirtualized != os.devirtualized) {
-        return false;
-    }
-    const ScalingStats& c = scaling_stats;
-    const ScalingStats& oc = other.scaling_stats;
-    if (c.reuses_examined != oc.reuses_examined ||
-        c.already_uniform != oc.already_uniform ||
-        c.equalized != oc.equalized || c.reverted != oc.reverted ||
-        c.skipped_negative != oc.skipped_negative ||
-        c.skipped_shared_node != oc.skipped_shared_node) {
-        return false;
-    }
-    const TabuStats& t = tabu_stats;
-    const TabuStats& ot = other.tabu_stats;
-    if (t.iterations != ot.iterations || t.improvements != ot.improvements ||
-        double_bits(t.initial_cost) != double_bits(ot.initial_cost) ||
-        double_bits(t.best_cost) != double_bits(ot.best_cost) ||
-        t.feasible != ot.feasible) {
-        return false;
-    }
-    const SolverStats& v = solver_stats;
-    const SolverStats& ov = other.solver_stats;
-    return v.ran == ov.ran && v.nodes == ov.nodes && v.solves == ov.solves &&
-           v.proven_optimal == ov.proven_optimal &&
-           double_bits(v.heuristic_objective) ==
-               double_bits(ov.heuristic_objective) &&
-           double_bits(v.best_objective) == double_bits(ov.best_objective) &&
-           double_bits(v.gap) == double_bits(ov.gap);
 }
 
 std::optional<EvalCache::Entry> EvalCache::lookup(uint64_t key) const {

@@ -46,9 +46,9 @@ namespace slpwlo {
 /// Memoized result of the evaluation stage of a flow (lowering +
 /// scheduling + analytic noise). Thread-safe; shared across sweep points.
 ///
-/// The cache is serializable (dist/cache_snapshot.hpp): export_entries()
-/// walks the contents in key order so snapshots — and anything derived
-/// from them — are deterministic, and store() doubles as the import path.
+/// The cache can warm-start another driver (dist/cache_snapshot.hpp):
+/// export_entries() walks the contents in key order so snapshots are
+/// deterministic, and store() doubles as the import path.
 /// An optional capacity bound (set_capacity) evicts in insertion order so
 /// long sweeps cannot grow memory without bound; eviction only ever costs
 /// recomputation, never correctness.
@@ -59,8 +59,7 @@ public:
         long long simd_cycles = 0;
         double analytic_noise_db = 0.0;
 
-        /// Bit-exact comparison (snapshot merging must distinguish a
-        /// genuine conflict from a benign duplicate).
+        /// Bit-exact comparison (doubles compared by representation).
         bool operator==(const Entry& other) const;
         bool operator!=(const Entry& other) const { return !(*this == other); }
     };
@@ -86,12 +85,6 @@ public:
         /// identity bytes regardless (see FlowOptions::SolverStats).
         SolverStats solver_stats;
         int group_count = 0;
-
-        /// Bit-exact comparison (doubles compared by representation).
-        bool operator==(const StageEntry& other) const;
-        bool operator!=(const StageEntry& other) const {
-            return !(*this == other);
-        }
     };
 
     std::optional<Entry> lookup(uint64_t key) const;

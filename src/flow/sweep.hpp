@@ -70,7 +70,7 @@ struct SweepPoint {
 };
 
 /// Execution options shared by every sweep entry point — the in-process
-/// SweepDriver, the sharded worker (dist::run_shard) and the farm worker
+/// SweepDriver, the local `run` verb and the farm worker
 /// (farm::run_farm_worker) all consume this one struct, so a thread
 /// count or cache bound means the same thing on every path.
 struct ExecOptions {
@@ -152,8 +152,8 @@ public:
     const KernelContext& context(const std::string& kernel_name);
 
     /// The shared evaluation cache — the export/import surface for warm
-    /// starts and snapshots (dist/cache_snapshot.hpp): preload it before
-    /// run() to start warm, export_entries() after to ship results home.
+    /// starts (dist/cache_snapshot.hpp): preload it before run() to start
+    /// warm, export_entries() after to warm another driver.
     EvalCache& eval_cache() { return eval_cache_; }
     const EvalCache& eval_cache() const { return eval_cache_; }
 

@@ -3,10 +3,7 @@
 //
 // Every execution path in the project is the same loop: take some sweep
 // points, run them on a SweepDriver, hand the results back to whoever is
-// assembling the report. Before this API the loop existed three times —
-// SweepDriver::run over a whole grid, dist::run_shard over a static shard
-// plan, and the slpwlo-shard CLI around both — each hard-coding its own
-// notion of "what do I run next". WorkSource abstracts that seam once:
+// assembling the report. WorkSource abstracts that seam once:
 //
 //   acquire(max_slots) -> Lease      some slots and their points
 //   complete(lease, rows)            results (plus measured wall-clock)
@@ -18,13 +15,12 @@
 // guarantee). Sources differ only in where work lives:
 //
 //   VectorSource           a point vector in this process (SweepDriver::run
-//                          is now a thin wrapper over it);
-//   dist::PlanSource       a static shard plan / manifest (run_shard) —
-//                          the offline path;
+//                          and the local `run` verb drain one);
 //   farm::SocketWorkSource one job of a farm daemon, handing chunks to
 //                          worker processes on demand (elastic sweeps with
 //                          heartbeat expiry and re-issue;
-//                          farm/farm_client.hpp) — the online path.
+//                          farm/farm_client.hpp) — the one way to
+//                          distribute a sweep.
 //
 // A source is consumed by one service at a time (methods are not
 // thread-safe); concurrency across *workers* comes from several processes

@@ -1,6 +1,6 @@
 // Line-oriented `key = value` text helpers shared by every serialized
-// artifact in the project: target descriptions (target/target_desc.hpp),
-// shard manifests and shard result files (dist/), and EvalCache snapshots.
+// artifact in the project: target descriptions (target/target_desc.hpp)
+// and the shard manifests and result files (dist/).
 //
 // The format rules are common to all of them:
 //   * `#` starts a comment, blank lines are ignored;

@@ -2,7 +2,7 @@
 // ttl 0 (explicit clocks, no sleeps), incremental-re-sweep splicing, and
 // socket end-to-end runs whose reports must be byte-identical to the
 // 1-process sweep — at 1 and 4 workers, and with a worker that dies
-// mid-`complete`.
+// mid-`complete` — plus the daemon's and worker's option range checks.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <climits>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -365,7 +366,7 @@ TEST(FarmJobBoard, StatusJsonTracksLiveState) {
 // --- RowAccumulator atomicity / splice ------------------------------------------
 
 TEST(FarmMergeSupport, AccumulatorAddIsAllOrNothing) {
-    RowAccumulator acc(4, 0xABCD, DuplicatePolicy::AllowIdentical);
+    RowAccumulator acc(4, 0xABCD);
 
     ShardResultsFile good;
     good.total_slots = 4;
@@ -506,8 +507,12 @@ class FarmE2EWorkers : public FarmE2E,
                        public ::testing::WithParamInterface<size_t> {};
 
 TEST_P(FarmE2EWorkers, FarmSweepIsByteIdenticalToSingleProcess) {
+    // Heuristic and exact flows: the exact flows travel by name through
+    // the manifest like any other.
     const std::vector<SweepPoint> grid = SweepDriver::grid(
-        {"FIR"}, {"XENTIUM"}, {"WLO-SLP"}, {-20.0, -30.0, -40.0, -50.0});
+        {"FIR", "DOT"}, {"XENTIUM"},
+        {"WLO-SLP", "WLO-First", "SLP-Optimal", "WLO-Optimal"},
+        {-20.0, -30.0});
     ExecOptions options;
     options.threads = 1;
     SweepDriver reference(options);
@@ -644,6 +649,54 @@ TEST_F(FarmE2E, ServerAnswersProtocolErrorsAndStaysUp) {
         status.verb = "status";
         EXPECT_EQ(client.call(status).verb, "ok")
             << "an error response must not poison the connection";
+    }
+}
+
+/// `call` must throw an Error whose message contains `needle`.
+template <typename Call>
+void expect_error_naming(Call call, const std::string& needle) {
+    try {
+        call();
+        ADD_FAILURE() << "accepted; expected an error naming `" << needle
+                      << "`";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(FarmOptions, ServerRejectsOutOfRangePortAndTick) {
+    // Out-of-range ports used to truncate to another port (70000 bound
+    // 4464); a non-positive tick made poll() block without a timeout.
+    for (const int port : {-1, 65536, 70000}) {
+        ServerOptions options;
+        options.port = port;
+        expect_error_naming([&] { FarmServer server(options); },
+                            "port " + std::to_string(port) + " out of range");
+    }
+    for (const long long tick :
+         {-1LL, 0LL, static_cast<long long>(INT_MAX) + 1}) {
+        ServerOptions options;
+        options.tick_ms = tick;
+        expect_error_naming([&] { FarmServer server(options); },
+                            "tick period");
+    }
+    ServerOptions edge;
+    edge.tick_ms = INT_MAX;
+    EXPECT_NO_THROW(FarmServer server(edge));
+}
+
+TEST(FarmOptions, WorkerRejectsNonPositivePoll) {
+    // Checked before connecting: a zero poll period would spin next_job
+    // against the daemon. Port 1 has no daemon, so a missing check shows
+    // up as a connection error instead.
+    for (const long long poll : {0LL, -5LL}) {
+        FarmWorkerOptions options;
+        options.worker = "w";
+        options.poll_ms = poll;
+        expect_error_naming(
+            [&] { run_farm_worker("127.0.0.1", 1, options); },
+            "poll period must be positive");
     }
 }
 

@@ -1,6 +1,6 @@
 // ShardEngine: deterministic shard planning, self-contained manifests,
-// serializable/mergeable EvalCache snapshots, and the byte-identical
-// merge guarantee (dist/).
+// in-memory EvalCache warm starts, and the byte-identical merge
+// guarantee (dist/).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include "dist/shard_manifest.hpp"
 #include "dist/shard_merger.hpp"
 #include "dist/shard_plan.hpp"
-#include "dist/shard_runner.hpp"
 #include "flow/pass.hpp"
 #include "frontend/kernel_file.hpp"
 #include "kernels/kernel_registry.hpp"
@@ -325,69 +324,45 @@ TEST(ShardManifest, RejectsMalformedInput) {
     EXPECT_THROW(parse_shard_manifest("kernel = FIR\n"), Error);
 }
 
-// --- cache snapshots -----------------------------------------------------------
+TEST(ShardManifest, RequireWholeGridRejectsPartialPlans) {
+    const std::vector<SweepPoint> grid = small_grid();
+    const ShardManifest whole = parse_shard_manifest(
+        shard_manifest_text(make_shard_plans(grid, 1).front()), "<whole>");
+    EXPECT_NO_THROW(require_whole_grid(whole, "<whole>"));
 
-EvalCache::StageEntry synthetic_stage_entry() {
-    EvalCache::StageEntry stage;
-    stage.quant_mode = QuantMode::Round;
-    stage.formats = {FixedFormat(3, 12), FixedFormat(1, 0), FixedFormat(2, 7)};
-    BlockGroups bg;
-    bg.block = BlockId(1);
-    bg.groups.push_back(SimdGroup{{OpId(4), OpId(9)}});
-    stage.groups.push_back(std::move(bg));
-    stage.slp_stats.rounds = 2;
-    stage.slp_stats.candidates_seen = 11;
-    stage.slp_stats.selected = 3;
-    stage.scaling_stats.reuses_examined = 5;
-    stage.scaling_stats.equalized = 1;
-    stage.tabu_stats.iterations = 42;
-    stage.tabu_stats.improvements = 6;
-    // Odd doubles (negative, -inf) must survive the text round-trip
-    // bit-exactly, like the eval entries' noise field.
-    stage.tabu_stats.initial_cost = 19.75;
-    stage.tabu_stats.best_cost = -std::numeric_limits<double>::infinity();
-    stage.tabu_stats.feasible = true;
-    // Solver stats (snapshot_version 3): a warm-started exact flow must
-    // reproduce the cold run's solver block byte for byte.
-    stage.solver_stats.ran = true;
-    stage.solver_stats.nodes = 137;
-    stage.solver_stats.solves = 1;
-    stage.solver_stats.proven_optimal = true;
-    stage.solver_stats.heuristic_objective = 64.0;
-    stage.solver_stats.best_objective = 61.5;
-    stage.solver_stats.gap = 2.5;
-    stage.group_count = 1;
-    return stage;
+    // Each shard of a 2-way plan is a proper subset of the grid.
+    for (const ShardPlan& plan : make_shard_plans(grid, 2)) {
+        const ShardManifest part =
+            parse_shard_manifest(shard_manifest_text(plan), "<part>");
+        try {
+            require_whole_grid(part, "<part>");
+            ADD_FAILURE() << "shard " << plan.shard_index << " was accepted";
+        } catch (const Error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("<part>: manifest covers " +
+                                std::to_string(plan.points.size()) + " of " +
+                                std::to_string(grid.size())),
+                      std::string::npos)
+                << what;
+        }
+    }
+
+    // A full count at the wrong positions is not a whole grid either.
+    ShardManifest shuffled = whole;
+    std::swap(shuffled.slots[0], shuffled.slots[1]);
+    EXPECT_THROW(require_whole_grid(shuffled, "<shuffled>"), Error);
 }
+
+// --- cache snapshots -----------------------------------------------------------
 
 CacheSnapshot synthetic_snapshot() {
     EvalCache cache;
     cache.store(0x1111, EvalCache::Entry{100, 40, -38.5});
     cache.store(0x2222, EvalCache::Entry{250, 90, -51.25});
-    // The -inf noise of an exact spec must survive the text round-trip.
+    // An exact spec's -inf noise must survive the copy bit-exactly.
     cache.store(0x3333,
                 EvalCache::Entry{7, 7, -std::numeric_limits<double>::infinity()});
-    cache.store_stage(0xaaaa, synthetic_stage_entry());
     return snapshot_cache(cache);
-}
-
-TEST(CacheSnapshot, RoundTripsBitExactly) {
-    const CacheSnapshot snapshot = synthetic_snapshot();
-    EXPECT_EQ(snapshot.entries.size(), 3u);
-    const std::string text = cache_snapshot_text(snapshot);
-    const CacheSnapshot loaded = parse_cache_snapshot(text, "<round-trip>");
-    EXPECT_EQ(snapshot_fingerprint(loaded), snapshot_fingerprint(snapshot));
-    ASSERT_EQ(loaded.entries.size(), snapshot.entries.size());
-    for (size_t i = 0; i < loaded.entries.size(); ++i) {
-        EXPECT_EQ(loaded.entries[i].first, snapshot.entries[i].first);
-        EXPECT_TRUE(loaded.entries[i].second == snapshot.entries[i].second);
-    }
-    // Stage-memo entries (snapshot_version 2) round-trip field for field.
-    ASSERT_EQ(loaded.stage_entries.size(), 1u);
-    EXPECT_EQ(loaded.stage_entries[0].first, 0xaaaaull);
-    EXPECT_TRUE(loaded.stage_entries[0].second == synthetic_stage_entry());
-    // And the serialization itself is stable.
-    EXPECT_EQ(cache_snapshot_text(loaded), text);
 }
 
 TEST(CacheSnapshot, PreloadWarmsACache) {
@@ -475,82 +450,6 @@ TEST(CacheSnapshot, PreloadIsCounterNeutralAndDeterministic) {
     }
 }
 
-TEST(CacheSnapshot, MergeDeduplicatesAndDetectsConflicts) {
-    const CacheSnapshot a = synthetic_snapshot();
-    CacheSnapshot b;
-    b.entries.emplace_back(0x2222, EvalCache::Entry{250, 90, -51.25});
-    b.entries.emplace_back(0x4444, EvalCache::Entry{1, 2, -3.0});
-
-    const CacheSnapshot merged = merge_cache_snapshots({a, b});
-    EXPECT_EQ(merged.entries.size(), 4u);  // 0x2222 deduplicated
-    EXPECT_TRUE(std::is_sorted(
-        merged.entries.begin(), merged.entries.end(),
-        [](const auto& x, const auto& y) { return x.first < y.first; }));
-
-    CacheSnapshot conflict;
-    conflict.entries.emplace_back(0x2222, EvalCache::Entry{999, 90, -51.25});
-    EXPECT_THROW(merge_cache_snapshots({a, conflict}), Error);
-}
-
-TEST(CacheSnapshot, RejectsMalformedInput) {
-    const std::string good = cache_snapshot_text(synthetic_snapshot());
-    EXPECT_NO_THROW(parse_cache_snapshot(good));
-    EXPECT_THROW(parse_cache_snapshot("entries = 0\n"), Error);  // no version
-    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 9\n"), Error);
-    EXPECT_THROW(
-        parse_cache_snapshot("snapshot_version = 3\nentries = 2\n"), Error);
-    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 3\n"
-                                      "entry = zzz 1 2 0000000000000000\n"),
-                 Error);
-    // Duplicate header keys must not silently last-win.
-    EXPECT_THROW(
-        parse_cache_snapshot("snapshot_version = 3\nsnapshot_version = 3\n"),
-        Error);
-    // Only the version the writer emits (3) reads: a well-formed
-    // version-1 file (no stage lines) and the writer's own bytes under a
-    // version-2 header are both rejected, naming both versions.
-    expect_version_rejected(
-        [] {
-            parse_cache_snapshot(
-                "snapshot_version = 1\n"
-                "entry = 0000000000000001 1 2 0000000000000000\n");
-        },
-        "1", "3");
-    {
-        std::string text = good;
-        const size_t pos = text.find("snapshot_version = 3");
-        ASSERT_NE(pos, std::string::npos);
-        text.replace(pos, 20, "snapshot_version = 2");
-        expect_version_rejected([&] { parse_cache_snapshot(text); }, "2",
-                                "3");
-    }
-    // Truncated or trailing stage_entry token streams are rejected.
-    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 3\n"
-                                      "stage_entry = 0000000000000001 0 1\n"),
-                 Error);
-    EXPECT_THROW(parse_cache_snapshot("snapshot_version = 3\n"
-                                      "stage_entries = 3\n"),
-                 Error);
-}
-
-TEST(CacheSnapshot, StageEntriesMergeAndDetectConflicts) {
-    CacheSnapshot a;
-    a.stage_entries.emplace_back(0xaaaa, synthetic_stage_entry());
-    CacheSnapshot b;
-    b.stage_entries.emplace_back(0xaaaa, synthetic_stage_entry());
-    b.stage_entries.emplace_back(0xbbbb, synthetic_stage_entry());
-
-    const CacheSnapshot merged = merge_cache_snapshots({a, b});
-    ASSERT_EQ(merged.stage_entries.size(), 2u);  // 0xaaaa deduplicated
-    EXPECT_TRUE(merged.stage_entries[0].second == synthetic_stage_entry());
-
-    CacheSnapshot conflict;
-    EvalCache::StageEntry other = synthetic_stage_entry();
-    other.tabu_stats.best_cost = 0.0;  // any single-field difference
-    conflict.stage_entries.emplace_back(0xaaaa, std::move(other));
-    EXPECT_THROW(merge_cache_snapshots({a, conflict}), Error);
-}
-
 // --- EvalCache capacity bound --------------------------------------------------
 
 TEST(EvalCacheCapacity, EvictsInInsertionOrder) {
@@ -591,78 +490,101 @@ TEST(EvalCacheCapacity, FirstStoreWinsWithoutEviction) {
 
 // --- merge ---------------------------------------------------------------------
 
-ShardResultsFile tiny_results(int index, int count, size_t total,
-                              uint64_t grid_fp) {
+ShardResultsFile tiny_results(size_t total, uint64_t grid_fp) {
     ShardResultsFile file;
-    file.shard_index = index;
-    file.shard_count = count;
     file.total_slots = total;
     file.grid_fp = grid_fp;
     return file;
 }
 
-TEST(ShardMerger, DetectsConflictsAndHoles) {
-    ShardResultsFile a = tiny_results(0, 2, 2, 0xabc);
+TEST(RowAccumulator, DetectsConflictsHolesAndGridMismatch) {
+    ShardResultsFile a = tiny_results(2, 0xabc);
     a.rows.push_back(ShardRow{0, 0x1, "{\"x\":1}"});
-    ShardResultsFile b = tiny_results(1, 2, 2, 0xabc);
+    ShardResultsFile b = tiny_results(2, 0xabc);
     b.rows.push_back(ShardRow{1, 0x2, "{\"x\":2}"});
 
     // The happy path: disjoint, complete, consistent.
-    EXPECT_EQ(merge_shard_results({a, b}),
-              "[\n  {\"x\":1},\n  {\"x\":2}\n]\n");
+    RowAccumulator merged(2, 0xabc);
+    EXPECT_EQ(merged.add(a), 1u);
+    EXPECT_EQ(merged.add(b), 1u);
+    EXPECT_EQ(merged.report(), "[\n  {\"x\":1},\n  {\"x\":2}\n]\n");
 
-    // Same slot, different fingerprint: hard conflict.
-    ShardResultsFile conflicting = tiny_results(1, 2, 2, 0xabc);
+    // Same slot, different fingerprint and bytes: hard conflict.
+    ShardResultsFile conflicting = tiny_results(2, 0xabc);
     conflicting.rows.push_back(ShardRow{0, 0x9, "{\"x\":9}"});
+    RowAccumulator with_conflict(2, 0xabc);
+    with_conflict.add(a);
     try {
-        merge_shard_results({a, conflicting});
+        with_conflict.add(conflicting);
         FAIL() << "conflict not detected";
     } catch (const Error& e) {
         EXPECT_NE(std::string(e.what()).find("conflict"), std::string::npos);
     }
 
-    // Same slot, same content: still an overlap error.
-    EXPECT_THROW(merge_shard_results({a, a}), Error);
-
     // Missing slots are listed.
+    RowAccumulator with_hole(2, 0xabc);
+    with_hole.add(a);
+    EXPECT_FALSE(with_hole.complete());
     try {
-        merge_shard_results({a});
+        with_hole.report();
         FAIL() << "hole not detected";
     } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("missing"), std::string::npos);
+        const std::string what = e.what();
+        EXPECT_NE(what.find("missing (first: 1)"), std::string::npos) << what;
     }
+    EXPECT_THROW(with_hole.rows_file(), Error);
 
-    // Grids must match.
-    ShardResultsFile other_grid = tiny_results(1, 2, 2, 0xdef);
+    // Grids must match: another fingerprint or another slot count.
+    ShardResultsFile other_grid = tiny_results(2, 0xdef);
     other_grid.rows.push_back(ShardRow{1, 0x2, "{\"x\":2}"});
-    EXPECT_THROW(merge_shard_results({a, other_grid}), Error);
+    EXPECT_THROW(with_hole.add(other_grid), Error);
+    ShardResultsFile other_size = tiny_results(3, 0xabc);
+    other_size.rows.push_back(ShardRow{1, 0x2, "{\"x\":2}"});
+    EXPECT_THROW(with_hole.add(other_size), Error);
+    EXPECT_EQ(with_hole.done_slots(), 1u);
+}
+
+TEST(RowAccumulator, DeduplicatesIdenticalReissuedRows) {
+    ShardResultsFile a = tiny_results(2, 0xabc);
+    a.rows.push_back(ShardRow{0, 0x1, "{\"x\":1}", 100});
+    a.rows.push_back(ShardRow{1, 0x2, "{\"x\":2}", 100});
+    // The re-run of slot 1 (a straggler and its re-issued replacement
+    // both finished): identical bytes, different measured micros.
+    ShardResultsFile b = tiny_results(2, 0xabc);
+    b.rows.push_back(ShardRow{1, 0x2, "{\"x\":2}", 999});
+
+    RowAccumulator merged(2, 0xabc);
+    EXPECT_EQ(merged.add(a), 2u);
+    EXPECT_EQ(merged.add(b), 0u) << "an identical duplicate fills nothing";
+    EXPECT_EQ(merged.report(), "[\n  {\"x\":1},\n  {\"x\":2}\n]\n");
+    // The first row wins, measurements included.
+    EXPECT_EQ(merged.rows_file().rows[1].micros, 100);
+
+    // Differing bytes for the same slot stay a hard conflict.
+    ShardResultsFile conflict = tiny_results(2, 0xabc);
+    conflict.rows.push_back(ShardRow{1, 0x2, "{\"x\":9}", 999});
+    EXPECT_THROW(merged.add(conflict), Error);
 }
 
 TEST(ShardMerger, ResultsFileRoundTrips) {
-    ShardResultsFile file = tiny_results(1, 4, 9, 0x1234567890abcdefull);
-    file.eval_hits = 3;
-    file.eval_misses = 5;
-    file.eval_entries = 4;
-    file.rows.push_back(ShardRow{1, 0xa, "{\"flow\":\"WLO-SLP\",\"x\":1}", 12345});
+    ShardResultsFile file = tiny_results(9, 0x1234567890abcdefull);
+    file.rows.push_back(
+        ShardRow{1, 0xa, "{\"flow\":\"WLO-SLP\",\"x\":1}", 12345, 678});
     file.rows.push_back(ShardRow{5, 0xb, "{\"note\":\"has # inside\"}", 0});
 
     const ShardResultsFile loaded =
         parse_shard_results(shard_results_text(file), "<round-trip>");
-    EXPECT_EQ(loaded.shard_index, file.shard_index);
-    EXPECT_EQ(loaded.shard_count, file.shard_count);
     EXPECT_EQ(loaded.total_slots, file.total_slots);
     EXPECT_EQ(loaded.grid_fp, file.grid_fp);
-    EXPECT_EQ(loaded.eval_hits, file.eval_hits);
-    EXPECT_EQ(loaded.eval_misses, file.eval_misses);
-    EXPECT_EQ(loaded.eval_entries, file.eval_entries);
     ASSERT_EQ(loaded.rows.size(), file.rows.size());
     for (size_t i = 0; i < file.rows.size(); ++i) {
         EXPECT_EQ(loaded.rows[i].slot, file.rows[i].slot);
         EXPECT_EQ(loaded.rows[i].point_fp, file.rows[i].point_fp);
         EXPECT_EQ(loaded.rows[i].json, file.rows[i].json);
-        // The measured wall-clock column round-trips (but is excluded
-        // from row identity — see the merge tests).
+        // The measured columns round-trip (but are excluded from row
+        // identity — see the RowAccumulator tests).
         EXPECT_EQ(loaded.rows[i].micros, file.rows[i].micros);
+        EXPECT_EQ(loaded.rows[i].measured_ns, file.rows[i].measured_ns);
     }
 
     // A concatenation of two results files (duplicate headers) must not
@@ -670,27 +592,42 @@ TEST(ShardMerger, ResultsFileRoundTrips) {
     const std::string text = shard_results_text(file);
     EXPECT_THROW(parse_shard_results(text + text, "<concat>"), Error);
 
-    // Only the version the writer emits (4) reads: a well-formed
-    // version-3 file (three leading row columns, no measured_ns) is
-    // rejected, naming both versions.
+    // Only the version the writer emits (5) reads: a well-formed
+    // version-4 file (with its shard header) is rejected, naming both
+    // versions.
     expect_version_rejected(
         [] {
-            parse_shard_results("results_version = 3\n"
+            parse_shard_results("results_version = 4\n"
                                 "shard_index = 0\n"
                                 "shard_count = 1\n"
                                 "total_slots = 1\n"
                                 "grid_fingerprint = 0000000000000001\n"
                                 "rows = 1\n"
-                                "row = 0 000000000000000a 12 {\"x\":1}\n",
-                                "<v3>");
+                                "row = 0 000000000000000a 12 0 {\"x\":1}\n",
+                                "<v4>");
         },
-        "3", "4");
+        "4", "5");
+    // The dropped version-4 keys are unknown keys now, not ignored ones.
+    for (const char* key : {"shard_index = 0", "shard_count = 1",
+                            "eval_hits = 3", "stage_misses = 0"}) {
+        try {
+            parse_shard_results(std::string("results_version = 5\n") + key +
+                                    "\ntotal_slots = 1\n",
+                                "<v5>");
+            ADD_FAILURE() << "`" << key << "` was accepted";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("unknown key"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
-// --- end to end (in-process) ---------------------------------------------------
+// --- warm start (in-process) ---------------------------------------------------
 
-TEST(ShardEngine, ShardedSweepIsByteIdenticalToSingleProcess) {
-    // The exact flows travel by name, like any other flow.
+TEST(CacheSnapshot, PreloadedDriverReproducesColdRowsFromStageMemo) {
+    // Heuristic and exact flows alike: every stage result a warm driver
+    // restores must render the cold run's bytes.
     const std::vector<SweepPoint> grid = SweepDriver::grid(
         {"FIR", "DOT"}, {"XENTIUM"},
         {"WLO-SLP", "WLO-First", "SLP-Optimal", "WLO-Optimal"},
@@ -698,42 +635,20 @@ TEST(ShardEngine, ShardedSweepIsByteIdenticalToSingleProcess) {
 
     ExecOptions options;
     options.threads = 2;
-    SweepDriver reference(options);
-    const std::string reference_json = sweep_to_json(reference.run(grid));
+    SweepDriver cold(options);
+    const std::string cold_json = sweep_to_json(cold.run(grid));
+    const CacheSnapshot snapshot = snapshot_cache(cold.eval_cache());
+    EXPECT_FALSE(snapshot.stage_entries.empty());
 
-    const std::vector<ShardPlan> plans = make_shard_plans(grid, 2);
-    std::vector<ShardResultsFile> shard_files;
-    std::vector<CacheSnapshot> snapshots;
-    for (const ShardPlan& plan : plans) {
-        // Through the manifest text, exactly as a worker process would.
-        const ShardManifest manifest =
-            parse_shard_manifest(shard_manifest_text(plan), "<manifest>");
-        ShardRunOptions run_options;
-        run_options.threads = 1;
-        const ShardRunOutput out = run_shard(manifest, run_options);
-        shard_files.push_back(out.results);
-        snapshots.push_back(out.snapshot);
-    }
-    EXPECT_EQ(merge_shard_results(shard_files), reference_json);
-
-    // Warm restart: a shard preloaded with the merged snapshot hits.
-    const CacheSnapshot warm = merge_cache_snapshots(snapshots);
-    const ShardManifest manifest =
-        parse_shard_manifest(shard_manifest_text(plans[0]), "<manifest>");
-    ShardRunOptions warm_options;
-    warm_options.threads = 1;
-    warm_options.warm = &warm;
-    const ShardRunOutput warm_out = run_shard(manifest, warm_options);
-    EXPECT_GT(warm_out.results.eval_hits, 0u);
-    // Stage-memo hits: the warm worker restored the optimization stages
-    // (skipping Tabu/SLP) for every preloaded point, and the rows below
-    // are still byte-identical to the cold run's.
-    EXPECT_GT(warm_out.results.stage_hits, 0u);
-    EXPECT_EQ(warm_out.results.stage_misses, 0u);
-    ASSERT_EQ(warm_out.results.rows.size(), shard_files[0].rows.size());
-    for (size_t i = 0; i < warm_out.results.rows.size(); ++i) {
-        EXPECT_EQ(warm_out.results.rows[i].json, shard_files[0].rows[i].json);
-    }
+    SweepDriver warm(options);
+    preload_cache(warm.eval_cache(), snapshot);
+    EXPECT_EQ(sweep_to_json(warm.run(grid)), cold_json);
+    const SweepCacheStats stats = warm.cache_stats();
+    EXPECT_GT(stats.eval_hits, 0u);
+    // The warm driver restored every point's optimization stages
+    // (skipping Tabu/SLP and the solver) from the preloaded memo.
+    EXPECT_GT(stats.stage_hits, 0u);
+    EXPECT_EQ(stats.stage_misses, 0u);
 }
 
 }  // namespace

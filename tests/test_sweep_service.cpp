@@ -1,13 +1,9 @@
-// SweepService and the WorkSource seam: VectorSource/PlanSource
-// equivalence with SweepDriver::run, point cost estimates, and the
-// duplicate-row merge policy (flow/work_source.hpp). The elastic path
-// over the same seam is covered in tests/test_farm.cpp.
+// SweepService and the WorkSource seam: VectorSource equivalence with
+// SweepDriver::run and point cost estimates (flow/work_source.hpp). The
+// elastic path over the same seam is covered in tests/test_farm.cpp.
 #include <gtest/gtest.h>
 
-#include "dist/shard_manifest.hpp"
-#include "dist/shard_merger.hpp"
 #include "dist/shard_plan.hpp"
-#include "dist/shard_runner.hpp"
 #include "flow/work_source.hpp"
 #include "support/diagnostics.hpp"
 #include "target/target_model.hpp"
@@ -96,41 +92,6 @@ TEST(SweepService, ChunkedVectorSourceMatchesDriverRunBytes) {
     EXPECT_EQ(sweep_to_json(source.take_results()), reference);
 }
 
-TEST(SweepService, PlanSourceMatchesDriverRunBytes) {
-    const std::vector<SweepPoint> grid = tiny_grid();
-    const std::string reference = reference_json(grid);
-
-    const std::vector<ShardPlan> plans = make_shard_plans(grid, 2);
-    std::vector<ShardResultsFile> files;
-    for (const ShardPlan& plan : plans) {
-        const ShardManifest manifest =
-            parse_shard_manifest(shard_manifest_text(plan), "<test>");
-        PlanSource source(manifest);
-        SweepService service(ExecOptions{});
-        service.drain(source, 1);
-        PlanSource::Output out = source.take();
-        EXPECT_EQ(out.sweep.size(), plan.points.size());
-        files.push_back(std::move(out.results));
-    }
-    EXPECT_EQ(merge_shard_results(files), reference);
-}
-
-TEST(SweepService, RunShardStillMatchesReferenceSlice) {
-    // dist::run_shard is now a PlanSource + SweepService wrapper; its rows
-    // must still be the exact reference slice (the pre-redesign contract).
-    const std::vector<SweepPoint> grid = tiny_grid();
-    const std::string reference = reference_json(grid);
-
-    const std::vector<ShardPlan> plans = make_shard_plans(grid, 2);
-    std::vector<ShardResultsFile> files;
-    for (const ShardPlan& plan : plans) {
-        const ShardManifest manifest =
-            parse_shard_manifest(shard_manifest_text(plan), "<test>");
-        files.push_back(run_shard(manifest).results);
-    }
-    EXPECT_EQ(merge_shard_results(files), reference);
-}
-
 // --- estimate_point_cost width awareness ---------------------------------------
 
 TEST(PointCost, SeesTargetModelOverrides) {
@@ -152,35 +113,6 @@ TEST(PointCost, SeesTargetModelOverrides) {
     float_wide.target_model = wide.target_model;
     EXPECT_EQ(estimate_point_cost(float_base),
               estimate_point_cost(float_wide));
-}
-
-// --- merge duplicate policy ----------------------------------------------------
-
-TEST(MergePolicy, AllowIdenticalResolvesReissuedDuplicates) {
-    ShardResultsFile a;
-    a.total_slots = 2;
-    a.grid_fp = 0xabc;
-    a.rows.push_back(ShardRow{0, 0x1, "{\"x\":1}", 100});
-    a.rows.push_back(ShardRow{1, 0x2, "{\"x\":2}", 100});
-    ShardResultsFile b;
-    b.total_slots = 2;
-    b.grid_fp = 0xabc;
-    // The re-run of slot 1: identical bytes, different measured micros.
-    b.rows.push_back(ShardRow{1, 0x2, "{\"x\":2}", 999});
-
-    // Default policy still refuses overlap (static plans are disjoint).
-    EXPECT_THROW(merge_shard_results({a, b}), Error);
-    EXPECT_EQ(merge_shard_results({a, b}, DuplicatePolicy::AllowIdentical),
-              "[\n  {\"x\":1},\n  {\"x\":2}\n]\n");
-
-    // Differing bytes stay a hard conflict under either policy.
-    ShardResultsFile conflict;
-    conflict.total_slots = 2;
-    conflict.grid_fp = 0xabc;
-    conflict.rows.push_back(ShardRow{1, 0x2, "{\"x\":9}", 999});
-    EXPECT_THROW(
-        merge_shard_results({a, conflict}, DuplicatePolicy::AllowIdentical),
-        Error);
 }
 
 }  // namespace

@@ -1,53 +1,33 @@
-// slpwlo-shard — distributed design-space sweeps from the command line.
+// slpwlo-shard — design-space sweeps from the command line.
 //
-// Turns any SweepDriver grid into N self-contained shard manifests, runs
-// a manifest as an independent worker process, and folds per-shard result
-// files back into the exact JSON the single-process sweep would have
-// produced (byte-identical; the merge refuses grids that do not match).
-// That static plan/run/merge pipeline is the offline path. The online
-// path runs the same grid *elastically* through a farm daemon
-// (daemon/submit/work/merge --connect): chunks are handed out on demand,
-// and a straggling or killed worker's chunks are re-issued.
+// Turns any SweepDriver grid into a self-contained whole-grid manifest,
+// runs it in this process (`run`), or distributes it through a farm
+// daemon (daemon/submit/work/merge --connect): chunks are handed out on
+// demand, a straggling or killed worker's chunks are re-issued, and the
+// daemon's streamed merge is byte-identical to the local `run` report.
 //
-//   slpwlo-shard plan  --shards N --out-prefix P --kernels A,B
-//                      --targets X,Y [--widths 0,64] [--flows F,G]
+//   slpwlo-shard plan  --out FILE --kernels A,B --targets X,Y
+//                      [--widths 0,64] [--flows F,G]
 //                      [--constraints -20,-30] [--target-file FILE]...
 //   slpwlo-shard run   --manifest FILE --out FILE [--threads N]
-//                      [--snapshot-in FILE] [--snapshot-out FILE]
-//                      [--cache-capacity N] [--json[=FILE]] [--measure]
-//   slpwlo-shard merge --out FILE RESULTS...
-//                      [--cache FILE]... [--cache-out FILE]
+//                      [--cache-capacity N] [--measure]
 //
-// `plan` balances shards by the estimate_point_cost heuristic. The flow
-// names pick heuristic or exact search: `--flows WLO-SLP,SLP-Optimal`
-// sweeps both sides of the gap in one grid. `--measure` times the
-// compiled kernel body and simulates the final spec (compiled when a host
-// compiler is usable, on the bit-identical tape otherwise); it never
-// changes a single result byte. Every outcome-changing option comes from
-// the manifest alone.
+// The flow names pick heuristic or exact search: `--flows
+// WLO-SLP,SLP-Optimal` sweeps both sides of the gap in one grid.
+// `--measure` times the compiled kernel body and simulates the final
+// spec (compiled when a host compiler is usable, on the bit-identical
+// tape otherwise); it never changes a single result byte. Every
+// outcome-changing option comes from the manifest alone.
 //
-// A typical static 4-machine sweep (one command per line; see DESIGN.md
-// §7 for the shell version with line continuations):
-//
-//   $ slpwlo-shard plan --shards 4
-//       --kernels FIR,IIR,CONV --targets XENTIUM --flows WLO-SLP,WLO-First
-//       --constraints -30,-40,-50 --out-prefix sweep
-//   ... ship sweep.<i>.manifest to worker i ...
-//   $ slpwlo-shard run --manifest sweep.2.manifest --out sweep.2.results
-//       --snapshot-in warm.snap --snapshot-out sweep.2.snap
-//   ... ship the results and snapshots home ...
-//   $ slpwlo-shard merge --out sweep.json sweep.*.results
-//       --cache sweep.0.snap --cache sweep.1.snap --cache sweep.2.snap
-//       --cache sweep.3.snap --cache-out warm.snap
-//
-// The same grid elastically, through a long-lived socket daemon —
+// The same grid across machines, through a long-lived socket daemon —
 // workers connect over TCP, completed rows stream into an online merge
 // and the report is ready the instant the last slot lands (DESIGN.md
-// §15):
+// §15; one command per line):
 //
-//   $ slpwlo-shard plan --shards 1 --kernels ... --out-prefix grid
+//   $ slpwlo-shard plan --kernels FIR,IIR,CONV --targets XENTIUM
+//       --flows WLO-SLP,WLO-First --constraints -30,-40,-50 --out grid.manifest
 //   $ slpwlo-shard daemon --listen 7477 &
-//   $ slpwlo-shard submit --connect :7477 --manifest grid.0.manifest
+//   $ slpwlo-shard submit --connect :7477 --manifest grid.manifest
 //   ... on each worker machine ...
 //   $ slpwlo-shard work --connect coordinator:7477
 //   $ slpwlo-shard status --connect :7477          # live JSON
@@ -65,13 +45,10 @@
 
 #include <unistd.h>
 
-#include "dist/cache_snapshot.hpp"
+#include "dist/shard_manifest.hpp"
+#include "dist/shard_plan.hpp"
 #include "farm/farm_client.hpp"
 #include "farm/farm_server.hpp"
-#include "dist/shard_manifest.hpp"
-#include "dist/shard_merger.hpp"
-#include "dist/shard_plan.hpp"
-#include "dist/shard_runner.hpp"
 #include "frontend/kernel_file.hpp"
 #include "support/diagnostics.hpp"
 #include "target/target_desc.hpp"
@@ -86,21 +63,21 @@ void usage(FILE* out) {
     std::fprintf(
         out,
         "usage:\n"
-        "  slpwlo-shard plan  --shards N --out-prefix P --kernels A,B\n"
+        "  slpwlo-shard plan  --out FILE --kernels A,B\n"
         "                     --targets X,Y [--widths 0,64] [--flows F,G]\n"
         "                     [--constraints -20,-30]\n"
         "                     [--target-file FILE]...\n"
         "                     [--kernel-file FILE]... [--corpus DIR]...\n"
-        "                     shards are balanced by estimated point cost;\n"
+        "                     write the grid as one whole-grid manifest;\n"
         "                     name SLP-Optimal / WLO-Optimal in --flows\n"
         "                     for exact search;\n"
         "                     --kernel-file / --corpus register .slp DSL\n"
         "                     kernels (corpus names join the kernel axis;\n"
         "                     manifests embed their source)\n"
         "  slpwlo-shard run   --manifest FILE --out FILE [--threads N]\n"
-        "                     [--snapshot-in FILE] [--snapshot-out FILE]\n"
-        "                     [--cache-capacity N] [--json[=FILE]]\n"
-        "                     [--measure]\n"
+        "                     [--cache-capacity N] [--measure]\n"
+        "                     sweep the manifest in this process and write\n"
+        "                     the report (the bytes a farm job returns)\n"
         "  slpwlo-shard work  --connect HOST:PORT [--worker ID]\n"
         "                     [--heartbeat-ms T] [--poll-ms T] [--threads N]\n"
         "                     [--cache-capacity N] [--straggle-ms T]\n"
@@ -108,8 +85,6 @@ void usage(FILE* out) {
         "                     drain a farm daemon's jobs over TCP; missed\n"
         "                     heartbeats expire this worker's chunks for\n"
         "                     re-issue\n"
-        "  slpwlo-shard merge --out FILE RESULTS...\n"
-        "                     [--cache FILE]... [--cache-out FILE]\n"
         "  slpwlo-shard merge --connect HOST:PORT --job N --out FILE\n"
         "                     [--rows-out FILE]\n"
         "                     fetch a finalized farm job's streamed report\n"
@@ -151,6 +126,14 @@ int int_flag(const std::string& flag, const std::string& value) {
     } catch (const std::exception&) {
         bad_usage(flag + ": not an integer: `" + value + "`");
     }
+}
+
+/// A count flag (a cache bound, a chunk size): negative is a usage error,
+/// never a wrapped SIZE_MAX or a silently ignored value.
+size_t count_flag(const std::string& flag, const std::string& value) {
+    const int parsed = int_flag(flag, value);
+    if (parsed < 0) bad_usage(flag + ": must be >= 0, got `" + value + "`");
+    return static_cast<size_t>(parsed);
 }
 
 double double_flag(const std::string& flag, const std::string& value) {
@@ -220,8 +203,7 @@ private:
 };
 
 int cmd_plan(Args args) {
-    int shards = 0;
-    std::string out_prefix;
+    std::string out_path;
     std::vector<std::string> kernels, target_names, flows{"WLO-SLP"};
     std::vector<int> widths;
     bool has_widths = false;
@@ -230,10 +212,8 @@ int cmd_plan(Args args) {
 
     std::string arg;
     while (args.next(arg)) {
-        if (arg == "--shards") {
-            shards = int_flag(arg, args.value(arg));
-        } else if (arg == "--out-prefix") {
-            out_prefix = args.value(arg);
+        if (arg == "--out") {
+            out_path = args.value(arg);
         } else if (arg == "--kernels") {
             kernels = split_list(args.value(arg));
         } else if (arg == "--targets") {
@@ -269,8 +249,7 @@ int cmd_plan(Args args) {
             bad_usage("unknown plan flag `" + arg + "`");
         }
     }
-    if (shards < 1) bad_usage("plan needs --shards N (>= 1)");
-    if (out_prefix.empty()) bad_usage("plan needs --out-prefix");
+    if (out_path.empty()) bad_usage("plan needs --out");
     if (kernels.empty()) bad_usage("plan needs --kernels or --corpus");
     if (target_names.empty()) bad_usage("plan needs --targets");
     if (!has_constraints) {
@@ -282,28 +261,15 @@ int cmd_plan(Args args) {
                                        constraints)
                    : SweepDriver::grid(kernels, target_names, flows,
                                        constraints);
-    const std::vector<ShardPlan> plans = make_shard_plans(grid, shards);
-
-    std::printf("grid: %zu points -> %d shards\n", grid.size(), shards);
-    for (const ShardPlan& plan : plans) {
-        double cost = 0.0;
-        for (const SweepPoint& point : plan.points) {
-            cost += estimate_point_cost(point);
-        }
-        const std::string path = out_prefix + "." +
-                                 std::to_string(plan.shard_index) +
-                                 ".manifest";
-        write_file(path, shard_manifest_text(plan));
-        std::printf("  %s: %zu points, est. cost %.1f\n", path.c_str(),
-                    plan.points.size(), cost);
-    }
+    const ShardPlan plan = make_shard_plans(grid, 1).front();
+    write_file(out_path, shard_manifest_text(plan));
+    std::printf("grid: %zu points -> %s\n", grid.size(), out_path.c_str());
     return 0;
 }
 
 int cmd_run(Args args) {
-    std::string manifest_path, out_path, snapshot_in, snapshot_out, json_path;
-    ShardRunOptions options;
-    options.threads = 0;
+    std::string manifest_path, out_path;
+    ExecOptions options;
     bool measure = false;
 
     std::string arg;
@@ -314,19 +280,10 @@ int cmd_run(Args args) {
             out_path = args.value(arg);
         } else if (arg == "--threads") {
             options.threads = int_flag(arg, args.value(arg));
-        } else if (arg == "--snapshot-in") {
-            snapshot_in = args.value(arg);
-        } else if (arg == "--snapshot-out") {
-            snapshot_out = args.value(arg);
         } else if (arg == "--cache-capacity") {
-            options.cache_capacity =
-                static_cast<size_t>(int_flag(arg, args.value(arg)));
+            options.cache_capacity = count_flag(arg, args.value(arg));
         } else if (arg == "--measure") {
             measure = true;
-        } else if (arg == "--json") {
-            json_path = "-";
-        } else if (arg.rfind("--json=", 0) == 0) {
-            json_path = arg.substr(7);
         } else {
             bad_usage("unknown run flag `" + arg + "`");
         }
@@ -334,34 +291,20 @@ int cmd_run(Args args) {
     if (manifest_path.empty()) bad_usage("run needs --manifest");
     if (out_path.empty()) bad_usage("run needs --out");
 
-    ShardManifest manifest = load_shard_manifest(manifest_path);
-    // Worker-local timing changes how this process runs the manifest,
-    // never what the rows say, so measured and plain shards still merge
-    // byte-identically.
-    if (measure) manifest.defaults.measure = true;
-    CacheSnapshot warm;
-    if (!snapshot_in.empty()) {
-        warm = load_cache_snapshot(snapshot_in);
-        options.warm = &warm;
-    }
+    const ShardManifest manifest = load_shard_manifest(manifest_path);
+    require_whole_grid(manifest, manifest_path);
+    options.flow_options = manifest.defaults;
+    // Timing changes how this process runs the manifest, never what the
+    // rows say, so measured and plain reports are byte-identical.
+    if (measure) options.flow_options.measure = true;
 
-    const ShardRunOutput out = run_shard(manifest, options);
-    write_file(out_path, shard_results_text(out.results));
-
-    std::printf("shard %d/%d: %zu points -> %s (eval cache: %zu hits / %zu "
-                "misses, %zu entries)\n",
-                manifest.shard_index, manifest.shard_count,
-                manifest.points.size(), out_path.c_str(),
-                out.stats.eval_hits, out.stats.eval_misses,
-                out.stats.eval_entries);
-    if (!snapshot_out.empty()) {
-        write_file(snapshot_out, cache_snapshot_text(out.snapshot));
-        std::printf("snapshot: %zu entries -> %s\n",
-                    out.snapshot.entries.size(), snapshot_out.c_str());
-    }
-    if (!json_path.empty()) {
-        write_file(json_path, sweep_to_json(out.sweep, out.stats));
-    }
+    SweepDriver driver(options);
+    write_file(out_path, sweep_to_json(driver.run(manifest.points)));
+    const SweepCacheStats stats = driver.cache_stats();
+    std::printf("%zu points -> %s (eval cache: %zu hits / %zu misses, %zu "
+                "entries)\n",
+                manifest.points.size(), out_path.c_str(), stats.eval_hits,
+                stats.eval_misses, stats.eval_entries);
     return 0;
 }
 
@@ -382,8 +325,7 @@ int cmd_work(Args args) {
         } else if (arg == "--threads") {
             options.exec.threads = int_flag(arg, args.value(arg));
         } else if (arg == "--cache-capacity") {
-            options.exec.cache_capacity =
-                static_cast<size_t>(int_flag(arg, args.value(arg)));
+            options.exec.cache_capacity = count_flag(arg, args.value(arg));
         } else if (arg == "--straggle-ms") {
             // Test hook: hold every chunk this long before completing it,
             // to exercise expiry, re-issue and duplicate resolution.
@@ -414,93 +356,43 @@ int cmd_work(Args args) {
 }
 
 int cmd_merge(Args args) {
-    std::string out_path, cache_out, connect, rows_out;
+    std::string out_path, connect, rows_out;
     long long job = -1;
-    std::vector<std::string> results_paths, cache_paths;
 
     std::string arg;
     while (args.next(arg)) {
         if (arg == "--out") {
             out_path = args.value(arg);
-        } else if (arg == "--cache") {
-            cache_paths.push_back(args.value(arg));
-        } else if (arg == "--cache-out") {
-            cache_out = args.value(arg);
         } else if (arg == "--connect") {
             connect = args.value(arg);
         } else if (arg == "--job") {
             job = int_flag(arg, args.value(arg));
         } else if (arg == "--rows-out") {
             rows_out = args.value(arg);
-        } else if (!arg.empty() && arg[0] == '-') {
-            bad_usage("unknown merge flag `" + arg + "`");
         } else {
-            results_paths.push_back(arg);
+            bad_usage("unknown merge argument `" + arg + "`");
         }
     }
-
-    if (!connect.empty()) {
-        // Farm mode: fetch the daemon's streamed merge of one job.
-        if (job < 0) bad_usage("merge --connect needs --job N");
-        if (out_path.empty()) bad_usage("merge needs --out");
-        std::string host;
-        int port = 0;
-        farm::parse_endpoint(connect, host, port);
-        farm::FarmClient client(host, port);
-        farm::Message request;
-        request.verb = "report";
-        request.fields["job"] = std::to_string(job);
-        write_file(out_path, client.call(request).body);
-        std::printf("farm %s job %lld report -> %s\n", connect.c_str(), job,
-                    out_path.c_str());
-        if (!rows_out.empty()) {
-            request.verb = "rows";
-            write_file(rows_out, client.call(request).body);
-            std::printf("farm %s job %lld rows -> %s\n", connect.c_str(),
-                        job, rows_out.c_str());
-        }
-        return 0;
-    }
-
+    if (connect.empty()) bad_usage("merge needs --connect HOST:PORT");
+    if (job < 0) bad_usage("merge needs --job N");
     if (out_path.empty()) bad_usage("merge needs --out");
-    if (!rows_out.empty()) bad_usage("--rows-out needs --connect");
-    if (results_paths.empty()) bad_usage("merge needs result files");
-    // Validate the cache pairing before any output is written: a usage
-    // error after side effects would leave a half-done merge behind, and
-    // --cache-out with no inputs would overwrite a warm snapshot with an
-    // empty one.
-    if (!cache_paths.empty() && cache_out.empty()) {
-        bad_usage("--cache given without --cache-out");
-    }
-    if (!cache_out.empty() && cache_paths.empty()) {
-        bad_usage("--cache-out needs at least one --cache file");
-    }
 
-    std::vector<ShardResultsFile> shards;
-    shards.reserve(results_paths.size());
-    size_t hits = 0, misses = 0;
-    for (const std::string& path : results_paths) {
-        shards.push_back(load_shard_results(path));
-        hits += shards.back().eval_hits;
-        misses += shards.back().eval_misses;
-    }
-    const std::string merged = merge_shard_results(shards);
-    write_file(out_path, merged);
-    std::printf("merged %zu shards (%zu slots) -> %s (eval cache across "
-                "shards: %zu hits / %zu misses)\n",
-                shards.size(), shards.front().total_slots,
-                out_path.c_str(), hits, misses);
-
-    if (!cache_out.empty()) {
-        std::vector<CacheSnapshot> snapshots;
-        snapshots.reserve(cache_paths.size());
-        for (const std::string& path : cache_paths) {
-            snapshots.push_back(load_cache_snapshot(path));
-        }
-        const CacheSnapshot merged_cache = merge_cache_snapshots(snapshots);
-        write_file(cache_out, cache_snapshot_text(merged_cache));
-        std::printf("merged cache: %zu entries -> %s\n",
-                    merged_cache.entries.size(), cache_out.c_str());
+    // Fetch the daemon's streamed merge of one job.
+    std::string host;
+    int port = 0;
+    farm::parse_endpoint(connect, host, port);
+    farm::FarmClient client(host, port);
+    farm::Message request;
+    request.verb = "report";
+    request.fields["job"] = std::to_string(job);
+    write_file(out_path, client.call(request).body);
+    std::printf("farm %s job %lld report -> %s\n", connect.c_str(), job,
+                out_path.c_str());
+    if (!rows_out.empty()) {
+        request.verb = "rows";
+        write_file(rows_out, client.call(request).body);
+        std::printf("farm %s job %lld rows -> %s\n", connect.c_str(), job,
+                    rows_out.c_str());
     }
     return 0;
 }
@@ -541,7 +433,7 @@ int cmd_daemon(Args args) {
 int cmd_submit(Args args) {
     std::string connect, manifest_path, splice_path;
     double chunk_cost = 0.0;
-    long long chunk_slots = 0;
+    size_t chunk_slots = 0;
 
     std::string arg;
     while (args.next(arg)) {
@@ -552,7 +444,7 @@ int cmd_submit(Args args) {
         } else if (arg == "--chunk-cost") {
             chunk_cost = double_flag(arg, args.value(arg));
         } else if (arg == "--chunk-slots") {
-            chunk_slots = int_flag(arg, args.value(arg));
+            chunk_slots = count_flag(arg, args.value(arg));
         } else if (arg == "--splice-from") {
             splice_path = args.value(arg);
         } else {
