@@ -1,7 +1,9 @@
 #include "flow/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <sstream>
 
@@ -114,6 +116,8 @@ std::vector<SweepResult> SweepDriver::run_timed(
         // A point carrying its kernel's DSL source (a manifest point for
         // a file-based kernel) registers it before the name resolves —
         // idempotent for identical content, an error for a name clash.
+        // Registration memoizes by source bytes, so this serial prelude
+        // compiles each distinct kernel once per process, not per point.
         if (point.kernel_source.has_value()) {
             frontend::register_kernel_source(*point.kernel_source,
                                              "<point " + point.kernel + ">");
@@ -188,9 +192,27 @@ SweepCacheStats SweepDriver::cache_stats() const {
 }
 
 std::vector<double> accuracy_grid(double from, double to, double step) {
+    SLPWLO_CHECK(std::isfinite(from) && std::isfinite(to) &&
+                     std::isfinite(step),
+                 "accuracy_grid arguments must be finite");
     SLPWLO_CHECK(step > 0.0, "accuracy_grid step must be positive");
+    SLPWLO_CHECK(from - step != from,
+                 "accuracy_grid step is below the resolution of `from`");
     std::vector<double> grid;
-    for (double a = from; a >= to; a -= step) grid.push_back(a);
+    if (to > from) return grid;
+    // Point i is from - i*step over a count fixed up front: repeated
+    // subtraction drifts on fractional steps (-5 to -10 by 0.1 would end
+    // at -9.9999999999999822). The tolerance keeps an endpoint that
+    // rounding puts a hair past `to`, and the clamp makes it exactly `to`.
+    constexpr double kMaxSteps = 1e6;
+    const double steps = std::floor((from - to) / step + 1e-9);
+    SLPWLO_CHECK(steps < kMaxSteps,
+                 "accuracy_grid would have more than a million points");
+    const size_t count = static_cast<size_t>(steps) + 1;
+    grid.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+        grid.push_back(std::max(from - static_cast<double>(i) * step, to));
+    }
     return grid;
 }
 

@@ -172,7 +172,10 @@ private:
 };
 
 /// The accuracy grid of the paper's figures: `from` down to `to`
-/// (inclusive) in steps of `step` dB.
+/// (inclusive) in steps of `step` dB; point i is exactly from - i*step.
+/// Empty when `to` > `from`. Throws Error on a non-finite argument, a
+/// non-positive step, a step too small to move `from`, or a grid of more
+/// than a million points.
 std::vector<double> accuracy_grid(double from = -5.0, double to = -70.0,
                                   double step = 5.0);
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
+#include <unordered_map>
 
 #include "frontend/lower_ast.hpp"
 #include "ir/unroll.hpp"
@@ -100,6 +102,23 @@ kernels::BenchmarkKernel load_kernel_file(const std::string& path) {
 
 std::string register_kernel_source(const std::string& source,
                                    const std::string& source_name) {
+    // Source bytes -> the name their successful registration returned.
+    // Sweep points re-register their kernel's source once per point, so
+    // without this every point would recompile a kernel only to reach
+    // add()'s identical-content no-op. A hit is exact: compilation is
+    // deterministic and the registry never removes or replaces an entry
+    // (add() refuses to), so recompiling would take that no-op and return
+    // the same name. If the registry ever gains a remove, this memo must
+    // be invalidated with it. Only successes are stored, so a failing
+    // source throws its located error on every call. Two threads missing
+    // on the same source both compile and both take the idempotent add.
+    static std::mutex memo_mutex;
+    static std::unordered_map<std::string, std::string> memo;
+    {
+        std::lock_guard<std::mutex> lock(memo_mutex);
+        const auto it = memo.find(source);
+        if (it != memo.end()) return it->second;
+    }
     kernels::BenchmarkKernel bench =
         compile_benchmark_source(source, source_name);
     std::string name = bench.name;
@@ -109,6 +128,8 @@ std::string register_kernel_source(const std::string& source,
     // and a worker re-reading the manifest must agree exactly).
     kernels::KernelRegistry::instance().add(std::move(bench),
                                             canonical_kernel_source(source));
+    std::lock_guard<std::mutex> lock(memo_mutex);
+    memo.emplace(source, name);
     return name;
 }
 

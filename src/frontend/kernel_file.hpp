@@ -53,7 +53,9 @@ std::string register_kernel_file(const std::string& path);
 
 /// Compile `source` and register it with the registry; returns the kernel
 /// name. The idempotent path manifests and sweep points use: same content
-/// re-registers as a no-op, a conflicting name throws.
+/// re-registers as a no-op, a conflicting name throws. Thread-safe; bytes
+/// identical to an earlier successful call return its name without
+/// recompiling, so a sweep pays one compile per distinct source.
 std::string register_kernel_source(const std::string& source,
                                    const std::string& source_name = "<string>");
 

@@ -49,8 +49,12 @@ uint64_t benchmark_kernel_fingerprint(const BenchmarkKernel& bench);
 
 /// Process-wide registry of benchmark kernels. The built-ins register
 /// themselves on first access; user code and the `.slp` ingestion path
-/// may add more. Lookup is thread-safe; add() must not race with a
-/// running sweep that resolves names.
+/// may add more. Every member takes one mutex, so add() and lookups may
+/// run concurrently from any thread (farm workers in one process register
+/// manifest kernels while other sweeps resolve names). Entries are never
+/// removed or replaced: once a name resolves, it resolves to the same
+/// content for the rest of the process — the registration memo in
+/// frontend::register_kernel_source relies on this.
 class KernelRegistry {
 public:
     static KernelRegistry& instance();

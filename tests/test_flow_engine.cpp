@@ -1,9 +1,12 @@
 // FlowEngine tests: pass-sequence equivalence with the monolithic
 // pre-refactor flows, evaluation memoization, sweep determinism across
-// thread counts, the registry, and the thread pool itself.
+// thread counts, the registry, the accuracy grid, and the thread pool
+// itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 
 #include "core/slp_aware_wlo.hpp"
 #include "core/tabu_wlo.hpp"
@@ -289,6 +292,49 @@ TEST(FlowEngine, SweepRunsDotThroughRegistry) {
     EXPECT_GT(results[0].flow.group_count, 0);
     EXPECT_LE(results[0].flow.analytic_noise_db, -25.0 + 1e-9);
     EXPECT_LT(results[0].flow.simd_cycles, results[0].flow.scalar_cycles);
+}
+
+// --- accuracy grid -------------------------------------------------------------
+
+TEST(AccuracyGrid, PaperAndCorpusGridsAreTheirLiteralLists) {
+    // These grids feed the pinned reports: not one value may move.
+    EXPECT_EQ(accuracy_grid(-5.0, -70.0, 5.0),
+              (std::vector<double>{-5, -10, -15, -20, -25, -30, -35, -40,
+                                   -45, -50, -55, -60, -65, -70}));
+    EXPECT_EQ(accuracy_grid(), accuracy_grid(-5.0, -70.0, 5.0));
+    EXPECT_EQ(accuracy_grid(-10.0, -60.0, 10.0),
+              (std::vector<double>{-10, -20, -30, -40, -50, -60}));
+    EXPECT_EQ(accuracy_grid(-30.0, -30.0, 5.0), (std::vector<double>{-30}));
+    EXPECT_TRUE(accuracy_grid(-30.0, -20.0, 5.0).empty());
+    EXPECT_EQ(accuracy_grid(-5.0, -12.0, 5.0), (std::vector<double>{-5, -10}));
+}
+
+TEST(AccuracyGrid, FractionalStepsDoNotDrift) {
+    // Repeated subtraction would end this grid at -9.9999999999999822: each
+    // point must be exactly from - i*step and the endpoint exactly `to`.
+    const std::vector<double> grid = accuracy_grid(-5.0, -10.0, 0.1);
+    ASSERT_EQ(grid.size(), 51u);
+    for (size_t i = 0; i < grid.size(); ++i) {
+        EXPECT_EQ(grid[i], std::max(-5.0 - static_cast<double>(i) * 0.1,
+                                    -10.0))
+            << i;
+    }
+    EXPECT_EQ(grid.back(), -10.0);
+    EXPECT_EQ(accuracy_grid(-1.0, -2.0, 0.1).back(), -2.0);
+    EXPECT_EQ(accuracy_grid(-1.0, -2.0, 0.1).size(), 11u);
+}
+
+TEST(AccuracyGrid, RejectsArgumentsThatCannotTerminate) {
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(accuracy_grid(-5.0, -10.0, 0.0), Error);
+    EXPECT_THROW(accuracy_grid(-5.0, -10.0, -1.0), Error);
+    EXPECT_THROW(accuracy_grid(-5.0, -10.0, 1e-20), Error);
+    EXPECT_THROW(accuracy_grid(-5.0, -10.0, 1e-12), Error);
+    EXPECT_THROW(accuracy_grid(-5.0, -inf, 5.0), Error);
+    EXPECT_THROW(accuracy_grid(inf, -10.0, 5.0), Error);
+    EXPECT_THROW(accuracy_grid(-5.0, nan, 5.0), Error);
+    EXPECT_THROW(accuracy_grid(-5.0, -10.0, inf), Error);
 }
 
 // --- thread pool ---------------------------------------------------------------

@@ -1,10 +1,14 @@
 // Tests for the kernel-DSL frontend: lexer, parser, semantic errors,
 // equivalence of DSL-compiled kernels with builder-constructed ones, the
 // `.slp` file ingestion path (range annotations, file-position
-// diagnostics) and the seeded kernel generator.
+// diagnostics, clean rejection of truncated or corrupted corpus files) and
+// the seeded kernel generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "frontend/kernel_file.hpp"
 #include "frontend/kernel_gen.hpp"
@@ -279,6 +283,63 @@ TEST(KernelFile, CanonicalSourceDropsOnlyInsignificantLines) {
 }
 
 // --- generator -------------------------------------------------------------------
+
+TEST(KernelFile, PrefixesAndByteMutationsCompileOrThrowError) {
+    // Every manifest and sweep point that embeds a kernel goes through
+    // this compiler, so corrupt input must fail cleanly: each truncation
+    // and each one-byte mutation of a corpus kernel either compiles or
+    // throws slpwlo::Error. Any other exception (or a crash, which the
+    // sanitizer builds catch) is a bug.
+    namespace fs = std::filesystem;
+    const char kBytes[] = {'{', '}', '(', ')', '[', ']', ';', ',', '=',
+                           '.', '-', '+', '*', '/', '0', '9', '#', '\n',
+                           ' ', 'x', '\0', '\x7f', '\xff'};
+    std::vector<fs::path> files;
+    for (const auto& entry :
+         fs::directory_iterator(SLPWLO_SOURCE_DIR "/kernels")) {
+        if (entry.path().extension() == ".slp") files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    ASSERT_GE(files.size(), 7u);
+
+    int compiled = 0;
+    int rejected = 0;
+    const auto feed = [&](const std::string& input, const std::string& what) {
+        try {
+            frontend::compile_benchmark_source(input, what);
+            compiled++;
+        } catch (const Error&) {
+            rejected++;
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << what << ": non-Error exception: " << e.what();
+        } catch (...) {
+            ADD_FAILURE() << what << ": non-std exception";
+        }
+    };
+    for (const fs::path& file : files) {
+        std::ifstream in(file, std::ios::binary);
+        const std::string source((std::istreambuf_iterator<char>(in)),
+                                 std::istreambuf_iterator<char>());
+        ASSERT_FALSE(source.empty()) << file;
+        const std::string name = file.filename().string();
+        for (size_t length = 0; length <= source.size(); ++length) {
+            feed(source.substr(0, length),
+                 name + " prefix " + std::to_string(length));
+        }
+        for (size_t offset = 0; offset < source.size(); ++offset) {
+            std::string mutated = source;
+            size_t pick = offset % sizeof(kBytes);
+            if (kBytes[pick] == mutated[offset]) {
+                pick = (pick + 1) % sizeof(kBytes);
+            }
+            mutated[offset] = kBytes[pick];
+            feed(mutated, name + " byte " + std::to_string(offset));
+        }
+    }
+    // Both outcomes occur: full files compile, truncations mostly fail.
+    EXPECT_GT(compiled, 0);
+    EXPECT_GT(rejected, 0);
+}
 
 TEST(KernelGen, DeterministicPerSeed) {
     for (const uint64_t seed : {1ull, 7ull, 42ull, 1234567ull}) {

@@ -1,10 +1,13 @@
 // Tests for the KernelRegistry: built-in parity with the direct builders,
-// name resolution, idempotent/conflicting registration, and the name-free
-// content fingerprint.
+// name resolution, idempotent/conflicting registration (including the
+// source-bytes registration memo and concurrent registration), and the
+// name-free content fingerprint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
+#include "dist/shard_plan.hpp"
 #include "frontend/kernel_file.hpp"
 #include "ir/printer.hpp"
 #include "kernels/kernel_registry.hpp"
@@ -84,10 +87,12 @@ TEST(KernelRegistry, ReRegisteringIdenticalContentIsANoOp) {
         "}\n";
     const std::string name = frontend::register_kernel_source(source);
     EXPECT_EQ(name, "reg_idem");
-    // Same content again: silently accepted (the manifest path registers
-    // the same kernel once per point).
+    // Same content again: silently accepted (every sweep point carrying
+    // this source re-registers it; identical bytes hit the registration
+    // memo and skip the recompile).
     EXPECT_EQ(frontend::register_kernel_source(source), "reg_idem");
-    // Comments and blank lines do not change content identity.
+    // Comments and blank lines do not change content identity (different
+    // bytes miss the memo, compile, and take the registry's no-op).
     EXPECT_EQ(frontend::register_kernel_source("# a comment\n\n" + source),
               "reg_idem");
 }
@@ -106,6 +111,87 @@ TEST(KernelRegistry, ConflictingContentUnderOneNameThrows) {
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(KernelRegistry, MemoizedRegistrationStillDetectsClashes) {
+    // The registration memo only answers bytes that already registered:
+    // a different body under a memoized name still reaches add() and
+    // throws, and the original bytes keep returning their name.
+    const std::string a =
+        "kernel reg_memo { output y[1]; y[0] = 0.125; }\n";
+    const std::string b =
+        "kernel reg_memo { output y[1]; y[0] = 0.375; }\n";
+    EXPECT_EQ(frontend::register_kernel_source(a), "reg_memo");
+    EXPECT_EQ(frontend::register_kernel_source(a), "reg_memo");
+    // Twice: a clash that add() refused must not have been recorded.
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        try {
+            frontend::register_kernel_source(b);
+            ADD_FAILURE() << "expected Error on attempt " << attempt;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("already registered"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(frontend::register_kernel_source(a), "reg_memo");
+    EXPECT_EQ(frontend::register_kernel_source(a, "<other name>"),
+              "reg_memo");
+}
+
+TEST(KernelRegistry, FailedCompileIsNeverMemoized) {
+    // A source that does not compile throws its located error on every
+    // call: failures are never recorded, so nothing can later "hit".
+    const std::string broken = "kernel reg_broken {\n  output y[1]\n}\n";
+    std::string first;
+    try {
+        frontend::register_kernel_source(broken, "broken.slp");
+        FAIL() << "expected Error";
+    } catch (const Error& e) {
+        first = e.what();
+    }
+    EXPECT_EQ(first.rfind("broken.slp:3:", 0), 0u) << first;
+    try {
+        frontend::register_kernel_source(broken, "broken.slp");
+        FAIL() << "expected Error";
+    } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()), first);
+    }
+    EXPECT_FALSE(kernels::KernelRegistry::instance().contains("reg_broken"));
+}
+
+TEST(KernelRegistry, ConcurrentRegistrationYieldsOneEntry) {
+    // Farm workers in one process register manifest kernels while other
+    // threads resolve names; every thread must see the same name and the
+    // registry must end up with exactly one entry.
+    const std::string source = frontend::canonical_kernel_source(
+        "kernel reg_concurrent {\n"
+        "  input x[8] range(-1.0, 1.0);\n"
+        "  output y[8];\n"
+        "  loop n = 0..8 unroll 2 { y[n] = x[n] * 0.75; }\n"
+        "}\n");
+    constexpr int kThreads = 8;
+    constexpr int kRounds = 200;
+    std::vector<std::vector<std::string>> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int r = 0; r < kRounds; ++r) {
+                seen[t].push_back(frontend::register_kernel_source(source));
+                const kernels::KernelEntry entry =
+                    kernels::KernelRegistry::instance().entry(seen[t].back());
+                EXPECT_EQ(entry.dsl_source, source);
+            }
+        });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (const std::vector<std::string>& names : seen) {
+        ASSERT_EQ(names.size(), static_cast<size_t>(kRounds));
+        for (const std::string& name : names) EXPECT_EQ(name, "reg_concurrent");
+    }
+    const std::vector<std::string> names =
+        kernels::KernelRegistry::instance().names();
+    EXPECT_EQ(std::count(names.begin(), names.end(), "reg_concurrent"), 1);
 }
 
 TEST(KernelRegistry, FingerprintIsNameFreeButContentSensitive) {
@@ -165,6 +251,47 @@ TEST(KernelRegistry, FileKernelRunsThroughSweepByName) {
     EXPECT_EQ(results[0].flow.kernel_name, "reg_sweep");
     EXPECT_GT(results[0].flow.simd_cycles, 0);
     EXPECT_LE(results[0].flow.analytic_noise_db, -30.0 + 1e-9);
+}
+
+TEST(KernelRegistry, EmbeddedSourcePointsMatchNameOnlyRows) {
+    // Points that carry their kernel's source re-register it before
+    // resolving the name. Whether that registration compiles (the first
+    // embedded run: the canonical bytes differ from the commented source
+    // registered here) or hits the memo (the second), every row must be
+    // byte-identical to the name-only sweep.
+    frontend::register_kernel_source(
+        "# rows must not depend on how the kernel was registered\n"
+        "kernel reg_rows {\n"
+        "  input x[10] range(-1.0, 1.0);\n"
+        "  param c[3] = { 0.5, -0.25, 0.125 };\n"
+        "  output y[8];\n"
+        "  var acc;\n"
+        "  loop n = 0..8 {\n"
+        "    acc = 0.0;\n"
+        "    loop k = 0..3 { acc = acc + c[k] * x[n + k]; }\n"
+        "    y[n] = acc;\n"
+        "  }\n"
+        "}\n");
+    const std::vector<SweepPoint> named =
+        SweepDriver::grid({"reg_rows"}, {"XENTIUM", "VEX-4"},
+                          {"WLO-SLP", "WLO-First"}, {-20.0, -40.0});
+    std::vector<SweepPoint> embedded = named;
+    dist::embed_kernel_sources(embedded);
+    for (const SweepPoint& point : embedded) {
+        ASSERT_TRUE(point.kernel_source.has_value());
+    }
+    const auto rows = [](const std::vector<SweepPoint>& points) {
+        SweepDriver driver;
+        std::vector<std::string> out;
+        for (const SweepResult& result : driver.run(points)) {
+            out.push_back(sweep_result_to_json(result));
+        }
+        return out;
+    };
+    const std::vector<std::string> reference = rows(named);
+    ASSERT_EQ(reference.size(), named.size());
+    EXPECT_EQ(rows(embedded), reference);
+    EXPECT_EQ(rows(embedded), reference);
 }
 
 }  // namespace
