@@ -1,5 +1,6 @@
 #include "accuracy/analytic_evaluator.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/diagnostics.hpp"
@@ -27,6 +28,7 @@ public:
                         FixedPointSpec& spec)
         : evaluator_(&evaluator), spec_(&spec) {
         contribs_.resize(evaluator_->sites_.size());
+        stamps_.assign(contribs_.size(), 0u);
         for (size_t i = 0; i < contribs_.size(); ++i) refresh(i);
         cursor_ = spec_->journal_size();
     }
@@ -70,26 +72,30 @@ public:
 
     NoiseTerm term(uint32_t index) override { return compute(index); }
 
-    void begin_move(NodeRef node) override {
-        sync();  // snapshot from a cache that is current
-        move_sites_ = &evaluator_->sites_of(node);
-        saved_contribs_.clear();
-        for (const uint32_t i : *move_sites_) {
-            saved_contribs_.push_back(contribs_[i]);
+    void begin_probe() override {
+        SLPWLO_ASSERT(!in_probe_, "probe windows do not nest");
+        sync();  // save from a cache that is current
+        in_probe_ = true;
+        // A new epoch unstamps every term; on wrap-around, reset the
+        // stamps so none matches the new epoch by accident.
+        if (++epoch_ == 0) {
+            std::fill(stamps_.begin(), stamps_.end(), 0u);
+            epoch_ = 1;
         }
     }
 
-    void end_move() override {
-        SLPWLO_ASSERT(move_sites_ != nullptr, "end_move without begin_move");
-        // The caller restored the node's format; the journal window holds
-        // only that node's set/restore entries, so putting the snapshot
-        // back and skipping the window re-establishes the cache bit-exactly
+    void end_probe() override {
+        SLPWLO_ASSERT(in_probe_, "end_probe without begin_probe");
+        // The caller restored the spec, so the begin-time terms are
+        // current again: putting the saved ones back and skipping the
+        // window's journal entries re-establishes the cache bit-exactly
         // without recomputing any site.
-        for (size_t k = 0; k < move_sites_->size(); ++k) {
-            contribs_[(*move_sites_)[k]] = saved_contribs_[k];
+        for (const SavedTerm& saved : saved_) {
+            contribs_[saved.index] = saved.term;
         }
+        saved_.clear();
         cursor_ = spec_->journal_size();
-        move_sites_ = nullptr;
+        in_probe_ = false;
     }
 
     FixedPointSpec& spec() override { return *spec_; }
@@ -102,7 +108,13 @@ private:
         }
     }
 
-    void refresh(size_t i) { contribs_[i] = compute(i); }
+    void refresh(size_t i) {
+        if (in_probe_ && stamps_[i] != epoch_) {
+            stamps_[i] = epoch_;
+            saved_.push_back({static_cast<uint32_t>(i), contribs_[i]});
+        }
+        contribs_[i] = compute(i);
+    }
 
     /// Site i's gain-weighted terms under the spec's current state; +0.0
     /// terms when the site is inactive.
@@ -120,12 +132,22 @@ private:
         return {stats.variance * g.a, stats.mean * g.b * site.dc_sign};
     }
 
+    /// A term as it stood when the open probe window first overwrote it.
+    struct SavedTerm {
+        uint32_t index;
+        NoiseTerm term;
+    };
+
     const AnalyticEvaluator* evaluator_;
     FixedPointSpec* spec_;
     std::vector<NoiseTerm> contribs_;
-    std::vector<NoiseTerm> saved_contribs_;  ///< begin_move() snapshot scratch
-    const std::vector<uint32_t>* move_sites_ = nullptr;
     size_t cursor_ = 0;
+    /// Probe window: per term, the epoch of the last window that saved
+    /// it; the current window's epoch; the terms it saved.
+    std::vector<uint32_t> stamps_;
+    uint32_t epoch_ = 0;
+    bool in_probe_ = false;
+    std::vector<SavedTerm> saved_;
 };
 
 AnalyticEvaluator::AnalyticEvaluator(const Kernel& kernel,

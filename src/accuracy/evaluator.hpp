@@ -63,27 +63,29 @@ public:
     /// Bit-identical to the owning evaluator's noise_power(spec).
     virtual double noise_power() = 0;
 
-    /// Bracket a single-node probe: between begin_move(node) and end_move()
-    /// the caller may mutate only `node` and must restore it to its
-    /// begin-time format before end_move(). Incremental sessions snapshot
-    /// the cached terms the node feeds in begin_move() and put them back in
-    /// end_move(), so the probe's restore costs a copy instead of a second
-    /// refresh pass. At most one probe may be outstanding per session.
-    /// The default is a no-op (full-recompute sessions have no cache).
-    virtual void begin_move(NodeRef) {}
-    virtual void end_move() {}
+    /// Bracket a revertible probe. Between begin_probe() and end_probe()
+    /// the caller may change any nodes of the bound spec (directly or
+    /// under nested checkpoints) and query the session, and must restore
+    /// the spec to its begin-time state before end_probe(). Incremental
+    /// sessions save each cached term a refresh inside the window
+    /// overwrites, once per term, and end_probe() copies the saved terms
+    /// back and skips the window's journal entries, so the restore costs
+    /// a copy instead of a second refresh pass. Windows do not nest. The
+    /// default is a no-op (full-recompute sessions have no cache).
+    virtual void begin_probe() {}
+    virtual void end_probe() {}
 
     /// Noise power of the spec with `node` moved to word length `wl`, the
     /// spec left unchanged on return. The single-move candidate evaluation
     /// of the Tabu loop; incremental sessions make this O(degree(node)).
     double preview_move(NodeRef node, int wl) {
         FixedPointSpec& spec = this->spec();
-        begin_move(node);
+        begin_probe();
         const FixedFormat saved = spec.format(node);
         spec.set_wl(node, wl);
         const double power = noise_power();
         spec.set_format(node, saved);
-        end_move();
+        end_probe();
         return power;
     }
 

@@ -37,6 +37,17 @@ struct WlChange {
 
 using ChangeList = std::vector<WlChange>;
 
+uint32_t change_key(NodeRef node) {
+    return static_cast<uint32_t>(node.id) * 2 +
+           (node.kind == NodeRef::Kind::Array ? 1u : 0u);
+}
+
+NodeRef change_node(const WlChange& change) {
+    return {(change.node & 1u) != 0 ? NodeRef::Kind::Array
+                                    : NodeRef::Kind::Var,
+            static_cast<int32_t>(change.node / 2)};
+}
+
 struct ChangeListHash {
     size_t operator()(const ChangeList& list) const {
         uint64_t h = 1469598103934665603ull;
@@ -106,8 +117,7 @@ struct AccuracySlpHooks::State {
         double abs_mean = 0.0;
     };
     std::vector<ChangeClass> classes{};
-    /// Per candidate of the round: its class; empty until the round's
-    /// first pair.
+    /// Per candidate of the round: its class.
     std::vector<uint32_t> class_of{};
     /// Per pair of distinct classes (the upper triangle, row-major; see
     /// answer_index): -1 until answered, else the answer. A round's
@@ -135,6 +145,27 @@ struct AccuracySlpHooks::State {
         set_group_max_wl(spec, lanes, static_cast<int>(lanes.size()), target);
     }
 
+    /// Move each node of `changes` to its WL: a class's own change list
+    /// reaches the state apply_eq1 reaches for its candidates, and a
+    /// min-merged pair of lists the state of applying both.
+    void apply_changes(const ChangeList& changes) {
+        for (const WlChange& change : changes) {
+            spec.set_wl(change_node(change), change.wl);
+        }
+    }
+
+    /// Whether the spec with `changes` applied violates the constraint;
+    /// the spec and the session's cache are left as they were.
+    bool probe(const ChangeList& changes) {
+        eval->begin_probe();
+        const auto cp = spec.checkpoint();
+        apply_changes(changes);
+        const bool violated = violates();
+        spec.revert(cp);
+        eval->end_probe();
+        return violated;
+    }
+
     bool violates() { return eval->violates(config.accuracy_db); }
 
     /// Guard the constraint's power by 2^-40 relative on each side and
@@ -148,16 +179,14 @@ struct AccuracySlpHooks::State {
         bracketed = power_to_db(power_hi) > db && !(power_to_db(power_lo) > db);
     }
 
-    void begin_round() {
-        class_of.clear();
-        memo.clear();
-    }
+    void begin_round() { memo.clear(); }
 
     /// Sort the round's candidates into change classes, on its first pair
     /// (the spec is at the round base while conflicts are detected).
     void classify(const std::vector<Candidate>& candidates) {
         additive = bracketed && eval->noise_split(&base);
         classes.clear();
+        class_of.clear();
         std::unordered_map<ChangeList, uint32_t, ChangeListHash> ids;
         for (const Candidate& c : candidates) {
             scratch.clear();
@@ -170,10 +199,7 @@ struct AccuracySlpHooks::State {
                 const NodeRef node = spec.node_of(lane);
                 const int wl = spec.format(node).wl();
                 if (*m >= wl) continue;  // no-op
-                scratch.push_back(
-                    {static_cast<uint32_t>(node.id) * 2 +
-                         (node.kind == NodeRef::Kind::Array ? 1u : 0u),
-                     static_cast<int32_t>(*m)});
+                scratch.push_back({change_key(node), static_cast<int32_t>(*m)});
             }
             std::sort(scratch.begin(), scratch.end(),
                       [](const WlChange& x, const WlChange& y) {
@@ -186,7 +212,7 @@ struct AccuracySlpHooks::State {
                 scratch, static_cast<uint32_t>(classes.size()));
             if (fresh) {
                 classes.push_back({scratch});
-                if (additive) measure_delta(c, classes.back());
+                if (additive) measure_delta(classes.back());
             }
             class_of.push_back(it->second);
         }
@@ -195,12 +221,9 @@ struct AccuracySlpHooks::State {
 
     /// The class's effect on V and M: each touched term after equation
     /// (1) minus the same term at the round base.
-    void measure_delta(const Candidate& c, ChangeClass& cls) {
+    void measure_delta(ChangeClass& cls) {
         for (const WlChange& change : cls.changes) {
-            const NodeRef node{(change.node & 1u) != 0 ? NodeRef::Kind::Array
-                                                       : NodeRef::Kind::Var,
-                               static_cast<int32_t>(change.node / 2)};
-            for (const uint32_t t : eval->terms_of(node)) {
+            for (const uint32_t t : eval->terms_of(change_node(change))) {
                 cls.terms.push_back(t);
             }
         }
@@ -214,8 +237,11 @@ struct AccuracySlpHooks::State {
             before.push_back(eval->term(t));
             cls.signature |= uint64_t{1} << (t % 64);
         }
+        // term() reads the spec directly; the window only lets the
+        // session skip the journal entries of the apply and the revert.
+        eval->begin_probe();
         const auto cp = spec.checkpoint();
-        apply_eq1(c);
+        apply_changes(cls.changes);
         for (size_t k = 0; k < cls.terms.size(); ++k) {
             const NoiseTerm after = eval->term(cls.terms[k]);
             cls.d_variance += after.variance - before[k].variance;
@@ -225,6 +251,7 @@ struct AccuracySlpHooks::State {
             cls.abs_mean += std::fabs(after.mean) + std::fabs(before[k].mean);
         }
         spec.revert(cp);
+        eval->end_probe();
     }
 
     /// The closed-form filter. Classes touching disjoint term sets add up
@@ -251,17 +278,34 @@ struct AccuracySlpHooks::State {
         return std::nullopt;
     }
 
-    bool extra_conflict(const std::vector<Candidate>& candidates, size_t i,
-                        size_t j) {
-        if (class_of.size() != candidates.size()) classify(candidates);
-        const uint32_t ci = class_of[i];
-        const uint32_t cj = class_of[j];
-        // Equal lists: the pair's state is either candidate's own, which
-        // passed the validity hook on the same base.
-        if (ci == cj) return false;
-        int8_t& answer = answers[answer_index(ci, cj)];
-        if (answer < 0) answer = classes_conflict(candidates, i, j, ci, cj);
-        return answer != 0;
+    /// Fig. 1c lines 14-25 for one round: every pair of candidates not
+    /// already in conflict, in index order, answered per pair of classes.
+    int add_conflicts(const std::vector<Candidate>& candidates,
+                      ConflictSet& conflicts) {
+        const size_t n = candidates.size();
+        bool classified = false;
+        int added = 0;
+        for (size_t i = 0; i < n; ++i) {
+            for (size_t j = i + 1; j < n; ++j) {
+                if (conflicts.conflict(i, j)) continue;
+                if (!classified) {
+                    classify(candidates);
+                    classified = true;
+                }
+                const uint32_t ci = class_of[i];
+                const uint32_t cj = class_of[j];
+                // Equal lists: the pair's state is either candidate's
+                // own, which passed the validity hook on the same base.
+                if (ci == cj) continue;
+                int8_t& answer = answers[answer_index(ci, cj)];
+                if (answer < 0) answer = classes_conflict(ci, cj);
+                if (answer != 0) {
+                    conflicts.add(i, j);
+                    added++;
+                }
+            }
+        }
+        return added;
     }
 
     /// Slot of the pair {a, b}, a != b, in the upper triangle: rows
@@ -273,10 +317,8 @@ struct AccuracySlpHooks::State {
         return lo * (2 * k - lo - 1) / 2 + (hi - lo - 1);
     }
 
-    /// The answer for a pair of distinct classes, first met as candidates
-    /// i and j.
-    bool classes_conflict(const std::vector<Candidate>& candidates, size_t i,
-                          size_t j, uint32_t ci, uint32_t cj) {
+    /// The answer for a pair of distinct classes.
+    bool classes_conflict(uint32_t ci, uint32_t cj) {
         const ChangeClass& ca = classes[ci];
         const ChangeClass& cb = classes[cj];
         if (additive) {
@@ -315,11 +357,7 @@ struct AccuracySlpHooks::State {
         if (is_a || is_b) return false;
         const auto hit = memo.find(merged);
         if (hit != memo.end()) return hit->second;
-        const auto cp = spec.checkpoint();
-        apply_eq1(candidates[i]);
-        apply_eq1(candidates[j]);
-        const bool violated = violates();
-        spec.revert(cp);
+        const bool violated = probe(merged);
         if (config.conflict_stats != nullptr) config.conflict_stats->probes++;
         memo.emplace(merged, violated);
         return violated;
@@ -340,17 +378,19 @@ AccuracySlpHooks::AccuracySlpHooks(const PackedView& view,
     // other nodes untouched) violates the constraint can never be
     // implemented as a SIMD instruction.
     hooks.candidate_valid = [&st](const Candidate& c) {
+        st.eval->begin_probe();
         const auto cp = st.spec.checkpoint();
         st.apply_eq1(c);
         const bool ok = !st.violates();
         st.spec.revert(cp);
+        st.eval->end_probe();
         return ok;
     };
     // Fig. 1c lines 14-25: candidates that cannot coexist are in conflict.
     if (config.accuracy_conflicts) {
-        hooks.extra_conflict = [&st](const std::vector<Candidate>& candidates,
-                                     size_t i, size_t j) {
-            return st.extra_conflict(candidates, i, j);
+        hooks.add_conflicts = [&st](const std::vector<Candidate>& candidates,
+                                    ConflictSet& conflicts) {
+            return st.add_conflicts(candidates, conflicts);
         };
     }
     // Fig. 1c line 34 (SETMAXWL on selection), plus the strict feasibility

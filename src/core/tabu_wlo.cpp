@@ -88,17 +88,17 @@ TabuStats run_tabu_wlo(FixedPointSpec& spec, const AccuracyEvaluator& evaluator,
                 if (ni < 0 || ni >= static_cast<int>(wls.size())) continue;
                 const int candidate_wl = wls[static_cast<size_t>(ni)];
 
-                // One probe window shared by both sessions: the restore
-                // below puts their cached terms back by copy instead of a
-                // second refresh pass (see EvalSession::begin_move).
-                eval->begin_move(nodes[i]);
+                // One probe window on each session: the restore below
+                // puts their cached terms back by copy instead of a
+                // second refresh pass (see EvalSession::begin_probe).
+                eval->begin_probe();
                 costs->begin_move(nodes[i]);
                 spec.set_wl(nodes[i], candidate_wl);
                 const double noise_db = eval->noise_power_db();
                 const bool feasible = noise_db <= accuracy_db;
                 const double cost = costs->cost();
                 spec.set_wl(nodes[i], current);
-                eval->end_move();
+                eval->end_probe();
                 costs->end_move();
 
                 const double score = objective(feasible, cost, noise_db);

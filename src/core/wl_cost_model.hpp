@@ -40,9 +40,11 @@ public:
     /// on return.
     double preview_move(NodeRef node, int wl);
 
-    /// Bracket a single-node probe (same contract as EvalSession's
-    /// begin_move/end_move): snapshot the node's cost terms so the caller's
-    /// restore costs a copy instead of a second refresh pass.
+    /// Bracket a single-node probe: between begin_move(node) and
+    /// end_move() the caller may change only `node` and must restore its
+    /// begin-time format before end_move(). The node's cost terms are
+    /// snapshot on entry and put back on exit, so the caller's restore
+    /// costs a copy instead of a second refresh pass.
     void begin_move(NodeRef node);
     void end_move();
 

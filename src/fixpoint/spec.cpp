@@ -110,6 +110,13 @@ void FixedPointSpec::commit(Checkpoint cp) {
     if (marks_.empty()) undo_.clear();
 }
 
+void FixedPointSpec::release_journal() {
+    SLPWLO_ASSERT(marks_.empty(),
+                  "release_journal with a checkpoint still open");
+    journal_ = {};
+    undo_ = {};
+}
+
 std::string FixedPointSpec::str() const {
     std::ostringstream os;
     os << "spec(" << kernel_->name() << ", " << to_string(quant_mode_) << ")\n";

@@ -84,6 +84,12 @@ public:
     size_t journal_size() const { return journal_.size(); }
     NodeRef journal_entry(size_t i) const { return journal_[i]; }
 
+    /// Empty the journal and free its storage and the undo log's, once
+    /// the spec's optimization is over. Requires no open checkpoint. No
+    /// session may still be bound to the spec: its journal cursor would
+    /// point past the end. Sessions opened afterwards start from here.
+    void release_journal();
+
     // --- checkpoints -----------------------------------------------------------
     // An undo log: while a checkpoint is open, set_format records each
     // node's previous format. A checkpoint is the log position it opened

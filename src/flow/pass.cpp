@@ -572,6 +572,9 @@ FlowResult FlowPipeline::run(const KernelContext& context,
         if (ctx.stage_restored && is_stage_pass(pass->name())) continue;
         pass->run(ctx);
     }
+    // The journal fed the passes' evaluation sessions, which are all
+    // closed now; nothing reads it again, so the result keeps none.
+    ctx.result.spec.release_journal();
 
     if (ctx.stage_key.has_value() && !ctx.stage_restored) {
         EvalCache::StageEntry entry;

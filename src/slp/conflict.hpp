@@ -7,11 +7,12 @@
 // other). Accuracy conflicts — the paper's extension — are added on top by
 // the accuracy-aware extractor in src/core.
 //
-// Detection works on bitsets over the view's nodes, built once per call:
-// each candidate's members, and its ancestors (every node some member
-// depends on). A pair shares a node when one side's member bits hit the
-// other's; it is cyclic when each side's ancestors hit the other's
-// members. A pair test is thus a few bit lookups per lane.
+// Detection never visits a pair. Per view node it builds two bitsets
+// over the candidates: those with the node as a member, and those with
+// the node among their ancestors (every node some member depends on).
+// OR-ing its members' bitsets gives each candidate the candidates sharing
+// one of its nodes and the candidates depending on it; two candidates
+// are cyclic when each depends on the other.
 #pragma once
 
 #include <cstdint>

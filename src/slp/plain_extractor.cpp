@@ -39,16 +39,8 @@ std::vector<SimdGroup> extract_slp(PackedView& view, const TargetModel& target,
 
         ConflictSet conflicts = detect_structural_conflicts(view, candidates);
         local.structural_conflicts += static_cast<int>(conflicts.pair_count());
-        if (hooks.extra_conflict) {
-            for (size_t i = 0; i < candidates.size(); ++i) {
-                for (size_t j = i + 1; j < candidates.size(); ++j) {
-                    if (conflicts.conflict(i, j)) continue;
-                    if (hooks.extra_conflict(candidates, i, j)) {
-                        conflicts.add(i, j);
-                        local.extra_conflicts++;
-                    }
-                }
-            }
+        if (hooks.add_conflicts) {
+            local.extra_conflicts += hooks.add_conflicts(candidates, conflicts);
         }
 
         std::vector<Candidate> selected =

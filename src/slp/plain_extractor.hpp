@@ -37,12 +37,14 @@ struct SlpStats {
 struct SlpHooks {
     /// Fig. 1c lines 6-12: may a candidate be implemented at all?
     std::function<bool(const Candidate&)> candidate_valid;
-    /// Fig. 1c lines 16-21: extra (accuracy) conflicts between candidates
-    /// i and j of the round's valid `candidates` (same list for the whole
-    /// round) that are not structurally conflicting.
-    std::function<bool(const std::vector<Candidate>& candidates, size_t i,
-                       size_t j)>
-        extra_conflict;
+    /// Fig. 1c lines 14-25: once per round, add the extra (accuracy)
+    /// conflicts among the round's valid `candidates` to `conflicts`,
+    /// which holds the structural ones. Only pairs not already in
+    /// conflict are candidates for an extra one. Returns how many pairs
+    /// it added.
+    std::function<int(const std::vector<Candidate>& candidates,
+                      ConflictSet& conflicts)>
+        add_conflicts;
     /// Fig. 1c line 34 (+ strict feasibility): commit the candidate's WL
     /// reduction; returning false drops it.
     std::function<bool(const Candidate&)> try_select;

@@ -310,8 +310,8 @@ private:
             calls_++;
             return inner_->noise_power();
         }
-        void begin_move(NodeRef node) override { inner_->begin_move(node); }
-        void end_move() override { inner_->end_move(); }
+        void begin_probe() override { inner_->begin_probe(); }
+        void end_probe() override { inner_->end_probe(); }
         // The additive form is forwarded, or the conflict filter would
         // silently stay off behind this wrapper.
         bool noise_split(NoiseSplit* split) override {
@@ -366,24 +366,42 @@ AccuracySlpRun run_accuracy_slp(const kernels::BenchmarkKernel& bench,
         if (kernel.block(block).ops.size() < 2) continue;
         PackedView view(kernel, block);
         AccuracySlpHooks accuracy(view, spec, counting, target, config);
-        const auto memo_hook = accuracy.hooks.extra_conflict;
+        const auto memo_hook = accuracy.hooks.add_conflicts;
         const std::unique_ptr<EvalSession> probe = counting.open_session(spec);
-        accuracy.hooks.extra_conflict =
-            [&](const std::vector<Candidate>& candidates, size_t i,
-                size_t j) {
-                run.pairs++;
-                if (memoized) return memo_hook(candidates, i, j);
-                const auto cp = spec.checkpoint();
-                for (const size_t k : {i, j}) {
-                    const std::vector<OpId> lanes =
-                        fused_lanes(view, candidates[k]);
-                    set_group_max_wl(spec, lanes,
-                                     static_cast<int>(lanes.size()), target);
+        accuracy.hooks.add_conflicts = [&](const std::vector<Candidate>&
+                                               candidates,
+                                           ConflictSet& conflicts) {
+            // The pairs the hook answers: those not structurally
+            // conflicting.
+            const size_t n = candidates.size();
+            for (size_t i = 0; i < n; ++i) {
+                for (size_t j = i + 1; j < n; ++j) {
+                    if (!conflicts.conflict(i, j)) run.pairs++;
                 }
-                const bool violated = probe->violates(db);
-                spec.revert(cp);
-                return violated;
-            };
+            }
+            if (memoized) return memo_hook(candidates, conflicts);
+            int added = 0;
+            for (size_t i = 0; i < n; ++i) {
+                for (size_t j = i + 1; j < n; ++j) {
+                    if (conflicts.conflict(i, j)) continue;
+                    const auto cp = spec.checkpoint();
+                    for (const size_t k : {i, j}) {
+                        const std::vector<OpId> lanes =
+                            fused_lanes(view, candidates[k]);
+                        set_group_max_wl(spec, lanes,
+                                         static_cast<int>(lanes.size()),
+                                         target);
+                    }
+                    const bool violated = probe->violates(db);
+                    spec.revert(cp);
+                    if (violated) {
+                        conflicts.add(i, j);
+                        added++;
+                    }
+                }
+            }
+            return added;
+        };
         run.groups.push_back(
             extract_slp(view, target, config.slp, accuracy.hooks, &run.stats));
         accuracy.finish();
@@ -625,7 +643,13 @@ TEST(AccuracySlp, FilterDefersInsideItsMargin) {
         config.conflict_stats = &counts;
         AccuracySlpHooks hooks(view, spec, evaluator, target, config);
         hooks.hooks.round_begin();
-        const bool got = hooks.hooks.extra_conflict(candidates, pi, pj);
+        // The pair alone as a round: its classes are the ones it has
+        // among all the candidates.
+        ConflictSet conflicts(2);
+        const int added = hooks.hooks.add_conflicts(
+            {candidates[pi], candidates[pj]}, conflicts);
+        const bool got = conflicts.conflict(0, 1);
+        EXPECT_EQ(added, got ? 1 : 0) << c.db << " dB";
         hooks.finish();
         EXPECT_EQ(got, probe(c.db)) << c.db << " dB";
         EXPECT_EQ(counts.filter_decided, c.filter_decided) << c.db << " dB";

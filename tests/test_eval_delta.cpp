@@ -7,6 +7,8 @@
 
 #include "accuracy/analytic_evaluator.hpp"
 #include "core/wl_cost_model.hpp"
+#include "frontend/kernel_file.hpp"
+#include "kernels/kernel_registry.hpp"
 #include "support/rng.hpp"
 #include "target/target_model.hpp"
 #include "test_util.hpp"
@@ -131,6 +133,36 @@ TEST(EvalDelta, PreviewMoveIsExactAndLeavesSpecUnchanged) {
     }
 }
 
+/// The registry's kernels and the kernels/*.slp corpus, built once.
+const std::vector<kernels::BenchmarkKernel>& registry_and_corpus() {
+    static const std::vector<kernels::BenchmarkKernel> benches = [] {
+        std::vector<kernels::BenchmarkKernel> out;
+        kernels::KernelRegistry& registry =
+            kernels::KernelRegistry::instance();
+        for (const std::string& name : kernels::benchmark_kernel_names()) {
+            out.push_back(registry.get(name));
+        }
+        for (const std::string& name :
+             frontend::load_kernel_corpus(SLPWLO_SOURCE_DIR "/kernels")) {
+            out.push_back(registry.get(name));
+        }
+        return out;
+    }();
+    return benches;
+}
+
+/// Whether the session's noise_power() and the sum its noise_split()
+/// describes both carry the full recompute's bits for the spec's
+/// current state.
+bool session_matches(EvalSession& session, const AccuracyEvaluator& evaluator,
+                     const FixedPointSpec& spec) {
+    const uint64_t want = bits_of(evaluator.noise_power(spec));
+    NoiseSplit split;
+    return bits_of(session.noise_power()) == want &&
+           session.noise_split(&split) &&
+           bits_of(split.variance + split.mean * split.mean) == want;
+}
+
 TEST(EvalDelta, ProbeBracketsRestoreTheCacheBitExactly) {
     const TargetModel target = targets::xentium();
     const Kernel& kernel = small_fir();
@@ -147,9 +179,9 @@ TEST(EvalDelta, ProbeBracketsRestoreTheCacheBitExactly) {
         const int wl = moves.wl();
         const FixedFormat saved = spec.format(node);
 
-        // The Tabu candidate shape: one shared probe window, both sessions
-        // bracketed, queries interleaved inside.
-        eval->begin_move(node);
+        // The Tabu candidate shape: a probe window on each session,
+        // queries interleaved inside.
+        eval->begin_probe();
         costs->begin_move(node);
         spec.set_wl(node, wl);
         const double probe_noise = eval->noise_power();
@@ -157,7 +189,7 @@ TEST(EvalDelta, ProbeBracketsRestoreTheCacheBitExactly) {
         ASSERT_EQ(bits_of(probe_noise), bits_of(evaluator.noise_power(spec)));
         ASSERT_EQ(bits_of(probe_cost), bits_of(model.cost(spec)));
         spec.set_format(node, saved);
-        eval->end_move();
+        eval->end_probe();
         costs->end_move();
 
         ASSERT_EQ(bits_of(eval->noise_power()),
@@ -170,6 +202,61 @@ TEST(EvalDelta, ProbeBracketsRestoreTheCacheBitExactly) {
             spec.set_wl(moves.node(), moves.wl());  // drift the base spec
         }
     }
+
+    // The SLP probe shape: windows over 1-6 random nodes reverted through
+    // a checkpoint, with a nested checkpoint inside, queries at random
+    // points (a term may be refreshed several times in one window, or
+    // never), and committed moves between windows that the next window
+    // must pick up first.
+    int windows = 0;
+    for (const kernels::BenchmarkKernel& bench : registry_and_corpus()) {
+        const AnalyticEvaluator& full = cached_evaluator(bench.kernel);
+        FixedPointSpec base = build_initial_spec(bench.kernel,
+                                                 bench.range_options);
+        set_uniform_wl(base, 24);
+        const auto session = full.open_session(base);
+        RandomMoves walk(base, 0x9B0BE);
+        auto draw = [&walk](int lo, int hi) {
+            return walk.rng_.uniform_int(lo, hi);
+        };
+        for (int w = 0; w < 60; ++w) {
+            const std::string where =
+                bench.name + " window " + std::to_string(w);
+            session->begin_probe();
+            const auto outer = base.checkpoint();
+            const int count = draw(1, 6);
+            for (int k = 0; k < count; ++k) {
+                base.set_wl(walk.node(), walk.wl());
+            }
+            if (draw(0, 2) != 0) {
+                ASSERT_TRUE(session_matches(*session, full, base)) << where;
+            }
+            const auto inner = base.checkpoint();
+            for (int k = draw(1, 3); k > 0; --k) {
+                base.set_wl(walk.node(), walk.wl());
+            }
+            if (draw(0, 1) != 0) {
+                ASSERT_TRUE(session_matches(*session, full, base)) << where;
+            }
+            if (draw(0, 1) != 0) {
+                base.revert(inner);
+            } else {
+                base.commit(inner);
+            }
+            if (draw(0, 1) != 0) {
+                ASSERT_TRUE(session_matches(*session, full, base)) << where;
+            }
+            base.revert(outer);
+            session->end_probe();
+            ASSERT_TRUE(session_matches(*session, full, base)) << where;
+            windows++;
+            for (int k = draw(0, 2); k > 0; --k) {
+                base.set_wl(walk.node(), walk.wl());
+            }
+        }
+        EXPECT_EQ(base.open_checkpoints(), 0u);
+    }
+    EXPECT_GE(windows, 60 * 11);
 }
 
 TEST(EvalDelta, SessionsResyncThroughCheckpointRevert) {

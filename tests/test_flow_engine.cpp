@@ -224,6 +224,26 @@ TEST(FlowEngine, MemoizedSweepIsIdenticalToCold) {
     }
 }
 
+// A flow's spec journal feeds only the sessions of its passes; a returned
+// result, cold or restored from the stage memo, keeps none of it.
+TEST(FlowEngine, SweepResultsKeepNoJournal) {
+    const std::vector<SweepPoint> points = SweepDriver::grid(
+        {"FIR", "DOT"}, {"XENTIUM"}, {"WLO-SLP", "WLO-First", "Float"},
+        {-20.0, -40.0});
+    ExecOptions options;
+    options.threads = 1;
+    SweepDriver driver(options);
+    for (int run = 0; run < 2; ++run) {
+        for (const SweepResult& result : driver.run(points)) {
+            EXPECT_EQ(result.flow.spec.journal_size(), 0u)
+                << result.point.kernel << " " << result.point.flow << " run "
+                << run;
+            EXPECT_EQ(result.flow.spec.open_checkpoints(), 0u);
+        }
+    }
+    EXPECT_GT(driver.cache_stats().stage_hits, 0u);
+}
+
 TEST(FlowEngine, EvaluationKeySeparatesSpecs) {
     FlowOptions options;
     options.accuracy_db = -20.0;

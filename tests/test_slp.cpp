@@ -302,11 +302,14 @@ TEST(Conflicts, CyclicDependencyCase) {
 }
 
 // The bitset scan against the all-pairs oracle on every block of the
-// built-in and corpus kernels, round after round: each round fuses a
-// greedy conflict-free subset of the candidates, so later rounds see
-// multi-lane nodes whose dependences are unions of their lanes'. Random
-// tuples of view nodes (legal candidates or not) ride along to reach
-// cyclic pairs that extraction itself would rarely produce.
+// built-in, corpus and generated (friendly and SLP-hostile) kernels,
+// round after round: each round fuses a greedy conflict-free subset of
+// the candidates, so later rounds see multi-lane nodes whose dependences
+// are unions of their lanes'. Random tuples of view nodes (legal
+// candidates or not) ride along to reach cyclic pairs that extraction
+// itself would rarely produce. A pair-cliff target (no 2-lane
+// configuration) seeds k-lane runs, so candidates of 3 or more nodes are
+// compared too.
 TEST(Conflicts, BitsetScanMatchesAllPairsOracle) {
     std::vector<kernels::BenchmarkKernel> benches;
     for (const char* name : {"FIR", "IIR", "CONV", "DOT"}) {
@@ -317,6 +320,15 @@ TEST(Conflicts, BitsetScanMatchesAllPairsOracle) {
         benches.push_back(frontend::load_kernel_file(
             std::string(SLPWLO_SOURCE_DIR "/kernels/") + file + ".slp"));
     }
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+        frontend::GenOptions hostile;
+        hostile.slp_hostile = true;
+        benches.push_back(frontend::generate_kernel(seed));
+        benches.push_back(frontend::generate_kernel(seed, hostile));
+    }
+    // DSP64 at 128 bits: 4x32 and 8x16 but no 2-lane configuration.
+    const TargetModel cliff = targets::by_name("DSP64").with_simd_width(128);
+    ASSERT_FALSE(cliff.supports_group_size(2));
     uint64_t rng = 88172645463325252ull;
     auto next = [&rng](int bound) {
         rng ^= rng << 13;
@@ -327,15 +339,22 @@ TEST(Conflicts, BitsetScanMatchesAllPairsOracle) {
     size_t views = 0;
     size_t multi_lane_views = 0;
     size_t cyclic_only = 0;
+    int widest_candidate = 0;  ///< most nodes in one extracted candidate
+    size_t largest_round = 0;  ///< most extracted candidates in one round
     for (const kernels::BenchmarkKernel& bench : benches) {
         for (const TargetModel& target :
-             {targets::xentium(), targets::vex4()}) {
+             {targets::xentium(), targets::vex4(), cliff}) {
             for (const BlockId block : bench.kernel.blocks_in_order()) {
                 PackedView view(bench.kernel, block);
                 for (int round = 0; round < 4 && view.size() >= 2; ++round) {
                     std::vector<Candidate> candidates =
                         extract_candidates(view, target);
                     const size_t legal = candidates.size();
+                    largest_round = std::max(largest_round, legal);
+                    for (const Candidate& c : candidates) {
+                        widest_candidate =
+                            std::max(widest_candidate, c.node_count());
+                    }
                     for (int r = 0; r < 24; ++r) {
                         const int a = next(view.size());
                         const int b = next(view.size());
@@ -386,6 +405,8 @@ TEST(Conflicts, BitsetScanMatchesAllPairsOracle) {
     EXPECT_GT(views, 50u);
     EXPECT_GT(multi_lane_views, 30u);
     EXPECT_GT(cyclic_only, 0u);
+    EXPECT_GE(widest_candidate, 3);
+    EXPECT_GT(largest_round, 128u);
 }
 
 // --- economics --------------------------------------------------------------------
@@ -740,10 +761,20 @@ void compare_selection(const Kernel& kernel, const TargetModel& target,
         if (kernel.block(block).ops.size() < 2) continue;
         PackedView view(kernel, block);
         SlpHooks hooks;
-        hooks.extra_conflict = [&](const std::vector<Candidate>& candidates,
-                                   size_t i, size_t j) {
-            return seeded_hash(seed, candidates[i].nodes,
-                               candidates[j].nodes) % 8 == 0;
+        hooks.add_conflicts = [&](const std::vector<Candidate>& candidates,
+                                  ConflictSet& conflicts) {
+            int added = 0;
+            for (size_t i = 0; i < candidates.size(); ++i) {
+                for (size_t j = i + 1; j < candidates.size(); ++j) {
+                    if (conflicts.conflict(i, j)) continue;
+                    if (seeded_hash(seed, candidates[i].nodes,
+                                    candidates[j].nodes) % 8 == 0) {
+                        conflicts.add(i, j);
+                        added++;
+                    }
+                }
+            }
+            return added;
         };
         int round = 0;
         hooks.select_round = [&](std::vector<Candidate> candidates,

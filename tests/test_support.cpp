@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "support/dbmath.hpp"
@@ -198,10 +199,24 @@ TEST(DbMath, CeilLog2) {
     EXPECT_EQ(ceil_log2(0.25), -2);
 }
 
+// pow2 builds normal results from exponent bits; every exponent from
+// well below the subnormal range (underflow to 0) to above the largest
+// finite power (overflow to inf) must give std::ldexp's bits.
 TEST(DbMath, Pow2) {
     EXPECT_DOUBLE_EQ(pow2(3), 8.0);
     EXPECT_DOUBLE_EQ(pow2(-3), 0.125);
     EXPECT_DOUBLE_EQ(pow2(0), 1.0);
+    auto bits = [](double v) {
+        uint64_t b;
+        std::memcpy(&b, &v, sizeof(b));
+        return b;
+    };
+    for (int e = -1100; e <= 1100; ++e) {
+        ASSERT_EQ(bits(pow2(e)), bits(std::ldexp(1.0, e))) << "2^" << e;
+    }
+    EXPECT_EQ(pow2(-1075), 0.0);
+    EXPECT_GT(pow2(-1074), 0.0);
+    EXPECT_TRUE(std::isinf(pow2(1024)));
 }
 
 // --- text ------------------------------------------------------------------------
