@@ -20,7 +20,8 @@
 // Analytic sessions additionally expose the additive form of their noise,
 // P = V + M² with V and M sums of per-site terms (noise_split, terms_of,
 // term), so a caller can bound the noise of a combination of independent
-// changes without evaluating it (core/accuracy_aware_slp's conflict filter).
+// changes without evaluating it (core/accuracy_aware_slp's conflict filter,
+// core/tabu_wlo's neighbourhood screen).
 #pragma once
 
 #include <cstdint>
@@ -46,6 +47,44 @@ struct NoiseSplit {
     double abs_variance = 0.0;  ///< sum of |term variance|
     double abs_mean = 0.0;      ///< sum of |term mean|
     size_t terms = 0;           ///< number of terms in each sum
+};
+
+/// gamma_k = k u / (1 - k u) with u = 2^-53: the relative error bound of
+/// k floating-point additions in sequence (Higham, "Accuracy and
+/// Stability of Numerical Algorithms", section 3.1).
+inline double rounding_gamma(size_t k) {
+    const double ku = static_cast<double>(k) * 0x1p-53;
+    return ku / (1.0 - ku);
+}
+
+/// Twice the bound on how far a closed-form V + M² and the summed one of
+/// the same state may lie apart, when the terms feeding either are
+/// bounded by `abs_variance` and `abs_mean` in absolute sum and each sum
+/// is at most k roundings deep, `gamma` = rounding_gamma(k) (DESIGN.md
+/// §10). A closed-form value clearing a threshold by more than this
+/// decides what the summed one would.
+inline double split_margin(double gamma, double abs_variance,
+                           double abs_mean) {
+    return 4.0 * gamma * (abs_variance + 3.0 * abs_mean * abs_mean);
+}
+
+/// Noise powers bracketing a dB constraint, guarded by 2^-40 relative on
+/// each side and checked with power_to_db itself, so decisions made on
+/// powers do not lean on the exactness of pow and log10 (DESIGN.md §10):
+/// every power at or above `hi` violates the constraint and none at or
+/// below `lo` does. `valid` is false when power_to_db could not confirm
+/// that.
+struct PowerBracket {
+    double hi = 0.0;
+    double lo = 0.0;
+    bool valid = false;
+
+    explicit PowerBracket(double db) {
+        const double power = db_to_power(db);
+        hi = power * (1.0 + 0x1p-40);
+        lo = power * (1.0 - 0x1p-40);
+        valid = power_to_db(hi) > db && !(power_to_db(lo) > db);
+    }
 };
 
 /// A per-optimization-run evaluation handle bound to one spec.

@@ -59,14 +59,6 @@ struct ChangeListHash {
     }
 };
 
-/// gamma_k = k u / (1 - k u) with u = 2^-53: the relative error bound of
-/// k floating-point additions in sequence (Higham, "Accuracy and
-/// Stability of Numerical Algorithms", section 3.1).
-double gamma(size_t k) {
-    const double ku = static_cast<double>(k) * 0x1p-53;
-    return ku / (1.0 - ku);
-}
-
 /// True when two ascending index lists share no element.
 bool disjoint(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b) {
     size_t x = 0, y = 0;
@@ -133,12 +125,8 @@ struct AccuracySlpHooks::State {
     /// session offers one at all.
     bool additive = false;
     NoiseSplit base{};
-    /// Noise powers bracketing the constraint: every power at or above
-    /// `power_hi` violates it, none at or below `power_lo` does.
-    /// `bracketed` is false when power_to_db could not confirm that.
-    double power_hi = 0.0;
-    double power_lo = 0.0;
-    bool bracketed = false;
+    /// Noise powers bracketing the constraint.
+    PowerBracket bracket{config.accuracy_db};
 
     void apply_eq1(const Candidate& c) {
         const std::vector<OpId> lanes = fused_lanes(view, c);
@@ -168,23 +156,12 @@ struct AccuracySlpHooks::State {
 
     bool violates() { return eval->violates(config.accuracy_db); }
 
-    /// Guard the constraint's power by 2^-40 relative on each side and
-    /// check both ends with power_to_db itself, so the filter's decisions
-    /// do not lean on the exactness of pow and log10 (DESIGN.md §10).
-    void bracket_constraint() {
-        const double db = config.accuracy_db;
-        const double power = db_to_power(db);
-        power_hi = power * (1.0 + 0x1p-40);
-        power_lo = power * (1.0 - 0x1p-40);
-        bracketed = power_to_db(power_hi) > db && !(power_to_db(power_lo) > db);
-    }
-
     void begin_round() { memo.clear(); }
 
     /// Sort the round's candidates into change classes, on its first pair
     /// (the spec is at the round base while conflicts are detected).
     void classify(const std::vector<Candidate>& candidates) {
-        additive = bracketed && eval->noise_split(&base);
+        additive = bracket.valid && eval->noise_split(&base);
         classes.clear();
         class_of.clear();
         std::unordered_map<ChangeList, uint32_t, ChangeListHash> ids;
@@ -272,9 +249,9 @@ struct AccuracySlpHooks::State {
             base.abs_variance + a.abs_variance + b.abs_variance;
         const double abs_m = base.abs_mean + a.abs_mean + b.abs_mean;
         const size_t k = base.terms + a.terms.size() + b.terms.size() + 5;
-        const double margin = 4.0 * gamma(k) * (abs_v + 3.0 * abs_m * abs_m);
-        if (power - margin >= power_hi) return true;
-        if (power + margin <= power_lo) return false;
+        const double margin = split_margin(rounding_gamma(k), abs_v, abs_m);
+        if (power - margin >= bracket.hi) return true;
+        if (power + margin <= bracket.lo) return false;
         return std::nullopt;
     }
 
@@ -372,7 +349,6 @@ AccuracySlpHooks::AccuracySlpHooks(const PackedView& view,
     : state_(std::make_unique<State>(
           State{view, spec, target, config, evaluator.open_session(spec)})) {
     State& st = *state_;
-    st.bracket_constraint();
 
     // Fig. 1c lines 6-12: a candidate whose own WL reduction (with all
     // other nodes untouched) violates the constraint can never be

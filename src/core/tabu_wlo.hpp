@@ -7,7 +7,22 @@
 // neighborhood guided by the WlCostModel with an infeasibility penalty,
 // keeps a tabu list on (node, previous WL) reversals with aspiration, and
 // returns the best feasible spec found.
+//
+// Each iteration picks the admissible move of lowest score, then lowest
+// node index. Only the moves that can still be that choice are evaluated
+// exactly: by a set, probe and restore, or by the exact cost alone for a
+// move known to be feasible. With an additive evaluation session, every
+// move keeps its closed-form change to the noise split and to the cost,
+// recomputed only when the committed node is its own or shares a noise
+// term with it. From those, a rounding margin bounds the move's
+// feasibility, aspiration and score. A move whose score lower bound
+// exceeds the least upper bound among the decided admissible moves cannot
+// win and is skipped (DESIGN.md §10, "Tabu neighbourhood screen"). The
+// chosen moves, the stats and the final spec are bit-identical to a full
+// scan of the neighbourhood; a session without the split screens nothing.
 #pragma once
+
+#include <vector>
 
 #include "accuracy/evaluator.hpp"
 #include "core/wl_cost_model.hpp"
@@ -33,9 +48,20 @@ struct TabuStats {
     bool feasible = false;
 };
 
+/// One committed move: a node, by its index in spec.nodes(), and the WL it
+/// moved to.
+struct TabuMove {
+    size_t node_index = 0;
+    int wl = 0;
+
+    friend bool operator==(const TabuMove&, const TabuMove&) = default;
+};
+
 /// Optimize `spec` in place (all nodes are first reset to the maximum WL).
+/// When `moves` is given, each iteration's committed move is appended.
 TabuStats run_tabu_wlo(FixedPointSpec& spec, const AccuracyEvaluator& evaluator,
                        const TargetModel& target, double accuracy_db,
-                       const TabuOptions& options = {});
+                       const TabuOptions& options = {},
+                       std::vector<TabuMove>* moves = nullptr);
 
 }  // namespace slpwlo

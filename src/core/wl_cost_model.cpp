@@ -1,5 +1,9 @@
 #include "core/wl_cost_model.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+
 #include "support/diagnostics.hpp"
 
 namespace slpwlo {
@@ -11,10 +15,30 @@ size_t node_slot(const Kernel& kernel, NodeRef node) {
     return node.kind == NodeRef::Kind::Var ? id : kernel.vars().size() + id;
 }
 
+constexpr int kOpKinds = static_cast<int>(OpKind::Neg) + 1;
+
 }  // namespace
 
 WlCostModel::WlCostModel(const Kernel& kernel, const TargetModel& target)
-    : target_(target), kernel_(&kernel) {
+    : target_(target),
+      kernel_(&kernel),
+      max_wl_(target.max_wl()),
+      unit_cost_(static_cast<size_t>(kOpKinds * (max_wl_ + 1))),
+      tabled_(static_cast<size_t>(max_wl_ + 1), false) {
+    // The word lengths WLO assigns, for the kinds the kernel uses.
+    for (const int wl : target.scalar_wls) {
+        if (wl >= 0) tabled_[static_cast<size_t>(wl)] = true;
+    }
+    std::array<bool, kOpKinds> used{};
+    for (const Op& op : kernel.ops()) used[static_cast<size_t>(op.kind)] = true;
+    for (int kind = 0; kind < kOpKinds; ++kind) {
+        if (!used[static_cast<size_t>(kind)]) continue;
+        for (const int wl : target.scalar_wls) {
+            if (wl < 0) continue;
+            unit_cost_[static_cast<size_t>(kind * (max_wl_ + 1) + wl)] =
+                target.relative_op_cost(static_cast<OpKind>(kind), wl);
+        }
+    }
     FixedPointSpec probe(kernel);  // reuse node_of resolution
     node_ops_.resize(kernel.vars().size() + kernel.arrays().size());
     for (const BlockId block : kernel.blocks_in_order()) {
@@ -23,20 +47,29 @@ WlCostModel::WlCostModel(const Kernel& kernel, const TargetModel& target)
         for (const OpId op_id : kernel.block(block).ops) {
             const OpKind kind = kernel.op(op_id).kind;
             if (kind == OpKind::Const || kind == OpKind::Copy) continue;
-            node_ops_[node_slot(kernel, probe.node_of(op_id))].push_back(
+            const NodeRef node = probe.node_of(op_id);
+            node_ops_[node_slot(kernel, node)].push_back(
                 static_cast<uint32_t>(ops_.size()));
-            ops_.push_back(WeightedOp{op_id, kind, weight});
-            max_cost_ +=
-                weight * target.relative_op_cost(kind, target.max_wl());
+            ops_.push_back(WeightedOp{node, kind, weight});
+            max_cost_ += op_cost(ops_.back(), max_wl_);
         }
     }
+}
+
+double WlCostModel::op_cost(const WeightedOp& op, int wl) const {
+    if (wl < 0 || wl > max_wl_ || !tabled_[static_cast<size_t>(wl)]) {
+        return op.weight * target_.relative_op_cost(op.kind, wl);
+    }
+    return op.weight *
+           unit_cost_[static_cast<size_t>(static_cast<int>(op.kind) *
+                                              (max_wl_ + 1) +
+                                          wl)];
 }
 
 double WlCostModel::cost(const FixedPointSpec& spec) const {
     double total = 0.0;
     for (const WeightedOp& wo : ops_) {
-        const int wl = spec.result_format(wo.op).wl();
-        total += wo.weight * target_.relative_op_cost(wo.kind, wl);
+        total += op_cost(wo, spec.format(wo.node).wl());
     }
     return total;
 }
@@ -44,23 +77,36 @@ double WlCostModel::cost(const FixedPointSpec& spec) const {
 WlCostSession::WlCostSession(const WlCostModel& model, FixedPointSpec& spec)
     : model_(&model), spec_(&spec) {
     terms_.resize(model_->ops_.size());
+    stamps_.assign(terms_.size(), 0u);
     for (size_t i = 0; i < terms_.size(); ++i) refresh(i);
     cursor_ = spec_->journal_size();
 }
 
 void WlCostSession::refresh(size_t i) {
-    const WlCostModel::WeightedOp& wo = model_->ops_[i];
-    const int wl = spec_->result_format(wo.op).wl();
-    terms_[i] = wo.weight * model_->target_.relative_op_cost(wo.kind, wl);
+    if (in_probe_ && stamps_[i] != epoch_) {
+        stamps_[i] = epoch_;
+        saved_.push_back({static_cast<uint32_t>(i), terms_[i]});
+    }
+    terms_[i] = term(static_cast<uint32_t>(i));
+}
+
+double WlCostSession::term(uint32_t index) const {
+    const WlCostModel::WeightedOp& wo = model_->ops_[index];
+    return term(index, spec_->format(wo.node).wl());
+}
+
+double WlCostSession::term(uint32_t index, int wl) const {
+    return model_->op_cost(model_->ops_[index], wl);
+}
+
+std::span<const uint32_t> WlCostSession::terms_of(NodeRef node) const {
+    return model_->node_ops_[node_slot(*model_->kernel_, node)];
 }
 
 void WlCostSession::sync() {
     while (cursor_ < spec_->journal_size()) {
         const NodeRef node = spec_->journal_entry(cursor_++);
-        for (const uint32_t i : model_->node_ops_[node_slot(
-                 *model_->kernel_, node)]) {
-            refresh(i);
-        }
+        for (const uint32_t i : terms_of(node)) refresh(i);
     }
 }
 
@@ -71,30 +117,53 @@ double WlCostSession::cost() {
     return total;
 }
 
-void WlCostSession::begin_move(NodeRef node) {
-    sync();  // snapshot from a cache that is current
-    move_ops_ = &model_->node_ops_[node_slot(*model_->kernel_, node)];
-    saved_terms_.clear();
-    for (const uint32_t i : *move_ops_) saved_terms_.push_back(terms_[i]);
+CostSplit WlCostSession::split() {
+    sync();
+    CostSplit s;
+    for (const double term : terms_) {
+        s.cost += term;
+        s.abs_cost += std::fabs(term);
+    }
+    s.terms = terms_.size();
+    return s;
 }
 
-void WlCostSession::end_move() {
-    SLPWLO_ASSERT(move_ops_ != nullptr, "end_move without begin_move");
-    for (size_t k = 0; k < move_ops_->size(); ++k) {
-        terms_[(*move_ops_)[k]] = saved_terms_[k];
+void WlCostSession::begin_probe() {
+    SLPWLO_ASSERT(!in_probe_, "probe windows do not nest");
+    sync();  // save from a cache that is current
+    in_probe_ = true;
+    // A new epoch unstamps every term; on wrap-around, reset the stamps
+    // so none matches the new epoch by accident.
+    if (++epoch_ == 0) {
+        std::fill(stamps_.begin(), stamps_.end(), 0u);
+        epoch_ = 1;
     }
+}
+
+void WlCostSession::end_probe() {
+    SLPWLO_ASSERT(in_probe_, "end_probe without begin_probe");
+    for (const auto& [index, term] : saved_) terms_[index] = term;
+    saved_.clear();
     cursor_ = spec_->journal_size();
-    move_ops_ = nullptr;
+    in_probe_ = false;
 }
 
 double WlCostSession::preview_move(NodeRef node, int wl) {
-    begin_move(node);
-    const FixedFormat saved = spec_->format(node);
-    spec_->set_wl(node, wl);
-    const double c = cost();
-    spec_->set_format(node, saved);
-    end_move();
-    return c;
+    // cost() after set_wl(node, wl): the same terms in the same order,
+    // the node's own recomputed at `wl`, without touching the spec.
+    sync();
+    const std::span<const uint32_t> moved = terms_of(node);
+    double total = 0.0;
+    size_t next = 0;
+    for (size_t i = 0; i < terms_.size(); ++i) {
+        if (next < moved.size() && moved[next] == i) {
+            total += term(static_cast<uint32_t>(i), wl);
+            ++next;
+        } else {
+            total += terms_[i];
+        }
+    }
+    return total;
 }
 
 }  // namespace slpwlo

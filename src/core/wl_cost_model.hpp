@@ -12,11 +12,15 @@
 // caches one cost term per weighted op and tracks the spec's change journal,
 // so a single-node move recomputes only the ops reading that node's format.
 // The total is re-summed over the cached terms in op order — bit-identical
-// to cost().
+// to cost(). Like an additive EvalSession, the session exposes its terms
+// (split, terms_of, term), so the Tabu screen can bound a move's cost
+// without summing it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
 
 #include "fixpoint/spec.hpp"
 #include "target/target_model.hpp"
@@ -24,6 +28,14 @@
 namespace slpwlo {
 
 class WlCostModel;
+
+/// The additive form of a cost session's total: cost() == cost, bit for
+/// bit.
+struct CostSplit {
+    double cost = 0.0;      ///< the terms, summed in op order
+    double abs_cost = 0.0;  ///< sum of |term|
+    size_t terms = 0;       ///< number of terms
+};
 
 /// Incremental cost handle bound to one (model, spec) pair. The spec may be
 /// mutated freely between cost() calls; the session resynchronizes from the
@@ -36,17 +48,34 @@ public:
     /// bit-identical to model.cost(spec).
     double cost();
 
-    /// Cost with `node` moved to word length `wl`, the spec left unchanged
-    /// on return.
+    /// Cost with `node` moved to word length `wl`: bit-identical to
+    /// cost() after set_wl(node, wl), computed without changing the spec.
     double preview_move(NodeRef node, int wl);
 
-    /// Bracket a single-node probe: between begin_move(node) and
-    /// end_move() the caller may change only `node` and must restore its
-    /// begin-time format before end_move(). The node's cost terms are
-    /// snapshot on entry and put back on exit, so the caller's restore
-    /// costs a copy instead of a second refresh pass.
-    void begin_move(NodeRef node);
-    void end_move();
+    /// Bracket a revertible probe, as EvalSession::begin_probe does:
+    /// between begin_probe() and end_probe() the caller may change any
+    /// nodes and query, and must restore the spec before end_probe().
+    /// Each cached term a refresh inside the window overwrites is saved
+    /// once and put back on exit, so the caller's restore costs a copy
+    /// instead of a second refresh pass. Windows do not nest.
+    void begin_probe();
+    void end_probe();
+
+    /// The split of the bound spec's current state.
+    CostSplit split();
+
+    /// Ascending indices of the terms (weighted ops) whose value depends
+    /// on `node`'s format. A node's terms are its own: no two nodes share
+    /// one.
+    std::span<const uint32_t> terms_of(NodeRef node) const;
+
+    /// Term `index` under the bound spec's current state: the exact
+    /// double split() would sum for it. A pure query.
+    double term(uint32_t index) const;
+
+    /// Term `index` with its node at word length `wl`, the rest of the
+    /// spec as it is: the double term() returns after set_wl(node, wl).
+    double term(uint32_t index, int wl) const;
 
 private:
     void sync();
@@ -55,9 +84,13 @@ private:
     const WlCostModel* model_;
     FixedPointSpec* spec_;
     std::vector<double> terms_;
-    std::vector<double> saved_terms_;  ///< begin_move() snapshot scratch
-    const std::vector<uint32_t>* move_ops_ = nullptr;
     size_t cursor_ = 0;
+    /// Probe window: per term, the epoch of the last window that saved
+    /// it; the current window's epoch; the terms it saved.
+    std::vector<uint32_t> stamps_;
+    uint32_t epoch_ = 0;
+    bool in_probe_ = false;
+    std::vector<std::pair<uint32_t, double>> saved_;
 };
 
 class WlCostModel {
@@ -80,10 +113,14 @@ private:
     friend class WlCostSession;
 
     struct WeightedOp {
-        OpId op;
+        NodeRef node;  ///< the node whose format the op's result carries
         OpKind kind;
         double weight;
     };
+
+    /// weight * relative_op_cost(kind, wl) for `op` at word length `wl`,
+    /// the factor read from a table at the target's scalar WLs.
+    double op_cost(const WeightedOp& op, int wl) const;
 
     /// Held by value: callers routinely pass `targets::xentium()`-style
     /// temporaries whose lifetime ends with the constructor call.
@@ -94,6 +131,11 @@ private:
     /// carries: vars first, then arrays.
     std::vector<std::vector<uint32_t>> node_ops_;
     double max_cost_ = 0.0;
+    int max_wl_ = 0;
+    /// relative_op_cost(kind, wl) at [kind * (max_wl_ + 1) + wl], filled
+    /// for the kinds the kernel uses at the WLs `tabled_` marks.
+    std::vector<double> unit_cost_;
+    std::vector<bool> tabled_;
 };
 
 }  // namespace slpwlo

@@ -204,12 +204,11 @@ uint64_t target_fingerprint(const TargetModel& target) {
     return h;
 }
 
-uint64_t evaluation_key(const KernelContext& context,
-                        const TargetModel& target, const FlowResult& result,
+uint64_t evaluation_key(const KernelContext& context, const FlowResult& result,
                         bool float_variant) {
     uint64_t h = kFnvOffset;
     mix(h, context.fingerprint());
-    mix(h, target_fingerprint(target));
+    mix(h, result.target_fp);
     mix(h, float_variant ? 1u : 0u);
     if (float_variant) return h;  // float lowering ignores spec and groups
 
@@ -236,13 +235,12 @@ uint64_t evaluation_key(const KernelContext& context,
     return h;
 }
 
-uint64_t stage_memo_key(const KernelContext& context,
-                        const TargetModel& target,
+uint64_t stage_memo_key(const KernelContext& context, uint64_t target_fp,
                         const std::string& flow_name,
                         const FlowOptions& options) {
     uint64_t h = kFnvOffset;
     mix(h, context.fingerprint());
-    mix(h, target_fingerprint(target));
+    mix(h, target_fp);
     mix(h, flow_name.size());
     for (const char c : flow_name) {
         mix(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
@@ -405,7 +403,7 @@ class LoweringPass final : public Pass {
 public:
     const char* name() const override { return "lowering"; }
     void run(PassContext& ctx) const override {
-        ctx.eval_key = evaluation_key(ctx.context, ctx.target, ctx.result,
+        ctx.eval_key = evaluation_key(ctx.context, ctx.result,
                                       /*float_variant=*/false);
         if (ctx.cache != nullptr) {
             ctx.cached_eval = ctx.cache->lookup(*ctx.eval_key);
@@ -425,7 +423,7 @@ public:
     const char* name() const override { return "float-lowering"; }
     void run(PassContext& ctx) const override {
         ctx.float_variant = true;
-        ctx.eval_key = evaluation_key(ctx.context, ctx.target, ctx.result,
+        ctx.eval_key = evaluation_key(ctx.context, ctx.result,
                                       /*float_variant=*/true);
         if (ctx.cache != nullptr) {
             ctx.cached_eval = ctx.cache->lookup(*ctx.eval_key);
@@ -546,7 +544,8 @@ FlowResult FlowPipeline::run(const KernelContext& context,
             return is_stage_pass(pass->name());
         });
     if (cache != nullptr && has_stage_passes) {
-        ctx.stage_key = stage_memo_key(context, target, name_, options);
+        ctx.stage_key =
+            stage_memo_key(context, ctx.result.target_fp, name_, options);
         if (std::optional<EvalCache::StageEntry> entry =
                 cache->lookup_stage(*ctx.stage_key)) {
             FixedPointSpec& spec = ctx.result.spec;

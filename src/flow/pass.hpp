@@ -142,24 +142,23 @@ private:
 
 /// Content hash of everything the evaluation stage depends on: the full
 /// kernel structure (via its printed form), every semantic field of the
-/// target model, the quantization mode, every node's fixed-point format,
-/// and the selected groups' lane lists — names alone would alias
-/// same-name kernels/targets with different configurations.
-/// `float_variant` keys the float reference lowering (which ignores spec
-/// and groups).
-uint64_t evaluation_key(const KernelContext& context,
-                        const TargetModel& target, const FlowResult& result,
+/// target model (the result's target_fp), the quantization mode, every
+/// node's fixed-point format, and the selected groups' lane lists — names
+/// alone would alias same-name kernels/targets with different
+/// configurations. `float_variant` keys the float reference lowering
+/// (which ignores spec and groups).
+uint64_t evaluation_key(const KernelContext& context, const FlowResult& result,
                         bool float_variant = false);
 
 /// Content hash of everything the optimization stages depend on: the
-/// kernel fingerprint, the target model's content fingerprint, the flow
-/// name (different pipelines produce different specs from identical
-/// inputs), the accuracy constraint, the quantization mode, and every
+/// kernel fingerprint, the target model's content fingerprint
+/// (`target_fp`, from target_fingerprint), the flow name (different
+/// pipelines produce different specs from identical inputs), the
+/// accuracy constraint, the quantization mode, and every
 /// WLO/SLP/Tabu tunable. The nested accuracy_db fields of
 /// wlo_slp/wlo_first are deliberately excluded — the passes overwrite
 /// them with options.accuracy_db.
-uint64_t stage_memo_key(const KernelContext& context,
-                        const TargetModel& target,
+uint64_t stage_memo_key(const KernelContext& context, uint64_t target_fp,
                         const std::string& flow_name,
                         const FlowOptions& options);
 

@@ -32,8 +32,11 @@ using TrySelect = std::function<bool(const Candidate&)>;
 /// benefit reaches `min_benefit` (the profitability floor: a candidate
 /// whose packing/unpacking overhead swamps its reuse would degrade the
 /// SIMD code, Section II.A). Deterministic: ties break on saved ops, then
-/// on candidate order. Returns the selected candidates (pairs or k-lane
-/// run seeds) in selection order.
+/// on candidate order. A pick whose commit would close a dependence cycle
+/// with the round's earlier picks or the view's fused nodes (a cycle
+/// pairwise conflicts cannot see) is dropped before `try_select` runs and
+/// counted in `rejected_count`, as a veto is. Returns the selected
+/// candidates (pairs or k-lane run seeds) in selection order.
 std::vector<Candidate> select_candidates(
     const PackedView& view, std::vector<Candidate> candidates,
     const ConflictSet& conflicts, const TargetModel& target, BenefitMode mode,

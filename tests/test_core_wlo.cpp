@@ -3,6 +3,9 @@
 // Tabu WLO / WLO-First baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <map>
 #include <set>
 #include <string>
@@ -333,6 +336,364 @@ private:
 
     const AccuracyEvaluator& inner_;
 };
+
+// --- Tabu neighbourhood screen vs the full scan ----------------------------------
+
+/// The Tabu search without its neighbourhood screen: every iteration
+/// sets, probes and restores every ±1 move. run_tabu_wlo must match it
+/// move for move.
+TabuStats full_scan_tabu_wlo(FixedPointSpec& spec,
+                             const AccuracyEvaluator& evaluator,
+                             const TargetModel& target, double accuracy_db,
+                             std::vector<TabuMove>* moves) {
+    const TabuOptions options;
+    const WlCostModel cost_model(spec.kernel(), target);
+    for (const NodeRef node : spec.nodes()) {
+        spec.set_wl(node, target.max_wl());
+    }
+    const std::unique_ptr<EvalSession> eval = evaluator.open_session(spec);
+    const std::unique_ptr<WlCostSession> costs = cost_model.open_session(spec);
+    SLPWLO_CHECK(!eval->violates(accuracy_db), "infeasible at maximum WLs");
+
+    std::vector<int> wls = target.scalar_wls;
+    std::sort(wls.begin(), wls.end());
+    const auto& nodes = spec.nodes();
+    auto wl_index = [&](int wl) {
+        const auto it = std::find(wls.begin(), wls.end(), wl);
+        return it == wls.end() ? static_cast<int>(wls.size()) - 1
+                               : static_cast<int>(it - wls.begin());
+    };
+    auto objective = [&](bool feasible, double cost, double noise_db) {
+        if (feasible) return cost;
+        return cost + options.infeasibility_penalty *
+                          std::max(0.0, noise_db - accuracy_db) *
+                          cost_model.max_cost() / 100.0;
+    };
+
+    TabuStats stats;
+    stats.initial_cost = costs->cost();
+    stats.best_cost = stats.initial_cost;
+    stats.feasible = true;
+    std::vector<FixedFormat> best_formats(nodes.size());
+    auto snapshot = [&] {
+        for (size_t i = 0; i < nodes.size(); ++i) {
+            best_formats[i] = spec.format(nodes[i]);
+        }
+    };
+    snapshot();
+    std::vector<int> tabu(nodes.size() * wls.size(), -1);
+
+    int stagnation = 0;
+    for (int iter = 0; iter < options.max_iterations; ++iter) {
+        stats.iterations = iter + 1;
+        struct Move {
+            size_t node_index = 0;
+            int wl = 0;
+            double score = 0.0;
+            double cost = 0.0;
+            bool feasible = false;
+        };
+        std::optional<Move> best_move;
+        for (size_t i = 0; i < nodes.size(); ++i) {
+            const int current = spec.format(nodes[i]).wl();
+            const int ci = wl_index(current);
+            for (const int delta : {-1, +1}) {
+                const int ni = ci + delta;
+                if (ni < 0 || ni >= static_cast<int>(wls.size())) continue;
+                const int candidate_wl = wls[static_cast<size_t>(ni)];
+                spec.set_wl(nodes[i], candidate_wl);
+                const double noise_db = eval->noise_power_db();
+                const bool feasible = noise_db <= accuracy_db;
+                const double cost = costs->cost();
+                spec.set_wl(nodes[i], current);
+                const double score = objective(feasible, cost, noise_db);
+                const bool is_tabu =
+                    tabu[i * wls.size() + static_cast<size_t>(ni)] > iter;
+                if (is_tabu && !(feasible && cost < stats.best_cost)) {
+                    continue;
+                }
+                if (!best_move || score < best_move->score) {
+                    best_move = Move{i, candidate_wl, score, cost, feasible};
+                }
+            }
+        }
+        if (!best_move) break;
+        const size_t j = best_move->node_index;
+        const int old_wl = spec.format(nodes[j]).wl();
+        spec.set_wl(nodes[j], best_move->wl);
+        tabu[j * wls.size() + static_cast<size_t>(wl_index(old_wl))] =
+            iter + options.tenure;
+        moves->push_back({j, best_move->wl});
+        if (best_move->feasible && best_move->cost < stats.best_cost) {
+            stats.best_cost = best_move->cost;
+            stats.improvements++;
+            snapshot();
+            stagnation = 0;
+        } else {
+            stagnation++;
+            if (stagnation > options.stagnation_limit) break;
+        }
+    }
+    for (size_t i = 0; i < nodes.size(); ++i) {
+        spec.set_format(nodes[i], best_formats[i]);
+    }
+    stats.feasible = !eval->violates(accuracy_db);
+    return stats;
+}
+
+/// Forwards an additive session but hides its split, as a simulation
+/// session would: callers can screen nothing with it.
+class SplitlessEvaluator final : public AccuracyEvaluator {
+public:
+    explicit SplitlessEvaluator(const AccuracyEvaluator& inner)
+        : inner_(inner) {}
+
+    double noise_power(const FixedPointSpec& spec) const override {
+        return inner_.noise_power(spec);
+    }
+
+    std::unique_ptr<EvalSession> open_session(
+        FixedPointSpec& spec) const override {
+        return std::make_unique<Session>(inner_.open_session(spec));
+    }
+
+private:
+    class Session final : public EvalSession {
+    public:
+        explicit Session(std::unique_ptr<EvalSession> inner)
+            : inner_(std::move(inner)) {}
+        double noise_power() override { return inner_->noise_power(); }
+        void begin_probe() override { inner_->begin_probe(); }
+        void end_probe() override { inner_->end_probe(); }
+        FixedPointSpec& spec() override { return inner_->spec(); }
+
+    private:
+        std::unique_ptr<EvalSession> inner_;
+    };
+
+    const AccuracyEvaluator& inner_;
+};
+
+struct TabuRun {
+    bool threw = false;
+    std::vector<TabuMove> moves;
+    TabuStats stats;
+    std::vector<FixedFormat> formats;
+};
+
+TabuRun run_tabu(const kernels::BenchmarkKernel& bench,
+                 const AccuracyEvaluator& evaluator, const TargetModel& target,
+                 double db, bool full_scan) {
+    FixedPointSpec spec = build_initial_spec(bench.kernel, bench.range_options);
+    TabuRun run;
+    try {
+        run.stats = full_scan ? full_scan_tabu_wlo(spec, evaluator, target, db,
+                                                   &run.moves)
+                              : run_tabu_wlo(spec, evaluator, target, db, {},
+                                             &run.moves);
+    } catch (const Error&) {
+        run.threw = true;
+    }
+    for (const NodeRef node : spec.nodes()) {
+        run.formats.push_back(spec.format(node));
+    }
+    return run;
+}
+
+void expect_same_tabu(const TabuRun& got, const TabuRun& want,
+                      const std::string& where) {
+    ASSERT_EQ(got.threw, want.threw) << where;
+    ASSERT_EQ(got.moves.size(), want.moves.size()) << where;
+    for (size_t m = 0; m < got.moves.size(); ++m) {
+        ASSERT_EQ(got.moves[m], want.moves[m]) << where << ", iteration " << m;
+    }
+    EXPECT_EQ(got.stats.iterations, want.stats.iterations) << where;
+    EXPECT_EQ(got.stats.improvements, want.stats.improvements) << where;
+    // Bitwise: the costs land in report bytes.
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.stats.initial_cost),
+              std::bit_cast<uint64_t>(want.stats.initial_cost))
+        << where;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.stats.best_cost),
+              std::bit_cast<uint64_t>(want.stats.best_cost))
+        << where;
+    EXPECT_EQ(got.stats.feasible, want.stats.feasible) << where;
+    EXPECT_EQ(got.formats, want.formats) << where;
+}
+
+/// The 4 built-ins, the 7 checked-in .slp kernels, and generated friendly
+/// and SLP-hostile kernels of seeds 1-3.
+const std::vector<kernels::BenchmarkKernel>& tabu_kernels() {
+    static const std::vector<kernels::BenchmarkKernel> benches = [] {
+        std::vector<kernels::BenchmarkKernel> out;
+        for (const char* name : {"FIR", "IIR", "CONV", "DOT"}) {
+            out.push_back(kernels::make_benchmark_kernel(name));
+        }
+        for (const char* file : {"dotprod", "fft4", "fir8", "matmul4",
+                                 "memcpy2", "stencil1d", "stencil2d"}) {
+            out.push_back(frontend::load_kernel_file(
+                std::string(SLPWLO_SOURCE_DIR "/kernels/") + file + ".slp"));
+        }
+        frontend::GenOptions hostile;
+        hostile.slp_hostile = true;
+        for (const uint64_t seed : {1, 2, 3}) {
+            out.push_back(frontend::generate_kernel(seed));
+            out.push_back(frontend::generate_kernel(seed, hostile));
+        }
+        return out;
+    }();
+    return benches;
+}
+
+const std::vector<TargetModel>& tabu_targets() {
+    static const std::vector<TargetModel> out{
+        targets::xentium(), targets::vex4(), targets::by_name("ST240"),
+        targets::by_name("VEX-1")};
+    return out;
+}
+
+// The screen probes only the moves that can still win; every chosen move,
+// the stats and the final formats must be the full scan's, bit for bit.
+TEST(TabuWlo, ScreenedSearchMatchesFullScan) {
+    long moves = 0;
+    for (const kernels::BenchmarkKernel& bench : tabu_kernels()) {
+        const AccuracyEvaluator& evaluator = cached_evaluator(bench.kernel);
+        for (const TargetModel& target : tabu_targets()) {
+            for (double db = -5.0; db >= -70.0; db -= 5.0) {
+                const TabuRun want =
+                    run_tabu(bench, evaluator, target, db, true);
+                expect_same_tabu(run_tabu(bench, evaluator, target, db, false),
+                                 want,
+                                 bench.name + " on " + target.name + " at " +
+                                     std::to_string(db) + " dB");
+                moves += static_cast<long>(want.moves.size());
+            }
+        }
+    }
+    EXPECT_GT(moves, 0);
+}
+
+/// An additive evaluator over made-up terms whose means cancel: a term of
+/// mean +2^53 first, one term per node of variance k = (32 - WL) / 8 and
+/// mean 3k + 1, and a term of mean -2^53 last. Summed in order, every odd
+/// running sum rounds at 2^53, so the closed-form V + M^2 of a move and
+/// its summed one differ by whole units, as cancelling biases make them
+/// differ. Only the screen's rounding margins keep its decisions the full
+/// scan's here.
+class CancellingEvaluator final : public AccuracyEvaluator {
+public:
+    explicit CancellingEvaluator(const Kernel& kernel)
+        : nodes_(FixedPointSpec(kernel).nodes()) {}
+
+    double noise_power(const FixedPointSpec& spec) const override {
+        const NoiseSplit split = sum(spec);
+        return split.variance + split.mean * split.mean;
+    }
+
+    std::unique_ptr<EvalSession> open_session(
+        FixedPointSpec& spec) const override {
+        return std::make_unique<Session>(*this, spec);
+    }
+
+private:
+    NoiseTerm term(const FixedPointSpec& spec, uint32_t t) const {
+        if (t == 0) return {0.0, 0x1p53};
+        if (t == nodes_.size() + 1) return {0.0, -0x1p53};
+        const double k = (32.0 - spec.format(nodes_[t - 1]).wl()) / 8.0;
+        return {k, 3.0 * k + 1.0};
+    }
+
+    NoiseSplit sum(const FixedPointSpec& spec) const {
+        NoiseSplit s;
+        s.terms = nodes_.size() + 2;
+        for (uint32_t t = 0; t < s.terms; ++t) {
+            const NoiseTerm x = term(spec, t);
+            s.variance += x.variance;
+            s.mean += x.mean;
+            s.abs_variance += std::fabs(x.variance);
+            s.abs_mean += std::fabs(x.mean);
+        }
+        return s;
+    }
+
+    class Session final : public EvalSession {
+    public:
+        Session(const CancellingEvaluator& evaluator, FixedPointSpec& spec)
+            : evaluator_(evaluator), spec_(spec) {
+            for (size_t i = 0; i < evaluator.nodes_.size(); ++i) {
+                terms_of_.push_back({static_cast<uint32_t>(i + 1)});
+            }
+        }
+        double noise_power() override {
+            return evaluator_.noise_power(spec_);
+        }
+        bool noise_split(NoiseSplit* split) override {
+            *split = evaluator_.sum(spec_);
+            return true;
+        }
+        std::span<const uint32_t> terms_of(NodeRef node) override {
+            const auto& nodes = evaluator_.nodes_;
+            return terms_of_[static_cast<size_t>(
+                std::find(nodes.begin(), nodes.end(), node) - nodes.begin())];
+        }
+        NoiseTerm term(uint32_t index) override {
+            return evaluator_.term(spec_, index);
+        }
+        FixedPointSpec& spec() override { return spec_; }
+
+    private:
+        const CancellingEvaluator& evaluator_;
+        FixedPointSpec& spec_;
+        std::vector<std::vector<uint32_t>> terms_of_;
+    };
+
+    std::vector<NodeRef> nodes_;
+};
+
+// Where cancellation makes the closed form and the summed noise disagree,
+// the margins must leave the affected moves to the probe.
+TEST(TabuWlo, ScreenMarginsHoldUnderCancellation) {
+    for (const kernels::BenchmarkKernel& bench : tabu_kernels()) {
+        if (bench.name != "fir8" && bench.name != "matmul4") continue;
+        const CancellingEvaluator evaluator(bench.kernel);
+        for (const TargetModel& target : tabu_targets()) {
+            for (double db = 0.0; db <= 60.0; db += 1.0) {
+                expect_same_tabu(run_tabu(bench, evaluator, target, db, false),
+                                 run_tabu(bench, evaluator, target, db, true),
+                                 bench.name + " on " + target.name + " at " +
+                                     std::to_string(db) + " dB");
+            }
+        }
+    }
+}
+
+// A session without the split leaves every move undecided: the one loop
+// then probes the whole neighbourhood, and still matches the full scan.
+TEST(TabuWlo, SplitlessSessionProbesEveryMove) {
+    for (const kernels::BenchmarkKernel& bench : tabu_kernels()) {
+        if (bench.name != "FIR" && bench.name != "fir8" &&
+            bench.name != "stencil1d") {
+            continue;
+        }
+        const SplitlessEvaluator splitless(cached_evaluator(bench.kernel));
+        const CountingEvaluator screened(cached_evaluator(bench.kernel));
+        const CountingEvaluator unscreened(splitless);
+        for (const TargetModel& target : tabu_targets()) {
+            for (const double db : {-20.0, -45.0, -70.0}) {
+                const std::string where = bench.name + " on " + target.name +
+                                          " at " + std::to_string(db) + " dB";
+                const TabuRun want =
+                    run_tabu(bench, splitless, target, db, true);
+                expect_same_tabu(run_tabu(bench, unscreened, target, db, false),
+                                 want, where + ", split hidden");
+                expect_same_tabu(run_tabu(bench, screened, target, db, false),
+                                 want, where);
+            }
+        }
+        // Hidden, the split screens nothing; offered, it screens most
+        // moves out.
+        EXPECT_LT(screened.calls * 2, unscreened.calls) << bench.name;
+    }
+}
 
 struct AccuracySlpRun {
     std::vector<std::vector<SimdGroup>> groups;

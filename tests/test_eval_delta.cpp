@@ -182,7 +182,7 @@ TEST(EvalDelta, ProbeBracketsRestoreTheCacheBitExactly) {
         // The Tabu candidate shape: a probe window on each session,
         // queries interleaved inside.
         eval->begin_probe();
-        costs->begin_move(node);
+        costs->begin_probe();
         spec.set_wl(node, wl);
         const double probe_noise = eval->noise_power();
         const double probe_cost = costs->cost();
@@ -190,7 +190,7 @@ TEST(EvalDelta, ProbeBracketsRestoreTheCacheBitExactly) {
         ASSERT_EQ(bits_of(probe_cost), bits_of(model.cost(spec)));
         spec.set_format(node, saved);
         eval->end_probe();
-        costs->end_move();
+        costs->end_probe();
 
         ASSERT_EQ(bits_of(eval->noise_power()),
                   bits_of(evaluator.noise_power(spec)))
@@ -215,6 +215,11 @@ TEST(EvalDelta, ProbeBracketsRestoreTheCacheBitExactly) {
                                                  bench.range_options);
         set_uniform_wl(base, 24);
         const auto session = full.open_session(base);
+        const WlCostModel cost_model(bench.kernel, targets::xentium());
+        const auto costs = cost_model.open_session(base);
+        auto costs_match = [&] {
+            return bits_of(costs->cost()) == bits_of(cost_model.cost(base));
+        };
         RandomMoves walk(base, 0x9B0BE);
         auto draw = [&walk](int lo, int hi) {
             return walk.rng_.uniform_int(lo, hi);
@@ -223,6 +228,7 @@ TEST(EvalDelta, ProbeBracketsRestoreTheCacheBitExactly) {
             const std::string where =
                 bench.name + " window " + std::to_string(w);
             session->begin_probe();
+            costs->begin_probe();
             const auto outer = base.checkpoint();
             const int count = draw(1, 6);
             for (int k = 0; k < count; ++k) {
@@ -230,6 +236,7 @@ TEST(EvalDelta, ProbeBracketsRestoreTheCacheBitExactly) {
             }
             if (draw(0, 2) != 0) {
                 ASSERT_TRUE(session_matches(*session, full, base)) << where;
+                ASSERT_TRUE(costs_match()) << where;
             }
             const auto inner = base.checkpoint();
             for (int k = draw(1, 3); k > 0; --k) {
@@ -248,7 +255,9 @@ TEST(EvalDelta, ProbeBracketsRestoreTheCacheBitExactly) {
             }
             base.revert(outer);
             session->end_probe();
+            costs->end_probe();
             ASSERT_TRUE(session_matches(*session, full, base)) << where;
+            ASSERT_TRUE(costs_match()) << where;
             windows++;
             for (int k = draw(0, 2); k > 0; --k) {
                 base.set_wl(walk.node(), walk.wl());

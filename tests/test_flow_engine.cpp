@@ -14,6 +14,8 @@
 #include "flow/pass.hpp"
 #include "flow/report.hpp"
 #include "flow/sweep.hpp"
+#include "frontend/kernel_file.hpp"
+#include "frontend/kernel_gen.hpp"
 #include "slp/plain_extractor.hpp"
 #include "support/diagnostics.hpp"
 #include "support/thread_pool.hpp"
@@ -244,27 +246,65 @@ TEST(FlowEngine, SweepResultsKeepNoJournal) {
     EXPECT_GT(driver.cache_stats().stage_hits, 0u);
 }
 
+// Points where the greedy selectors used to commit packs forming a
+// dependence cycle of three or more packs (no pair of them cyclic), which
+// lowering cannot schedule: each flow must run through lowering.
+TEST(FlowEngine, GreedySelectionNeverClosesADependenceCycle) {
+    struct Case {
+        kernels::BenchmarkKernel bench;
+        double db;
+    };
+    const std::vector<Case> cases{
+        {frontend::load_kernel_file(SLPWLO_SOURCE_DIR
+                                    "/kernels/stencil2d.slp"),
+         -45.0},
+        {frontend::generate_kernel(34), -35.0},
+        {frontend::generate_kernel(67), -25.0},
+    };
+    for (const Case& c : cases) {
+        const KernelContext context(c.bench.kernel, c.bench.range_options);
+        FlowOptions options;
+        options.accuracy_db = c.db;
+        for (const char* name : {"XENTIUM", "VEX-4", "ST240", "VEX-1"}) {
+            const TargetModel target = targets::by_name(name);
+            for (const bool first : {true, false}) {
+                const std::string where = c.bench.name + " on " + name +
+                                          (first ? ", WLO-First" : ", WLO-SLP");
+                try {
+                    const FlowResult result =
+                        first ? run_wlo_first_flow(context, target, options)
+                              : run_wlo_slp_flow(context, target, options);
+                    EXPECT_GT(result.simd_cycles, 0) << where;
+                } catch (const std::exception& e) {
+                    ADD_FAILURE() << where << ": " << e.what();
+                }
+            }
+        }
+    }
+}
+
 TEST(FlowEngine, EvaluationKeySeparatesSpecs) {
     FlowOptions options;
     options.accuracy_db = -20.0;
     const TargetModel xentium = targets::xentium();
     FlowResult a = run_wlo_slp_flow(ctx_fir(), xentium, options);
-    const uint64_t key_a = evaluation_key(ctx_fir(), xentium, a);
-    EXPECT_EQ(key_a, evaluation_key(ctx_fir(), xentium, a));  // stable
+    const uint64_t key_a = evaluation_key(ctx_fir(), a);
+    EXPECT_EQ(key_a, evaluation_key(ctx_fir(), a));  // stable
 
     FlowResult b = a;
     b.spec.set_wl(b.spec.nodes().front(), 24);
-    EXPECT_NE(evaluation_key(ctx_fir(), xentium, b), key_a);
+    EXPECT_NE(evaluation_key(ctx_fir(), b), key_a);
 
-    EXPECT_NE(evaluation_key(ctx_fir(), xentium, a, /*float_variant=*/true),
-              key_a);
+    EXPECT_NE(evaluation_key(ctx_fir(), a, /*float_variant=*/true), key_a);
 
     // Same name, different configuration must not alias: a doctored
     // XENTIUM and a different kernel both change the key.
     TargetModel doctored = xentium;
     doctored.simd_width_bits = 64;
     doctored.simd_element_wls = {32, 16};
-    EXPECT_NE(evaluation_key(ctx_fir(), doctored, a), key_a);
+    FlowResult c = a;
+    c.target_fp = target_fingerprint(doctored);
+    EXPECT_NE(evaluation_key(ctx_fir(), c), key_a);
     EXPECT_NE(ctx_fir().fingerprint(), ctx_conv().fingerprint());
     EXPECT_NE(target_fingerprint(xentium), target_fingerprint(doctored));
 }

@@ -670,10 +670,57 @@ Economics evaluate_candidate(const PackedView& view,
     return econ;
 }
 
+/// Whether the view stays schedulable with `packs` each contracted into
+/// one node: Kahn's algorithm over the contracted node-level dependence
+/// graph, a member depending on a member of its own pack counting as a
+/// cycle.
+bool schedulable(const PackedView& view, const std::vector<Candidate>& packs) {
+    const int n = view.size();
+    std::vector<int> group(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) group[static_cast<size_t>(i)] = i;
+    for (size_t p = 0; p < packs.size(); ++p) {
+        for (const int member : packs[p].nodes) {
+            group[static_cast<size_t>(member)] = n + static_cast<int>(p);
+        }
+    }
+    const size_t groups = static_cast<size_t>(n) + packs.size();
+    std::vector<std::set<int>> successors(groups);
+    std::vector<int> in_degree(groups, 0);
+    for (int later = 0; later < n; ++later) {
+        for (int earlier = 0; earlier < n; ++earlier) {
+            if (!view.depends(later, earlier)) continue;
+            const int from = group[static_cast<size_t>(earlier)];
+            const int to = group[static_cast<size_t>(later)];
+            if (from == to) return false;
+            if (successors[static_cast<size_t>(from)].insert(to).second) {
+                in_degree[static_cast<size_t>(to)]++;
+            }
+        }
+    }
+    std::vector<int> ready;
+    for (size_t g = 0; g < groups; ++g) {
+        if (in_degree[g] == 0) ready.push_back(static_cast<int>(g));
+    }
+    size_t sorted = 0;
+    while (!ready.empty()) {
+        const int g = ready.back();
+        ready.pop_back();
+        sorted++;
+        for (const int next : successors[static_cast<size_t>(g)]) {
+            if (--in_degree[static_cast<size_t>(next)] == 0) {
+                ready.push_back(next);
+            }
+        }
+    }
+    // Groups without members (node ids taken over by a pack) sort freely.
+    return sorted == groups;
+}
+
 std::vector<Candidate> select_candidates(
     const PackedView& view, std::vector<Candidate> candidates,
     const ConflictSet& conflicts, const TargetModel& target, BenefitMode mode,
-    double min_benefit, const TrySelect& try_select, int* rejected_count) {
+    double min_benefit, const TrySelect& try_select, int* rejected_count,
+    int* cycle_count) {
     std::vector<bool> alive(candidates.size(), true);
     std::vector<Candidate> selected;
     std::vector<Candidate> committed;
@@ -709,7 +756,11 @@ std::vector<Candidate> select_candidates(
         alive[best] = false;
         alive_count--;
 
-        if (try_select && !try_select(candidates[best])) {
+        committed.push_back(candidates[best]);
+        const bool cyclic = !schedulable(view, committed);
+        committed.pop_back();
+        if (cyclic) (*cycle_count)++;
+        if (cyclic || (try_select && !try_select(candidates[best]))) {
             if (rejected_count != nullptr) (*rejected_count)++;
             continue;
         }
@@ -748,6 +799,7 @@ struct SelectionTally {
     int rounds = 0;
     int picks = 0;
     int rejected = 0;
+    int cycles = 0;  ///< picks rejected for closing a dependence cycle
 };
 
 /// Drive extraction rounds on every multi-op block of `kernel`, comparing
@@ -789,7 +841,8 @@ void compare_selection(const Kernel& kernel, const TargetModel& target,
             int expected_rejected = 0;
             const std::vector<Candidate> expected = oracle::select_candidates(
                 view, candidates, conflicts, target, options.benefit_mode,
-                options.min_benefit, try_select, &expected_rejected);
+                options.min_benefit, try_select, &expected_rejected,
+                &tally.cycles);
             int got_rejected = 0;
             std::vector<Candidate> got = select_candidates(
                 view, std::move(candidates), conflicts, target,
@@ -856,6 +909,8 @@ TEST(Selection, IndexedRoundsMatchPoolRebuildingOracle) {
     EXPECT_GT(plain.rounds, 100);
     EXPECT_GT(plain.picks, 1000);
     EXPECT_GT(vetoed.rejected, 100);
+    // Some picks would have closed a dependence cycle.
+    EXPECT_GT(plain.cycles + vetoed.cycles, 0);
 }
 
 TEST(Selection, EvaluateCandidateMatchesOracleOnFullPool) {

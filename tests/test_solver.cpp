@@ -526,8 +526,9 @@ TEST(OptimalFlows, StageMemoKeyIsolatesSolverBudget) {
     FlowOptions options;
     FlowOptions bigger;
     bigger.solver_budget.max_nodes += 1;
-    EXPECT_NE(stage_memo_key(context, target, "SLP-Optimal", options),
-              stage_memo_key(context, target, "SLP-Optimal", bigger));
+    const uint64_t target_fp = target_fingerprint(target);
+    EXPECT_NE(stage_memo_key(context, target_fp, "SLP-Optimal", options),
+              stage_memo_key(context, target_fp, "SLP-Optimal", bigger));
 }
 
 TEST(OptimalFlows, MemoizedOptimalSweepReproducesSolverStats) {
