@@ -31,11 +31,8 @@ struct CacheSnapshot {
 CacheSnapshot snapshot_cache(const EvalCache& cache);
 
 /// Preload snapshot entries into `cache` (the warm-start path).
-/// Existing keys keep their entries. On a capacity-bounded cache only
-/// the free slots are filled — with the snapshot's highest-keyed
-/// entries, a deterministic survivor set — so resident entries are
-/// never displaced. Preloading is counter-neutral: it never inflates
-/// the cache's hit/miss counters and never counts as evictions.
+/// Existing keys keep their entries. Preloading is counter-neutral: it
+/// never inflates the cache's hit/miss counters.
 void preload_cache(EvalCache& cache, const CacheSnapshot& snapshot);
 
 }  // namespace slpwlo::dist

@@ -4,10 +4,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 
+#include "dist/shard_manifest.hpp"
 #include "dist/shard_merger.hpp"
 #include "dist/shard_plan.hpp"
 #include "support/diagnostics.hpp"
@@ -58,14 +60,84 @@ void sleep_ms(long long ms) {
 /// fingerprint, `micros` and `measured_ns` the measurements (never part
 /// of row identity).
 dist::ShardRow make_shard_row(size_t slot, const SweepPoint& point,
-                              const WorkRow& row) {
+                              const SweepResult& result, long long micros) {
     dist::ShardRow out;
     out.slot = slot;
     out.point_fp = dist::point_fingerprint(point);
-    out.json = sweep_result_to_json(row.result);
-    out.micros = row.micros;
-    out.measured_ns = row.result.flow.measured_ns;
+    out.json = sweep_result_to_json(result);
+    out.micros = micros;
+    out.measured_ns = result.flow.measured_ns;
     return out;
+}
+
+/// One acquired chunk of a farm job: the daemon's lease id and the grid
+/// slots the chunk covers, ascending. No slots = the job is finalized.
+struct Chunk {
+    uint64_t lease = 0;
+    std::vector<size_t> slots;
+};
+
+/// The `acquire` verb. Polls while the daemon says wait: unfinished
+/// chunks are claimed elsewhere and may expire back into the pool.
+Chunk acquire_chunk(FarmClient& client, const FarmWorkerOptions& options,
+                    size_t job, const dist::ShardManifest& manifest) {
+    Message request;
+    request.verb = "acquire";
+    request.fields["worker"] = options.worker;
+    request.fields["job"] = std::to_string(job);
+    while (true) {
+        const Message response = client.call(request);
+        if (!response.field("lease").empty()) {
+            Chunk chunk;
+            chunk.lease = static_cast<uint64_t>(response.require_ll("lease"));
+            chunk.slots = parse_slot_list(response.require_field("slots"),
+                                          manifest.points.size());
+            return chunk;
+        }
+        if (response.field("wait") != "1") return {};
+        sleep_ms(options.poll_ms);
+    }
+}
+
+/// The `complete` verb: the chunk's rows as one results file in one
+/// atomic frame.
+void complete_chunk(FarmClient& client, const FarmWorkerOptions& options,
+                    size_t job, const dist::ShardManifest& manifest,
+                    const Chunk& chunk,
+                    const std::vector<SweepResult>& results,
+                    const std::vector<long long>& micros) {
+    dist::ShardResultsFile file;
+    file.total_slots = manifest.total_slots;
+    file.grid_fp = manifest.grid_fp;
+    file.rows.reserve(results.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+        const size_t slot = chunk.slots[i];
+        file.rows.push_back(make_shard_row(slot, manifest.points[slot],
+                                           results[i], micros[i]));
+    }
+    if (options.straggle_ms > 0) sleep_ms(options.straggle_ms);
+
+    Message request;
+    request.verb = "complete";
+    request.fields["worker"] = options.worker;
+    request.fields["job"] = std::to_string(job);
+    request.fields["lease"] = std::to_string(chunk.lease);
+    request.body = dist::shard_results_text(file);
+    client.call(request);
+}
+
+/// The `abandon` verb: the chunk goes back to the pool.
+void abandon_chunk(FarmClient& client, size_t job, const Chunk& chunk) {
+    Message request;
+    request.verb = "abandon";
+    request.fields["job"] = std::to_string(job);
+    request.fields["lease"] = std::to_string(chunk.lease);
+    try {
+        client.call(request);
+    } catch (const Error&) {
+        // abandon runs on the failure path; if the daemon is gone too,
+        // the ttl will re-issue the chunk. Don't mask the original error.
+    }
 }
 
 }  // namespace
@@ -142,92 +214,32 @@ Heartbeater::~Heartbeater() {
     if (thread_.joinable()) thread_.join();
 }
 
-SocketWorkSource::SocketWorkSource(FarmClient& client, std::string worker,
-                                   size_t job,
-                                   const dist::ShardManifest& manifest,
-                                   long long poll_ms, long long straggle_ms)
-    : client_(client),
-      worker_(std::move(worker)),
-      job_(job),
-      manifest_(manifest),
-      poll_ms_(poll_ms),
-      straggle_ms_(straggle_ms) {
-    dist::require_whole_grid(manifest_, "farm job " + std::to_string(job));
-}
-
-size_t SocketWorkSource::total_slots() const { return manifest_.total_slots; }
-
-Lease SocketWorkSource::acquire(size_t /*max_slots*/) {
-    Message request;
-    request.verb = "acquire";
-    request.fields["worker"] = worker_;
-    request.fields["job"] = std::to_string(job_);
+std::vector<size_t> parse_slot_list(const std::string& text,
+                                    size_t grid_size) {
+    const auto bad = [&text](const std::string& why) {
+        return Error("farm: daemon leased slots `" + text + "`: " + why);
+    };
+    std::vector<size_t> slots;
+    size_t pos = 0;
     while (true) {
-        const Message response = client_.call(request);
-        if (response.field("lease").empty()) {
-            if (response.field("wait") == "1") {
-                // Unfinished chunks are claimed elsewhere; they may
-                // expire back into the pool, so poll.
-                sleep_ms(poll_ms_);
-                continue;
+        const size_t end = std::min(text.find(',', pos), text.size());
+        if (end == pos) throw bad("empty slot");
+        size_t slot = 0;
+        for (size_t i = pos; i < end; ++i) {
+            if (text[i] < '0' || text[i] > '9') throw bad("not a slot number");
+            // Bounded digit by digit, so the value cannot overflow.
+            slot = slot * 10 + static_cast<size_t>(text[i] - '0');
+            if (slot >= grid_size) {
+                throw bad("beyond the " + std::to_string(grid_size) +
+                          "-slot manifest grid");
             }
-            return {};  // job finalized: drained
         }
-        Lease lease;
-        lease.id = static_cast<uint64_t>(response.require_ll("lease"));
-        const std::string& slots = response.require_field("slots");
-        size_t pos = 0;
-        while (pos < slots.size()) {
-            size_t comma = slots.find(',', pos);
-            if (comma == std::string::npos) comma = slots.size();
-            const size_t slot =
-                static_cast<size_t>(std::stoull(slots.substr(pos, comma - pos)));
-            SLPWLO_CHECK(slot < manifest_.points.size(),
-                         "farm: daemon leased slot " + std::to_string(slot) +
-                             " beyond the manifest grid");
-            lease.slots.push_back(slot);
-            lease.points.push_back(manifest_.points[slot]);
-            pos = comma + 1;
+        if (!slots.empty() && slot <= slots.back()) {
+            throw bad("slots not strictly ascending");
         }
-        SLPWLO_CHECK(!lease.slots.empty(),
-                     "farm: daemon sent a lease with no slots");
-        return lease;
-    }
-}
-
-void SocketWorkSource::complete(const Lease& lease,
-                                std::vector<WorkRow> rows) {
-    SLPWLO_CHECK(rows.size() == lease.slots.size(),
-                 "farm: lease completion row count mismatch");
-    dist::ShardResultsFile file;
-    file.total_slots = manifest_.total_slots;
-    file.grid_fp = manifest_.grid_fp;
-    file.rows.reserve(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-        file.rows.push_back(make_shard_row(
-            lease.slots[i], manifest_.points[lease.slots[i]], rows[i]));
-    }
-    if (straggle_ms_ > 0) sleep_ms(straggle_ms_);
-
-    Message request;
-    request.verb = "complete";
-    request.fields["worker"] = worker_;
-    request.fields["job"] = std::to_string(job_);
-    request.fields["lease"] = std::to_string(lease.id);
-    request.body = dist::shard_results_text(file);
-    client_.call(request);
-}
-
-void SocketWorkSource::abandon(const Lease& lease) {
-    Message request;
-    request.verb = "abandon";
-    request.fields["job"] = std::to_string(job_);
-    request.fields["lease"] = std::to_string(lease.id);
-    try {
-        client_.call(request);
-    } catch (const Error&) {
-        // abandon runs on the failure path; if the daemon is gone too,
-        // the ttl will re-issue the chunk. Don't mask the original error.
+        slots.push_back(slot);
+        if (end == text.size()) return slots;
+        pos = end + 1;
     }
 }
 
@@ -266,15 +278,34 @@ size_t run_farm_worker(const std::string& host, int port,
         const dist::ShardManifest manifest = dist::parse_shard_manifest(
             client.call(fetch).body, "farm job " + std::to_string(job));
 
-        // Per-job service: different jobs legitimately carry different
+        dist::require_whole_grid(manifest, "farm job " + std::to_string(job));
+
+        // Per-job driver: different jobs legitimately carry different
         // sweep-wide flow defaults, and the defaults shape result bytes.
         ExecOptions exec = options.exec;
         exec.flow_options = manifest.defaults;
         if (options.measure) exec.flow_options.measure = true;
-        SweepService service(exec);
-        SocketWorkSource source(client, options.worker, job, manifest,
-                                options.poll_ms, options.straggle_ms);
-        executed += service.drain(source);
+        SweepDriver driver(exec);
+        while (true) {
+            const Chunk chunk = acquire_chunk(client, options, job, manifest);
+            if (chunk.slots.empty()) break;
+            std::vector<SweepPoint> points;
+            points.reserve(chunk.slots.size());
+            for (const size_t slot : chunk.slots) {
+                points.push_back(manifest.points[slot]);
+            }
+            std::vector<long long> micros;
+            std::vector<SweepResult> results;
+            try {
+                results = driver.run_timed(points, &micros);
+            } catch (...) {
+                abandon_chunk(client, job, chunk);
+                throw;
+            }
+            executed += results.size();
+            complete_chunk(client, options, job, manifest, chunk, results,
+                           micros);
+        }
     }
     return executed;
 }

@@ -1,31 +1,28 @@
-// FarmService client side: the daemon's WorkSource contract over a
-// socket.
+// Farm worker side: the daemon's chunk protocol over a socket.
 //
-// Three layers, each reusable on its own:
+// Two layers:
 //
-//   FarmClient        one connection, synchronous request/response RPC
-//                     (write a frame, read the answer, `error` responses
-//                     become thrown slpwlo::Error);
-//   Heartbeater       a second connection on a background thread sending
-//                     `heartbeat` every period_ms. A separate connection
-//                     because the worker's RPC socket is silent for the
-//                     whole duration of a running chunk (SweepService
-//                     blocks in the flow) — exactly when liveness must
-//                     keep flowing;
-//   SocketWorkSource  one job's slice of the daemon as a WorkSource:
-//                     acquire() is the `acquire` verb (polling while the
-//                     daemon says wait — claimed chunks elsewhere may
-//                     expire back), complete() packages the rows as a
-//                     results file and ships it as one atomic `complete`
-//                     frame.
+//   FarmClient   one connection, synchronous request/response RPC
+//                (write a frame, read the answer, `error` responses
+//                become thrown slpwlo::Error);
+//   Heartbeater  a second connection on a background thread sending
+//                `heartbeat` every period_ms. A separate connection
+//                because the worker's RPC socket is silent for the
+//                whole duration of a running chunk (the sweep blocks
+//                in the flow) — exactly when liveness must keep
+//                flowing.
 //
-// run_worker() is the whole worker loop the CLI's `work --connect` verb
-// wraps: register, then per job — fetch the manifest, build a
-// SweepService whose flow defaults are *that job's* manifest defaults,
-// drain a SocketWorkSource — until the daemon reports drained. Because
-// the loop reuses SweepService/SweepDriver unchanged, farm results
-// inherit the slot-determinism guarantee: report bytes are identical to
-// the 1-process sweep no matter how chunks landed on workers.
+// run_farm_worker() is the whole worker loop the CLI's `work --connect`
+// verb wraps: register, then per job — fetch the manifest, build a
+// SweepDriver whose flow defaults are *that job's* manifest defaults,
+// and repeat `acquire` (polling while the daemon says wait: claimed
+// chunks elsewhere may expire back), SweepDriver::run_timed and
+// `complete` (the rows as one results file in one atomic frame) until
+// the daemon reports the job finalized; a point that throws sends
+// `abandon` and rethrows. Because every chunk runs through run_timed,
+// farm results inherit the slot-determinism guarantee: report bytes
+// are identical to the 1-process sweep no matter how chunks landed on
+// workers.
 #pragma once
 
 #include <atomic>
@@ -33,10 +30,10 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
-#include "dist/shard_manifest.hpp"
 #include "farm/framing.hpp"
-#include "flow/work_source.hpp"
+#include "flow/sweep.hpp"
 
 namespace slpwlo::farm {
 
@@ -84,35 +81,12 @@ private:
     std::thread thread_;
 };
 
-/// One farm job as a WorkSource. The manifest (fetched via the
-/// `manifest` verb, parsed by the caller) must be the daemon's whole
-/// grid and outlive the source; lease slots index straight into
-/// manifest.points.
-class SocketWorkSource final : public WorkSource {
-public:
-    /// `poll_ms` is the retry sleep while the daemon says wait;
-    /// `straggle_ms` delays each complete() just before its frame is
-    /// sent — a test hook widening the window in which killing the
-    /// worker leaves a claimed chunk behind (CI's SIGKILL run).
-    SocketWorkSource(FarmClient& client, std::string worker, size_t job,
-                     const dist::ShardManifest& manifest,
-                     long long poll_ms = 200, long long straggle_ms = 0);
-
-    size_t total_slots() const override;
-    /// One whole pre-cut chunk per lease: the daemon never splits a
-    /// chunk, so `max_slots` is ignored.
-    Lease acquire(size_t max_slots) override;
-    void complete(const Lease& lease, std::vector<WorkRow> rows) override;
-    void abandon(const Lease& lease) override;
-
-private:
-    FarmClient& client_;
-    std::string worker_;
-    size_t job_;
-    const dist::ShardManifest& manifest_;
-    long long poll_ms_;
-    long long straggle_ms_;
-};
+/// Parse the slot list of an `acquire` reply: comma-separated decimal
+/// slots, strictly ascending, each below `grid_size`. Throws Error on an
+/// empty list or item, a character that is not a digit, a slot beyond
+/// the grid or a slot out of order.
+std::vector<size_t> parse_slot_list(const std::string& text,
+                                    size_t grid_size);
 
 /// Options for one farm worker process.
 struct FarmWorkerOptions {
@@ -120,7 +94,10 @@ struct FarmWorkerOptions {
     long long heartbeat_ms = 1000;  ///< must be positive
     long long poll_ms = 200;        ///< must be positive
     ExecOptions exec;             ///< flow_options overridden per job
-    long long straggle_ms = 0;    ///< test hook, see SocketWorkSource
+    /// Test hook: delay each `complete` frame this long, widening the
+    /// window in which killing the worker leaves a claimed chunk behind
+    /// (CI's SIGKILL run).
+    long long straggle_ms = 0;
     /// Worker-local timing, re-applied on top of every job's manifest
     /// defaults (each job replaces flow_options wholesale); it never
     /// changes row bytes.
@@ -128,7 +105,7 @@ struct FarmWorkerOptions {
 };
 
 /// The complete worker loop: register, drain every job the daemon hands
-/// out (a fresh SweepService per job, flow defaults from that job's
+/// out (a fresh SweepDriver per job, flow defaults from that job's
 /// manifest), return the number of points this worker executed once the
 /// daemon reports drained.
 size_t run_farm_worker(const std::string& host, int port,

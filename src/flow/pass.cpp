@@ -15,142 +15,88 @@ namespace slpwlo {
 
 // --- EvalCache -----------------------------------------------------------------
 
-bool EvalCache::Entry::operator==(const Entry& other) const {
-    // Bit-wise on the noise double: -inf (an exact spec) must compare
-    // equal to itself.
-    uint64_t a, b;
-    std::memcpy(&a, &analytic_noise_db, sizeof(a));
-    std::memcpy(&b, &other.analytic_noise_db, sizeof(b));
-    return scalar_cycles == other.scalar_cycles &&
-           simd_cycles == other.simd_cycles && a == b;
+template <typename Value>
+std::optional<Value> EvalCache::Table<Value>::lookup(uint64_t key) const {
+    const auto it = entries.find(key);
+    if (it == entries.end()) {
+        misses++;
+        return std::nullopt;
+    }
+    hits++;
+    return it->second;
+}
+
+template <typename Value>
+std::vector<std::pair<uint64_t, Value>> EvalCache::Table<Value>::sorted()
+    const {
+    std::vector<std::pair<uint64_t, Value>> out(entries.begin(),
+                                                entries.end());
+    std::sort(out.begin(), out.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    return out;
 }
 
 std::optional<EvalCache::Entry> EvalCache::lookup(uint64_t key) const {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) {
-        misses_++;
-        return std::nullopt;
-    }
-    hits_++;
-    return it->second;
-}
-
-bool EvalCache::contains(uint64_t key) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.find(key) != entries_.end();
+    return eval_.lookup(key);
 }
 
 void EvalCache::store(uint64_t key, const Entry& entry) {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!entries_.emplace(key, entry).second) return;  // first store wins
-    insertion_order_.push_back(key);
-    evict_to_capacity_locked();
+    eval_.entries.emplace(key, entry);  // first store wins
 }
 
 size_t EvalCache::hits() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
+    return eval_.hits;
 }
 
 size_t EvalCache::misses() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
+    return eval_.misses;
 }
 
 size_t EvalCache::size() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-}
-
-void EvalCache::set_capacity(size_t capacity) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    capacity_ = capacity;
-    evict_to_capacity_locked();
-}
-
-size_t EvalCache::capacity() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return capacity_;
-}
-
-size_t EvalCache::evictions() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return evictions_;
+    return eval_.entries.size();
 }
 
 std::vector<std::pair<uint64_t, EvalCache::Entry>> EvalCache::export_entries()
     const {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<uint64_t, Entry>> out(entries_.begin(),
-                                                entries_.end());
-    std::sort(out.begin(), out.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    return out;
+    return eval_.sorted();
 }
 
 std::optional<EvalCache::StageEntry> EvalCache::lookup_stage(
     uint64_t key) const {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = stage_entries_.find(key);
-    if (it == stage_entries_.end()) {
-        stage_misses_++;
-        return std::nullopt;
-    }
-    stage_hits_++;
-    return it->second;
-}
-
-bool EvalCache::contains_stage(uint64_t key) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stage_entries_.find(key) != stage_entries_.end();
+    return stage_.lookup(key);
 }
 
 void EvalCache::store_stage(uint64_t key, const StageEntry& entry) {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!stage_entries_.emplace(key, entry).second) return;  // first store wins
-    stage_insertion_order_.push_back(key);
-    evict_to_capacity_locked();
+    stage_.entries.emplace(key, entry);  // first store wins
 }
 
 size_t EvalCache::stage_hits() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return stage_hits_;
+    return stage_.hits;
 }
 
 size_t EvalCache::stage_misses() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return stage_misses_;
+    return stage_.misses;
 }
 
 size_t EvalCache::stage_size() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return stage_entries_.size();
+    return stage_.entries.size();
 }
 
 std::vector<std::pair<uint64_t, EvalCache::StageEntry>>
 EvalCache::export_stage_entries() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<uint64_t, StageEntry>> out(stage_entries_.begin(),
-                                                     stage_entries_.end());
-    std::sort(out.begin(), out.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    return out;
-}
-
-void EvalCache::evict_to_capacity_locked() {
-    if (capacity_ == 0) return;
-    while (entries_.size() > capacity_ && !insertion_order_.empty()) {
-        entries_.erase(insertion_order_.front());
-        insertion_order_.pop_front();
-        evictions_++;
-    }
-    while (stage_entries_.size() > capacity_ &&
-           !stage_insertion_order_.empty()) {
-        stage_entries_.erase(stage_insertion_order_.front());
-        stage_insertion_order_.pop_front();
-        evictions_++;
-    }
+    return stage_.sorted();
 }
 
 // --- content hashing -----------------------------------------------------------

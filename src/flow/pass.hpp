@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -48,20 +47,15 @@ namespace slpwlo {
 ///
 /// The cache can warm-start another driver (dist/cache_snapshot.hpp):
 /// export_entries() walks the contents in key order so snapshots are
-/// deterministic, and store() doubles as the import path.
-/// An optional capacity bound (set_capacity) evicts in insertion order so
-/// long sweeps cannot grow memory without bound; eviction only ever costs
-/// recomputation, never correctness.
+/// deterministic, and store() doubles as the import path. It is
+/// unbounded: a driver lives for one grid, and each point stores at most
+/// one entry per table.
 class EvalCache {
 public:
     struct Entry {
         long long scalar_cycles = 0;
         long long simd_cycles = 0;
         double analytic_noise_db = 0.0;
-
-        /// Bit-exact comparison (doubles compared by representation).
-        bool operator==(const Entry& other) const;
-        bool operator!=(const Entry& other) const { return !(*this == other); }
     };
 
     /// Memoized result of a flow's *optimization* stages — IWL
@@ -87,36 +81,23 @@ public:
         int group_count = 0;
     };
 
+    /// Counts a hit or a miss.
     std::optional<Entry> lookup(uint64_t key) const;
-    /// Residency check that does NOT count as cache traffic (lookup()
-    /// bumps the hit/miss counters; snapshot preloading must not).
-    bool contains(uint64_t key) const;
     /// Insert `entry` under `key`. A key that is already present keeps its
-    /// existing entry (first store wins); at capacity the oldest insertion
-    /// is evicted first.
+    /// existing entry (first store wins). Never touches the counters.
     void store(uint64_t key, const Entry& entry);
 
     size_t hits() const;
     size_t misses() const;
     size_t size() const;
 
-    /// Bound the entry count; storing past it evicts the oldest insertion
-    /// (deterministic FIFO). 0 — the default — means unlimited. Shrinking
-    /// below the current size evicts immediately.
-    void set_capacity(size_t capacity);
-    size_t capacity() const;
-    size_t evictions() const;
-
     /// The current contents sorted by key (a deterministic order
     /// independent of hashing and insertion history), for snapshots.
     std::vector<std::pair<uint64_t, Entry>> export_entries() const;
 
     // --- stage memo table -------------------------------------------------------
-    // A second table with the same semantics (thread-safe, first store
-    // wins, FIFO eviction under the shared capacity bound, counter-neutral
-    // contains) holding StageEntry values.
+    // The same semantics over StageEntry values.
     std::optional<StageEntry> lookup_stage(uint64_t key) const;
-    bool contains_stage(uint64_t key) const;
     void store_stage(uint64_t key, const StageEntry& entry);
     size_t stage_hits() const;
     size_t stage_misses() const;
@@ -124,20 +105,20 @@ public:
     std::vector<std::pair<uint64_t, StageEntry>> export_stage_entries() const;
 
 private:
-    void evict_to_capacity_locked();
+    /// One memo table; every access holds mutex_.
+    template <typename Value>
+    struct Table {
+        std::unordered_map<uint64_t, Value> entries;
+        mutable size_t hits = 0;
+        mutable size_t misses = 0;
+
+        std::optional<Value> lookup(uint64_t key) const;
+        std::vector<std::pair<uint64_t, Value>> sorted() const;
+    };
 
     mutable std::mutex mutex_;
-    std::unordered_map<uint64_t, Entry> entries_;
-    std::unordered_map<uint64_t, StageEntry> stage_entries_;
-    /// Resident keys in insertion order (the FIFO eviction queues).
-    std::deque<uint64_t> insertion_order_;
-    std::deque<uint64_t> stage_insertion_order_;
-    size_t capacity_ = 0;
-    size_t evictions_ = 0;
-    mutable size_t hits_ = 0;
-    mutable size_t misses_ = 0;
-    mutable size_t stage_hits_ = 0;
-    mutable size_t stage_misses_ = 0;
+    Table<Entry> eval_;
+    Table<StageEntry> stage_;
 };
 
 /// Content hash of everything the evaluation stage depends on: the full

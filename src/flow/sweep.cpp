@@ -10,7 +10,6 @@
 #include "exec/jit_cache.hpp"
 #include "flow/report.hpp"
 #include "frontend/kernel_file.hpp"
-#include "flow/work_source.hpp"
 #include "support/diagnostics.hpp"
 #include "support/thread_pool.hpp"
 #include "target/target_model.hpp"
@@ -18,11 +17,7 @@
 namespace slpwlo {
 
 SweepDriver::SweepDriver(ExecOptions options)
-    : options_(std::move(options)) {
-    if (options_.cache_capacity.has_value()) {
-        eval_cache_.set_capacity(*options_.cache_capacity);
-    }
-}
+    : options_(std::move(options)) {}
 
 SweepDriver::~SweepDriver() = default;
 
@@ -89,13 +84,7 @@ const KernelContext& SweepDriver::context(const std::string& kernel_name) {
 
 std::vector<SweepResult> SweepDriver::run(
     const std::vector<SweepPoint>& points) {
-    // The whole grid as one in-process work source, drained through the
-    // same service the sharded and elastic paths use. A full-size lease
-    // keeps the historical behavior: one pool run over every point.
-    VectorSource source(points);
-    SweepService service(*this);
-    service.drain(source);
-    return source.take_results();
+    return run_timed(points, nullptr);
 }
 
 std::vector<SweepResult> SweepDriver::run_timed(

@@ -72,7 +72,7 @@ struct SweepPoint {
 /// Execution options shared by every sweep entry point — the in-process
 /// SweepDriver, the local `run` verb and the farm worker
 /// (farm::run_farm_worker) all consume this one struct, so a thread
-/// count or cache bound means the same thing on every path.
+/// count means the same thing on every path.
 struct ExecOptions {
     /// Worker threads; <= 0 picks the hardware concurrency.
     int threads = 0;
@@ -80,9 +80,6 @@ struct ExecOptions {
     FlowOptions flow_options;
     /// Share an EvalCache across points and runs of this driver.
     bool memoize = true;
-    /// Optional EvalCache entry bound (insertion-order FIFO eviction);
-    /// nullopt leaves the cache unlimited.
-    std::optional<size_t> cache_capacity;
 };
 
 struct SweepResult {
@@ -133,17 +130,16 @@ public:
         const std::vector<double>& constraints);
 
     /// Run all points (concurrently) and return results in point order.
-    /// Throws if any point failed; the first failure is rethrown. This is
-    /// a thin wrapper: the points become a VectorSource drained by a
-    /// SweepService (flow/work_source.hpp) — the same execution path the
-    /// sharded and farm sweeps use.
+    /// Throws if any point failed; the first failure is rethrown. Same as
+    /// run_timed(points, nullptr).
     std::vector<SweepResult> run(const std::vector<SweepPoint>& points);
 
-    /// The execution primitive behind run() and SweepService::drain():
-    /// run `points` concurrently, returning results in point order. When
-    /// `micros_out` is non-null it receives one measured wall-clock
-    /// duration (microseconds) per point, aligned with the results —
-    /// measurements are for scheduling, never part of any report bytes.
+    /// The one sweep loop behind run(), the `run` verb and the farm
+    /// worker: run `points` concurrently, returning results in point
+    /// order. When `micros_out` is non-null it receives one measured
+    /// wall-clock duration (microseconds) per point, aligned with the
+    /// results — measurements are for scheduling, never part of any
+    /// report bytes.
     std::vector<SweepResult> run_timed(const std::vector<SweepPoint>& points,
                                        std::vector<long long>* micros_out);
 

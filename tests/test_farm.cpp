@@ -2,7 +2,8 @@
 // ttl 0 (explicit clocks, no sleeps), incremental-re-sweep splicing, and
 // socket end-to-end runs whose reports must be byte-identical to the
 // 1-process sweep — at 1 and 4 workers, and with a worker that dies
-// mid-`complete` — plus the daemon's and worker's option range checks.
+// mid-`complete` — plus the daemon's and worker's option range checks and
+// the worker's strict parse of `acquire` slot lists.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -716,6 +717,34 @@ TEST(FarmEndpoint, ParseEndpointForms) {
     EXPECT_THROW(parse_endpoint("host:0", host, port), Error);
     EXPECT_THROW(parse_endpoint("host:x", host, port), Error);
     EXPECT_THROW(parse_endpoint("host:70000", host, port), Error);
+}
+
+TEST(FarmWorker, AcquireSlotListParsesStrictly) {
+    EXPECT_EQ(parse_slot_list("3", 10), (std::vector<size_t>{3}));
+    EXPECT_EQ(parse_slot_list("0,1,7", 10), (std::vector<size_t>{0, 1, 7}));
+    EXPECT_EQ(parse_slot_list("9", 10), (std::vector<size_t>{9}));
+
+    // Each malformed reply is a clean Error naming why, never a
+    // std::invalid_argument escaping the worker.
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"", "empty slot"},
+        {"1,,2", "empty slot"},
+        {",1", "empty slot"},
+        {"1,", "empty slot"},
+        {"x", "not a slot number"},
+        {"3abc", "not a slot number"},
+        {"-1", "not a slot number"},
+        {"+3", "not a slot number"},
+        {" 3", "not a slot number"},
+        {"1, 2", "not a slot number"},
+        {"10", "beyond the 10-slot manifest grid"},
+        {"99999999999999999999999", "beyond the 10-slot manifest grid"},
+        {"2,2", "not strictly ascending"},
+        {"3,1", "not strictly ascending"},
+    };
+    for (const auto& [text, why] : bad) {
+        expect_error_naming([&] { parse_slot_list(text, 10); }, why);
+    }
 }
 
 }  // namespace

@@ -335,6 +335,31 @@ TEST(FlowEngine, SweepDeterministicAcrossThreadCounts) {
     EXPECT_EQ(sweep_to_json(serial_results), sweep_to_json(parallel_results));
 }
 
+TEST(SweepDriver, RunTimedPointByPointMatchesRun) {
+    const std::vector<SweepPoint> grid = SweepDriver::grid(
+        {"FIR"}, {"XENTIUM"}, {"WLO-SLP"}, {-20.0, -30.0});
+    ExecOptions pair;
+    pair.threads = 2;
+    SweepDriver whole(pair);
+    const std::string reference = sweep_to_json(whole.run(grid));
+
+    // One point per call, single-threaded: the shape of a farm worker
+    // fed one-slot chunks, as far from one pool run as it gets.
+    ExecOptions single;
+    single.threads = 1;
+    SweepDriver driver(single);
+    std::vector<SweepResult> results;
+    for (const SweepPoint& point : grid) {
+        std::vector<long long> micros;
+        std::vector<SweepResult> one = driver.run_timed({point}, &micros);
+        ASSERT_EQ(one.size(), 1u);
+        ASSERT_EQ(micros.size(), 1u);
+        EXPECT_GE(micros[0], 0);
+        results.push_back(std::move(one[0]));
+    }
+    EXPECT_EQ(sweep_to_json(results), reference);
+}
+
 TEST(FlowEngine, SweepReportsConfigErrorsBeforeRunning) {
     SweepDriver driver;
     EXPECT_THROW(driver.run({{"FFT", "XENTIUM", "WLO-SLP", -20.0, {}, {}}}),

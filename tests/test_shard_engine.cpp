@@ -160,6 +160,27 @@ TEST(ShardPlan, FingerprintSeesModelAndOptionChanges) {
     EXPECT_NE(grid_fingerprint(tweaked_options), base);
 }
 
+TEST(PointCost, SeesTargetModelOverrides) {
+    SweepPoint base{"FIR", "XENTIUM", "WLO-SLP", -30.0, {}, {}};
+    SweepPoint embedded = base;
+    embedded.target_model = targets::xentium();
+    SweepPoint wide = base;
+    wide.target_model = targets::xentium().with_simd_width(64);
+
+    // A width-derived model admits more lanes and must cost more than its
+    // base; an un-embedded point stays at the neutral weight.
+    EXPECT_GT(estimate_point_cost(wide), estimate_point_cost(embedded));
+    EXPECT_GT(estimate_point_cost(embedded), estimate_point_cost(base));
+
+    // The Float reference skips the SLP machinery: width is free there.
+    SweepPoint float_base = base;
+    float_base.flow = "Float";
+    SweepPoint float_wide = float_base;
+    float_wide.target_model = wide.target_model;
+    EXPECT_EQ(estimate_point_cost(float_base),
+              estimate_point_cost(float_wide));
+}
+
 // --- manifests -----------------------------------------------------------------
 
 TEST(ShardManifest, RoundTripsExactly) {
@@ -380,39 +401,12 @@ TEST(CacheSnapshot, PreloadIsCounterNeutralAndDeterministic) {
     const CacheSnapshot snapshot = synthetic_snapshot();
 
     // A warm start must not masquerade as cache traffic: no hits, no
-    // misses, no evictions from the preload itself.
+    // misses from the preload itself.
     EvalCache cold;
     preload_cache(cold, snapshot);
     EXPECT_EQ(cold.hits(), 0u);
     EXPECT_EQ(cold.misses(), 0u);
-    EXPECT_EQ(cold.evictions(), 0u);
     EXPECT_EQ(cold.size(), snapshot.entries.size());
-
-    // Preloading into a capacity-bounded cache keeps a deterministic
-    // survivor set (the highest-keyed `capacity` entries — what FIFO
-    // insertion in snapshot order would leave resident) and still does
-    // not count the overflow as evictions.
-    EvalCache bounded_a, bounded_b;
-    bounded_a.set_capacity(2);
-    bounded_b.set_capacity(2);
-    preload_cache(bounded_a, snapshot);
-    preload_cache(bounded_b, snapshot);
-    EXPECT_EQ(bounded_a.size(), 2u);
-    EXPECT_EQ(bounded_a.hits(), 0u);
-    EXPECT_EQ(bounded_a.misses(), 0u);
-    EXPECT_EQ(bounded_a.evictions(), 0u);
-    const auto exported_a = bounded_a.export_entries();
-    const auto exported_b = bounded_b.export_entries();
-    ASSERT_EQ(exported_a.size(), exported_b.size());
-    for (size_t i = 0; i < exported_a.size(); ++i) {
-        EXPECT_EQ(exported_a[i].first, exported_b[i].first);
-        EXPECT_TRUE(exported_a[i].second == exported_b[i].second);
-    }
-    // Survivors are the snapshot's last (highest-keyed) two entries.
-    ASSERT_EQ(exported_a.size(), 2u);
-    EXPECT_EQ(exported_a[0].first,
-              snapshot.entries[snapshot.entries.size() - 2].first);
-    EXPECT_EQ(exported_a[1].first, snapshot.entries.back().first);
 
     // Preload over existing contents: resident keys win, counters still
     // untouched.
@@ -422,70 +416,6 @@ TEST(CacheSnapshot, PreloadIsCounterNeutralAndDeterministic) {
     EXPECT_EQ(warm.hits(), 0u);
     EXPECT_EQ(warm.misses(), 0u);
     EXPECT_EQ(warm.lookup(snapshot.entries.front().first)->scalar_cycles, 7);
-
-    // Preload into a bounded cache that already holds sweep entries:
-    // residents are never displaced (and no evictions are counted) —
-    // only the free slot fills, with the snapshot's highest-keyed entry.
-    EvalCache busy;
-    busy.set_capacity(2);
-    busy.store(0x9999, EvalCache::Entry{1, 1, -1.0});
-    preload_cache(busy, snapshot);
-    EXPECT_EQ(busy.size(), 2u);
-    EXPECT_EQ(busy.evictions(), 0u);
-    EXPECT_TRUE(busy.lookup(0x9999).has_value());
-    EXPECT_TRUE(busy.lookup(snapshot.entries.back().first).has_value());
-
-    // Snapshot keys already resident do not consume free slots: with one
-    // of the three snapshot keys resident and two slots free, the whole
-    // snapshot fits.
-    EvalCache overlap;
-    overlap.set_capacity(3);
-    overlap.store(snapshot.entries[1].first, EvalCache::Entry{5, 5, -5.0});
-    preload_cache(overlap, snapshot);
-    EXPECT_EQ(overlap.size(), 3u);
-    EXPECT_EQ(overlap.evictions(), 0u);
-    for (const auto& [key, entry] : snapshot.entries) {
-        (void)entry;
-        EXPECT_TRUE(overlap.lookup(key).has_value());
-    }
-}
-
-// --- EvalCache capacity bound --------------------------------------------------
-
-TEST(EvalCacheCapacity, EvictsInInsertionOrder) {
-    EvalCache cache;
-    cache.set_capacity(2);
-    cache.store(1, EvalCache::Entry{10, 10, -1.0});
-    cache.store(2, EvalCache::Entry{20, 20, -2.0});
-    cache.store(3, EvalCache::Entry{30, 30, -3.0});
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_FALSE(cache.lookup(1).has_value());  // oldest insertion evicted
-    EXPECT_TRUE(cache.lookup(2).has_value());
-    EXPECT_TRUE(cache.lookup(3).has_value());
-}
-
-TEST(EvalCacheCapacity, ShrinkingEvictsImmediately) {
-    EvalCache cache;
-    for (uint64_t key = 1; key <= 5; ++key) {
-        cache.store(key, EvalCache::Entry{});
-    }
-    EXPECT_EQ(cache.size(), 5u);
-    EXPECT_EQ(cache.capacity(), 0u);  // unlimited by default
-    cache.set_capacity(2);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_FALSE(cache.lookup(3).has_value());
-    EXPECT_TRUE(cache.lookup(4).has_value());
-    EXPECT_TRUE(cache.lookup(5).has_value());
-}
-
-TEST(EvalCacheCapacity, FirstStoreWinsWithoutEviction) {
-    EvalCache cache;
-    cache.set_capacity(2);
-    cache.store(1, EvalCache::Entry{10, 10, -1.0});
-    cache.store(1, EvalCache::Entry{99, 99, -9.0});  // ignored duplicate
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.lookup(1)->scalar_cycles, 10);
 }
 
 // --- merge ---------------------------------------------------------------------

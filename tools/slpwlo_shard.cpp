@@ -10,7 +10,7 @@
 //                      [--widths 0,64] [--flows F,G]
 //                      [--constraints -20,-30] [--target-file FILE]...
 //   slpwlo-shard run   --manifest FILE --out FILE [--threads N]
-//                      [--cache-capacity N] [--measure]
+//                      [--measure]
 //
 // The flow names pick heuristic or exact search: `--flows
 // WLO-SLP,SLP-Optimal` sweeps both sides of the gap in one grid.
@@ -75,13 +75,12 @@ void usage(FILE* out) {
         "                     kernels (corpus names join the kernel axis;\n"
         "                     manifests embed their source)\n"
         "  slpwlo-shard run   --manifest FILE --out FILE [--threads N]\n"
-        "                     [--cache-capacity N] [--measure]\n"
+        "                     [--measure]\n"
         "                     sweep the manifest in this process and write\n"
         "                     the report (the bytes a farm job returns)\n"
         "  slpwlo-shard work  --connect HOST:PORT [--worker ID]\n"
         "                     [--heartbeat-ms T] [--poll-ms T] [--threads N]\n"
-        "                     [--cache-capacity N] [--straggle-ms T]\n"
-        "                     [--measure]\n"
+        "                     [--straggle-ms T] [--measure]\n"
         "                     drain a farm daemon's jobs over TCP; missed\n"
         "                     heartbeats expire this worker's chunks for\n"
         "                     re-issue\n"
@@ -280,8 +279,6 @@ int cmd_run(Args args) {
             out_path = args.value(arg);
         } else if (arg == "--threads") {
             options.threads = int_flag(arg, args.value(arg));
-        } else if (arg == "--cache-capacity") {
-            options.cache_capacity = count_flag(arg, args.value(arg));
         } else if (arg == "--measure") {
             measure = true;
         } else {
@@ -324,8 +321,6 @@ int cmd_work(Args args) {
             options.poll_ms = int_flag(arg, args.value(arg));
         } else if (arg == "--threads") {
             options.exec.threads = int_flag(arg, args.value(arg));
-        } else if (arg == "--cache-capacity") {
-            options.exec.cache_capacity = count_flag(arg, args.value(arg));
         } else if (arg == "--straggle-ms") {
             // Test hook: hold every chunk this long before completing it,
             // to exercise expiry, re-issue and duplicate resolution.
