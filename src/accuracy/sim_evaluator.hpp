@@ -9,7 +9,10 @@
 // The stimuli and the spec-independent double reference traces are
 // generated once at construction on a compiled SimTape, so noise_power()
 // costs one fixed-point tape replay per run instead of stimulus generation
-// plus reference + fixed tree-walks.
+// plus reference + fixed tree-walks. They are the one source of stimuli
+// and references for every simulation backend: the walker below and
+// exec::CompiledEvaluator read them through the accessors, so all three
+// compare against the same traces.
 #pragma once
 
 #include "accuracy/evaluator.hpp"
@@ -25,6 +28,14 @@ public:
 
     double noise_power(const FixedPointSpec& spec) const override;
 
+    const Kernel& kernel() const { return *kernel_; }
+    int runs() const { return runs_; }
+    /// Run r's stimulus (seed + r) and its double reference output trace.
+    const Stimulus& stimulus(size_t run) const { return stimuli_[run]; }
+    const std::vector<double>& reference(size_t run) const {
+        return ref_outputs_[run];
+    }
+
 private:
     const Kernel* kernel_;
     SimTape tape_;
@@ -34,11 +45,11 @@ private:
     int runs_;
 };
 
-/// The tree-walker variant of SimulationEvaluator: same stimuli, same
-/// double references (tape-replayed — the traces are bit-identical), but
-/// each noise_power() runs the recursive walker. Exists as the
-/// differential reference of the tape and compiled backends; its results
-/// are bit-identical to SimulationEvaluator by the tape/walker contract.
+/// The tree-walker variant of SimulationEvaluator: the same stimuli and
+/// double references (it holds one), but each noise_power() runs the
+/// recursive walker. Exists as the differential reference of the tape and
+/// compiled backends; its results are bit-identical to
+/// SimulationEvaluator by the tape/walker contract.
 class WalkerEvaluator final : public AccuracyEvaluator {
 public:
     explicit WalkerEvaluator(const Kernel& kernel, int runs = 2,
@@ -47,10 +58,7 @@ public:
     double noise_power(const FixedPointSpec& spec) const override;
 
 private:
-    const Kernel* kernel_;
-    std::vector<Stimulus> stimuli_;
-    std::vector<std::vector<double>> ref_outputs_;
-    int runs_;
+    SimulationEvaluator sim_;
 };
 
 }  // namespace slpwlo

@@ -16,7 +16,7 @@ namespace slpwlo::dist {
 namespace {
 
 /// The one manifest format version this writer emits and reader accepts.
-constexpr int kManifestVersion = 6;
+constexpr int kManifestVersion = 7;
 
 std::string quant_mode_kv(QuantMode mode) {
     return mode == QuantMode::Truncate ? "truncate" : "round";
@@ -85,13 +85,8 @@ std::string flow_options_kv(const FlowOptions& options,
          std::to_string(options.wlo_first.tabu.stagnation_limit));
     emit("wlo_first.tabu.infeasibility_penalty",
          kv::exact_double(options.wlo_first.tabu.infeasibility_penalty));
-    // Observational timing: it never changes a result byte, but workers
-    // inherit the launcher's choice so a --measure sweep measures on every
-    // shard.
-    emit_bool("measure", options.measure);
-    // Unlike measure the solver budget changes outcomes, so a worker that
-    // dropped it would produce different result bytes than the launcher's
-    // local run.
+    // The solver budget changes outcomes, so a worker that dropped it
+    // would produce different result bytes than the launcher's local run.
     emit("solver.max_nodes", std::to_string(options.solver_budget.max_nodes));
     return os.str();
 }
@@ -137,8 +132,6 @@ void apply_flow_option(FlowOptions& options, const std::string& key,
     } else if (key == "wlo_first.tabu.infeasibility_penalty") {
         options.wlo_first.tabu.infeasibility_penalty =
             kv::to_double(source, line, key, value);
-    } else if (key == "measure") {
-        options.measure = kv::to_bool(source, line, key, value);
     } else if (key == "solver.max_nodes") {
         options.solver_budget.max_nodes = kv::to_ll(source, line, key, value);
     } else {

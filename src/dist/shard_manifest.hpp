@@ -11,7 +11,7 @@
 // Format (line-oriented `key = value`, versioned; see DESIGN.md §7):
 //
 //   # slpwlo shard manifest
-//   manifest_version = 6
+//   manifest_version = 7
 //   shard_index = 0
 //   shard_count = 4
 //   total_slots = 24
@@ -21,7 +21,6 @@
 //   begin_defaults                  # sweep-wide FlowOptions
 //   option.accuracy_db = -40
 //   option.quant_mode = truncate
-//   option.measure = false          # timing only (never changes bytes)
 //   option.solver.max_nodes = 8000000
 //   ...
 //   end_defaults
@@ -55,9 +54,10 @@
 // carry no kernel blocks.
 //
 // Versioning policy: manifests never outlive a run, so the reader accepts
-// exactly the version the writer emits (6) and names both on a mismatch.
+// exactly the version the writer emits (7) and names both on a mismatch.
 // Any format change bumps `manifest_version`; unknown keys are errors,
-// not extensions.
+// not extensions. Nothing about how a process runs the grid (threads,
+// timing: ExecOptions in flow/sweep.hpp) travels in a manifest.
 #pragma once
 
 #include <string>

@@ -178,7 +178,7 @@ size_t RowAccumulator::add(const ShardResultsFile& file) {
             continue;
         }
         // Identity deliberately ignores micros and measured_ns: two runs
-        // of the same point measure different wall-clocks but must
+        // of the same point record different wall-clocks but must
         // compare equal.
         if (existing->point_fp != row.point_fp ||
             existing->json != row.json) {

@@ -18,7 +18,8 @@
 // report bytes — measurements are the nondeterministic fields in an
 // otherwise bit-reproducible pipeline. `measured_ns` — the compiled
 // kernel body's per-execution wall time from FlowResult::measured_ns, 0
-// unless the flow ran with measure on — follows the same discipline.
+// unless the sweep that ran the point timed it — follows the same
+// discipline.
 //
 // Results files never outlive a run, so the reader accepts exactly the
 // version the writer emits (5) and names both on a mismatch.
@@ -55,7 +56,7 @@ struct ShardRow {
     /// may read it, bytes never depend on it.
     long long micros = 0;
     /// Median wall time of one compiled kernel execution in nanoseconds
-    /// (FlowResult::measured_ns); 0 unless the flow measured. Same
+    /// (FlowResult::measured_ns); 0 unless the sweep timed it. Same
     /// exclusion discipline as micros.
     long long measured_ns = 0;
 };

@@ -25,16 +25,7 @@ void warn_degraded_once(const std::string& why) {
 
 CompiledEvaluator::CompiledEvaluator(const Kernel& kernel, int runs,
                                      uint64_t seed)
-    : kernel_(&kernel), tape_(kernel), runs_(runs) {
-    SLPWLO_CHECK(runs >= 1, "CompiledEvaluator requires at least one run");
-    stimuli_.reserve(static_cast<size_t>(runs));
-    ref_outputs_.reserve(static_cast<size_t>(runs));
-    for (int run = 0; run < runs; ++run) {
-        stimuli_.push_back(
-            make_stimulus(kernel, seed + static_cast<uint64_t>(run)));
-        ref_outputs_.push_back(run_double(tape_, stimuli_.back()).outputs);
-    }
-}
+    : sim_(kernel, runs, seed) {}
 
 const CompiledKernel* CompiledEvaluator::obtain(
     const FixedPointSpec& spec) const {
@@ -50,7 +41,7 @@ const CompiledKernel* CompiledEvaluator::obtain(
     }
     std::string error;
     std::unique_ptr<CompiledKernel> ck =
-        CompiledKernel::create(*kernel_, spec, &error);
+        CompiledKernel::create(sim_.kernel(), spec, &error);
     if (ck == nullptr) {
         warn_degraded_once(error);
         degraded_ = true;
@@ -61,32 +52,23 @@ const CompiledKernel* CompiledEvaluator::obtain(
     return cache_.front().second.get();
 }
 
-double CompiledEvaluator::tape_noise_power(const FixedPointSpec& spec) const {
-    double total = 0.0;
-    for (int run = 0; run < runs_; ++run) {
-        total += measure_noise_power(tape_, spec,
-                                     stimuli_[static_cast<size_t>(run)],
-                                     ref_outputs_[static_cast<size_t>(run)]);
-    }
-    return total / runs_;
-}
-
 double CompiledEvaluator::noise_power(const FixedPointSpec& spec) const {
-    SLPWLO_ASSERT(&spec.kernel() == kernel_,
+    SLPWLO_ASSERT(&spec.kernel() == &sim_.kernel(),
                   "spec belongs to a different kernel");
     const CompiledKernel* ck = obtain(spec);
-    if (ck == nullptr) return tape_noise_power(spec);
+    if (ck == nullptr) return sim_.noise_power(spec);
 
     const size_t in_elems = ck->input_elems();
     const size_t oc = ck->output_count();
-    const size_t n = static_cast<size_t>(runs_);
+    const int runs = sim_.runs();
+    const size_t n = static_cast<size_t>(runs);
     std::vector<int64_t> in(n * in_elems);
     std::vector<int64_t> out(n * oc);
     std::vector<long long> ovf(n, 0);
     for (size_t run = 0; run < n; ++run) {
         ovf[run] = ck->param_overflow_count() +
-                   ck->pack_stimulus(stimuli_[run], in.data() +
-                                                        run * in_elems);
+                   ck->pack_stimulus(sim_.stimulus(run),
+                                     in.data() + run * in_elems);
     }
     ck->run_fixed_batch(in.data(), out.data(), ovf.data(),
                         static_cast<int>(n));
@@ -95,7 +77,7 @@ double CompiledEvaluator::noise_power(const FixedPointSpec& spec) const {
     const std::vector<double>& steps = ck->output_steps();
     double total = 0.0;
     for (size_t run = 0; run < n; ++run) {
-        const std::vector<double>& ref = ref_outputs_[run];
+        const std::vector<double>& ref = sim_.reference(run);
         SLPWLO_ASSERT(ref.size() == oc,
                       "reference and compiled traces differ in length");
         if (oc == 0) continue;
@@ -108,7 +90,7 @@ double CompiledEvaluator::noise_power(const FixedPointSpec& spec) const {
         }
         total += sum / static_cast<double>(oc);
     }
-    return total / runs_;
+    return total / runs;
 }
 
 }  // namespace slpwlo::exec

@@ -1,20 +1,19 @@
 // CompiledEvaluator: the compile-and-execute accuracy backend.
 //
-// Drop-in sibling of SimulationEvaluator: same constructor contract, same
-// pregenerated stimuli and tape-replayed double reference traces (same
-// seeds — the traces are bit-identical), but noise_power(spec) runs the
-// spec's native CompiledKernel over the whole stimulus batch instead of
-// interpreting the tape once per run. The returned noise power is
-// bit-identical to SimulationEvaluator's: raw outputs scale exactly to the
-// simulator's value-domain outputs and the MSE accumulates in the same
-// order (DESIGN.md §12 gives the argument).
+// Drop-in sibling of SimulationEvaluator: same constructor contract, and
+// it holds one for its stimuli and tape-replayed double reference traces,
+// but noise_power(spec) runs the spec's native CompiledKernel over the
+// whole stimulus batch instead of interpreting the tape once per run. The
+// returned noise power is bit-identical to SimulationEvaluator's: raw
+// outputs scale exactly to the simulator's value-domain outputs and the
+// MSE accumulates in the same order (DESIGN.md §12 gives the argument).
 //
 // Compiled objects are cached per format-set fingerprint (a small MRU —
 // optimization loops revisit few distinct specs through this evaluator;
 // cross-process reuse is the JitCache's job). When no host compiler is
 // usable — or a build fails — the evaluator logs one warning per process
-// and degrades to the SimTape replay, so a sweep never fails and its
-// report bytes never change.
+// and degrades to the held SimulationEvaluator's tape replay, so a sweep
+// never fails and its report bytes never change.
 #pragma once
 
 #include <cstdint>
@@ -22,9 +21,8 @@
 #include <mutex>
 #include <vector>
 
-#include "accuracy/evaluator.hpp"
+#include "accuracy/sim_evaluator.hpp"
 #include "exec/compiled_kernel.hpp"
-#include "sim/sim_tape.hpp"
 
 namespace slpwlo::exec {
 
@@ -40,13 +38,9 @@ public:
 
 private:
     const CompiledKernel* obtain(const FixedPointSpec& spec) const;
-    double tape_noise_power(const FixedPointSpec& spec) const;
 
-    const Kernel* kernel_;
-    SimTape tape_;
-    std::vector<Stimulus> stimuli_;
-    std::vector<std::vector<double>> ref_outputs_;
-    int runs_;
+    /// Stimuli, reference traces and the tape fallback.
+    SimulationEvaluator sim_;
 
     /// MRU cache of compiled objects, keyed by format-set fingerprint.
     mutable std::mutex mutex_;

@@ -6,7 +6,6 @@
 
 #include "codegen/c_emitter.hpp"
 #include "codegen/fixed_c.hpp"
-#include "codegen/ref_c.hpp"
 #include "exec/jit_cache.hpp"
 #include "exec/toolchain.hpp"
 #include "ir/printer.hpp"
@@ -19,30 +18,24 @@
 namespace slpwlo::exec {
 namespace {
 
-/// The stimuli-batched wrappers around the emitted single-run bodies.
-std::string emit_batch_wrappers(const Kernel& kernel,
-                                const FixedPointSpec& spec,
-                                const std::string& fixed_fn,
-                                const std::string& ref_fn,
-                                size_t input_elems, size_t output_count) {
+/// The stimuli-batched wrapper around the emitted single-run body: narrow
+/// each stimulus' raw slab into the typed input arrays, run with zeroed
+/// output arrays (run_fixed's initial memory), trace and counter cursors
+/// advanced per stimulus. Every wrapper-owned identifier carries the
+/// slpwlo_ prefix: kernel arrays keep their source names as locals, so a
+/// kernel output called `out` must not shadow the batch output pointer.
+std::string emit_batch_wrapper(const Kernel& kernel,
+                               const FixedPointSpec& spec,
+                               const std::string& fixed_fn,
+                               size_t input_elems, size_t output_count) {
     CodeWriter w;
-    const std::string total = std::to_string(input_elems);
-    const std::string oc = std::to_string(output_count);
-
-    // Fixed-point batch: narrow each stimulus' raw slab into the typed
-    // input arrays, run with zeroed output arrays (run_fixed's initial
-    // memory), trace and counter cursors advanced per stimulus.  Every
-    // wrapper-owned identifier carries the slpwlo_ prefix: kernel arrays
-    // keep their source names as locals, so a kernel output called `out`
-    // must not shadow the batch output pointer.
     w.open("void " + fixed_fn +
            "_batch(const int64_t* slpwlo_bin, int64_t* slpwlo_bout, "
            "long long* slpwlo_bovf, int slpwlo_n)");
     w.open("for (int slpwlo_s = 0; slpwlo_s < slpwlo_n; ++slpwlo_s)");
     w.line("const int64_t* slpwlo_src = slpwlo_bin + (int64_t)slpwlo_s * " +
-           total + ";");
-    std::vector<std::string> fixed_args;
-    std::vector<std::string> ref_args;
+           std::to_string(input_elems) + ";");
+    std::vector<std::string> args;
     size_t offset = 0;
     for (size_t a = 0; a < kernel.arrays().size(); ++a) {
         const ArrayDecl& decl = kernel.arrays()[a];
@@ -56,39 +49,19 @@ std::string emit_batch_wrappers(const Kernel& kernel,
             w.line(decl.name + "[slpwlo_i] = (" + type + ")slpwlo_src[" +
                    std::to_string(offset) + " + slpwlo_i];");
             w.close();
-            fixed_args.push_back(decl.name);
-            ref_args.push_back("slpwlo_src + " + std::to_string(offset));
+            args.push_back(decl.name);
             offset += static_cast<size_t>(decl.size);
         } else if (decl.storage == StorageClass::Output) {
             const std::string type = c_int_type(
                 spec.array_format(ArrayId(static_cast<int32_t>(a))).wl());
             w.line(type + " " + decl.name + "[" + size + "] = {0};");
-            fixed_args.push_back(decl.name);
-            ref_args.push_back(decl.name);  // re-declared in the ref wrapper
+            args.push_back(decl.name);
         }
     }
-    fixed_args.push_back("slpwlo_bout + (int64_t)slpwlo_s * " + oc);
-    fixed_args.push_back("slpwlo_bovf + slpwlo_s");
-    w.line(fixed_fn + "(" + join(fixed_args, ", ") + ");");
-    w.close();
-    w.close();
-    w.blank();
-
-    // Double reference batch: input slabs are passed through unquantized.
-    w.open("void " + ref_fn +
-           "_batch(const double* slpwlo_bin, double* slpwlo_bout, "
-           "int slpwlo_n)");
-    w.open("for (int slpwlo_s = 0; slpwlo_s < slpwlo_n; ++slpwlo_s)");
-    w.line("const double* slpwlo_src = slpwlo_bin + (int64_t)slpwlo_s * " +
-           total + ";");
-    for (size_t a = 0; a < kernel.arrays().size(); ++a) {
-        const ArrayDecl& decl = kernel.arrays()[a];
-        if (decl.storage != StorageClass::Output) continue;
-        w.line("double " + decl.name + "[" + std::to_string(decl.size) +
-               "] = {0};");
-    }
-    ref_args.push_back("slpwlo_bout + (int64_t)slpwlo_s * " + oc);
-    w.line(ref_fn + "(" + join(ref_args, ", ") + ");");
+    args.push_back("slpwlo_bout + (int64_t)slpwlo_s * " +
+                   std::to_string(output_count));
+    args.push_back("slpwlo_bovf + slpwlo_s");
+    w.line(fixed_fn + "(" + join(args, ", ") + ");");
     w.close();
     w.close();
     return w.str();
@@ -138,7 +111,6 @@ std::unique_ptr<CompiledKernel> CompiledKernel::create(
     options.count_overflows = true;
     options.record_trace = true;
     const FixedCResult fixed = emit_fixed_c(kernel, spec, options);
-    const RefCResult ref = emit_ref_c(kernel);
 
     std::unique_ptr<CompiledKernel> ck(new CompiledKernel());
     ck->quant_mode_ = spec.quant_mode();
@@ -179,10 +151,9 @@ std::unique_ptr<CompiledKernel> CompiledKernel::create(
     }
 
     const std::string code =
-        fixed.code + "\n" + ref.code + "\n" +
-        emit_batch_wrappers(kernel, spec, fixed.function_name,
-                            ref.function_name, ck->input_elems_,
-                            ck->output_steps_.size());
+        fixed.code + "\n" +
+        emit_batch_wrapper(kernel, spec, fixed.function_name,
+                           ck->input_elems_, ck->output_steps_.size());
 
     JitKey key;
     key.kernel_fp = hash_name(print_kernel(kernel));
@@ -202,15 +173,10 @@ std::unique_ptr<CompiledKernel> CompiledKernel::create(
     }
     ck->so_path_ = so_path;
     const std::string fixed_sym = fixed.function_name + "_batch";
-    const std::string ref_sym = ref.function_name + "_batch";
     ck->fixed_batch_ = reinterpret_cast<decltype(ck->fixed_batch_)>(
         dlsym(ck->handle_, fixed_sym.c_str()));
-    ck->ref_batch_ = reinterpret_cast<decltype(ck->ref_batch_)>(
-        dlsym(ck->handle_, ref_sym.c_str()));
-    if (ck->fixed_batch_ == nullptr || ck->ref_batch_ == nullptr) {
-        if (error != nullptr) {
-            *error = "compiled object misses " + fixed_sym + "/" + ref_sym;
-        }
+    if (ck->fixed_batch_ == nullptr) {
+        if (error != nullptr) *error = "compiled object misses " + fixed_sym;
         return nullptr;
     }
     return ck;
@@ -243,28 +209,9 @@ long long CompiledKernel::pack_stimulus(const Stimulus& stimulus,
     return overflows;
 }
 
-void CompiledKernel::pack_stimulus_ref(const Stimulus& stimulus,
-                                       double* slab) const {
-    for (const InputSlot& slot : inputs_) {
-        SLPWLO_CHECK(static_cast<size_t>(slot.array) < stimulus.size() &&
-                         stimulus[static_cast<size_t>(slot.array)].size() ==
-                             slot.size,
-                     "stimulus missing or mis-sized for a compiled kernel "
-                     "input array");
-        const std::vector<double>& values =
-            stimulus[static_cast<size_t>(slot.array)];
-        for (size_t i = 0; i < slot.size; ++i) slab[slot.offset + i] = values[i];
-    }
-}
-
 void CompiledKernel::run_fixed_batch(const int64_t* in, int64_t* out,
                                      long long* ovf, int n) const {
     fixed_batch_(in, out, ovf, n);
-}
-
-void CompiledKernel::run_ref_batch(const double* in, double* out,
-                                   int n) const {
-    ref_batch_(in, out, n);
 }
 
 }  // namespace slpwlo::exec

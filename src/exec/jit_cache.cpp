@@ -56,9 +56,8 @@ uint64_t jit_key_hash(const JitKey& key) {
     // orphans every cached object built by older emitters (the key hashes
     // kernel + formats, not the generated source, so a codegen fix would
     // otherwise keep hitting stale .so files).
-    uint64_t h = hash_name("slpwlo-jit-v2");
+    uint64_t h = hash_name("slpwlo-jit-v3");
     h = mix(h, key.kernel_fp);
-    h = mix(h, key.target_fp);
     h = mix(h, key.format_fp);
     h = mix(h, static_cast<uint64_t>(key.quant_mode));
     h = mix(h, hash_name(key.compiler_id));

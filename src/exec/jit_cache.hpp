@@ -2,8 +2,8 @@
 //
 // A compiled artifact is fully determined by what was emitted and who
 // compiled it, so the cache key is the tuple
-//   (kernel fingerprint, target fingerprint, format-set fingerprint,
-//    quantization mode, compiler id)
+//   (kernel fingerprint, format-set fingerprint, quantization mode,
+//    compiler id)
 // hashed to a filename `<16-hex>.so` (the emitted C rides next to it as
 // `<16-hex>.c` for debugging). Sweeps and shard workers across processes
 // share the directory: a second worker that needs the same object gets a
@@ -28,7 +28,6 @@ namespace slpwlo::exec {
 
 struct JitKey {
     uint64_t kernel_fp = 0;   ///< hash of the printed kernel
-    uint64_t target_fp = 0;   ///< 0 for target-independent objects
     uint64_t format_fp = 0;   ///< hash of every node format in the spec
     QuantMode quant_mode = QuantMode::Truncate;
     std::string compiler_id;  ///< Toolchain::id

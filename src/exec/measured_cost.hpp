@@ -10,8 +10,8 @@
 // result rows next to per-slot micros, and like them it is excluded from
 // every identity fingerprint and from default report bytes.
 //
-// Without a usable host compiler measure_kernel_ns returns 0 (the flow
-// leaves measured_ns at 0 and nothing else changes).
+// Without a usable host compiler measure_kernel_ns returns 0 (a measuring
+// sweep leaves measured_ns at 0 and nothing else changes).
 #pragma once
 
 #include <cstdint>

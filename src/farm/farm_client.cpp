@@ -284,7 +284,6 @@ size_t run_farm_worker(const std::string& host, int port,
         // sweep-wide flow defaults, and the defaults shape result bytes.
         ExecOptions exec = options.exec;
         exec.flow_options = manifest.defaults;
-        if (options.measure) exec.flow_options.measure = true;
         SweepDriver driver(exec);
         while (true) {
             const Chunk chunk = acquire_chunk(client, options, job, manifest);

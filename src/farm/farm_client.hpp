@@ -93,15 +93,14 @@ struct FarmWorkerOptions {
     std::string worker;           ///< worker id (must be unique per farm)
     long long heartbeat_ms = 1000;  ///< must be positive
     long long poll_ms = 200;        ///< must be positive
-    ExecOptions exec;             ///< flow_options overridden per job
+    /// How this worker runs its chunks: `threads` and `measure` hold for
+    /// every job; `flow_options` is replaced by each job's manifest
+    /// defaults.
+    ExecOptions exec;
     /// Test hook: delay each `complete` frame this long, widening the
     /// window in which killing the worker leaves a claimed chunk behind
     /// (CI's SIGKILL run).
     long long straggle_ms = 0;
-    /// Worker-local timing, re-applied on top of every job's manifest
-    /// defaults (each job replaces flow_options wholesale); it never
-    /// changes row bytes.
-    bool measure = false;
 };
 
 /// The complete worker loop: register, drain every job the daemon hands

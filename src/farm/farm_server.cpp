@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -49,6 +51,32 @@ Message error_message(const std::string& text) {
     }
     response.fields["message"] = flat;
     return response;
+}
+
+/// `submit`'s `chunk_cost`: a finite number with nothing around it.
+double parse_chunk_cost(const std::string& text) {
+    double value = 0.0;
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || stop != end || !std::isfinite(value)) {
+        throw Error("farm: submit chunk_cost is not a finite number: '" +
+                    text + "'");
+    }
+    return value;
+}
+
+/// `submit`'s `chunk_slots`: decimal digits only, so a sign can never
+/// wrap into a huge cap.
+size_t parse_chunk_slots(const std::string& text) {
+    size_t value = 0;
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || stop != end) {
+        throw Error(
+            "farm: submit chunk_slots is not a non-negative integer: '" +
+            text + "'");
+    }
+    return value;
 }
 
 }  // namespace
@@ -235,16 +263,12 @@ Message FarmServer::handle(const Message& request, long long now) {
         if (request.verb == "submit") {
             dist::ChunkOptions chunking;
             if (!request.field("chunk_cost").empty()) {
-                try {
-                    chunking.chunk_cost = std::stod(request.field("chunk_cost"));
-                } catch (const std::exception&) {
-                    throw Error("farm: submit chunk_cost is not a number: '" +
-                                request.field("chunk_cost") + "'");
-                }
+                chunking.chunk_cost =
+                    parse_chunk_cost(request.field("chunk_cost"));
             }
             if (!request.field("chunk_slots").empty()) {
                 chunking.max_chunk_slots =
-                    static_cast<size_t>(request.require_ll("chunk_slots"));
+                    parse_chunk_slots(request.field("chunk_slots"));
             }
             std::string manifest_text = request.body;
             std::string splice_text;

@@ -62,14 +62,9 @@ struct FlowOptions {
     QuantMode quant_mode = QuantMode::Truncate;
     WloSlpOptions wlo_slp;      ///< accuracy_db is overridden
     WloFirstOptions wlo_first;  ///< accuracy_db is overridden
-    /// Time the compiled kernel body and simulate the final spec after
-    /// the flow (FlowResult::measured_ns, sim_noise_db). Observational:
-    /// excluded from memo keys and default report bytes.
-    bool measure = false;
     /// Node budget of the exact flows (WLO-Optimal, SLP-Optimal). It
-    /// changes which incumbent an out-of-budget search returns, so —
-    /// unlike `measure` — it is mixed into stage memo keys and serialized
-    /// into shard manifests.
+    /// changes which incumbent an out-of-budget search returns, so it is
+    /// mixed into stage memo keys and serialized into shard manifests.
     solver::SolveBudget solver_budget;
 };
 
@@ -148,17 +143,18 @@ struct FlowResult {
     int group_count = 0;
 
     /// Median wall time of one compiled kernel execution in nanoseconds
-    /// (exec/measured_cost.hpp); 0 unless FlowOptions::measure was set and
-    /// the compiled backend was usable. Like per-slot micros, this is a
-    /// measurement, not an outcome: it is excluded from every identity
-    /// fingerprint and from default to_json bytes.
+    /// (exec/measured_cost.hpp); 0 unless the sweep ran with
+    /// ExecOptions::measure (flow/sweep.hpp) and the compiled backend was
+    /// usable. Like per-slot micros, this is a measurement, not an
+    /// outcome: it is excluded from every identity fingerprint and from
+    /// default to_json bytes.
     long long measured_ns = 0;
     /// Simulation-verified noise of the final spec through
     /// exec::CompiledEvaluator (native when a host compiler is usable,
-    /// the bit-identical tape otherwise); 0 unless `measure` was set. A
-    /// sim-vs-analytic cross-check that also runs the compiled backend's
-    /// degradation path during real sweeps. Observational, like
-    /// measured_ns.
+    /// the bit-identical tape otherwise); 0 unless the sweep ran with
+    /// ExecOptions::measure. A sim-vs-analytic cross-check that also runs
+    /// the compiled backend's degradation path during real sweeps.
+    /// Observational, like measured_ns.
     double sim_noise_db = 0.0;
 };
 

@@ -7,8 +7,6 @@
 #include "core/tabu_wlo.hpp"
 #include "core/wlo_first.hpp"
 #include "solver/wlo_exact.hpp"
-#include "exec/compiled_evaluator.hpp"
-#include "exec/measured_cost.hpp"
 #include "support/diagnostics.hpp"
 
 namespace slpwlo {
@@ -228,8 +226,6 @@ uint64_t stage_memo_key(const KernelContext& context, uint64_t target_fp,
     // The solver budget changes outcomes (an exact flow under a different
     // budget can return a different incumbent), so it is part of the key.
     mix(h, static_cast<uint64_t>(options.solver_budget.max_nodes));
-    // options.measure is deliberately NOT mixed: it adds an observational
-    // timing, not an outcome, so toggling it keeps hitting the same entries.
     return h;
 }
 
@@ -448,6 +444,12 @@ FlowPipeline::FlowPipeline(std::string name, std::vector<PassRef> passes)
     }
 }
 
+bool FlowPipeline::float_reference() const {
+    return std::any_of(passes_.begin(), passes_.end(), [](const PassRef& pass) {
+        return std::strcmp(pass->name(), "float-lowering") == 0;
+    });
+}
+
 namespace {
 
 /// The passes a stage-memo hit replaces. Everything downstream (lowering,
@@ -535,21 +537,6 @@ FlowResult FlowPipeline::run(const KernelContext& context,
         entry.solver_stats = ctx.result.solver_stats;
         entry.group_count = ctx.result.group_count;
         cache->store_stage(*ctx.stage_key, entry);
-    }
-
-    // Observational timing + simulation-backed verification of the final
-    // spec. Outside the memoized region on purpose: a warm (stage- or
-    // eval-cached) run still measures, and a measurement never lands in
-    // any cache entry. The noise check runs compiled when a host compiler
-    // is usable and on the bit-identical tape otherwise, so this is where
-    // the degradation path executes during a sweep. The float reference
-    // has no fixed-point spec to compile.
-    if (ctx.options.measure && !ctx.float_variant) {
-        ctx.result.measured_ns =
-            exec::measure_kernel_ns(context.kernel(), ctx.result.spec);
-        ctx.result.sim_noise_db =
-            exec::CompiledEvaluator(context.kernel())
-                .noise_power_db(ctx.result.spec);
     }
     return std::move(ctx.result);
 }

@@ -217,6 +217,9 @@ public:
 
     const std::string& name() const { return name_; }
     const std::vector<PassRef>& passes() const { return passes_; }
+    /// True when the pipeline lowers the float reference, whose result
+    /// has no fixed-point spec to compile, time or simulate.
+    bool float_reference() const;
 
     /// Run the pipeline. `options.accuracy_db` is the constraint; `cache`
     /// (optional) memoizes the evaluation stage across runs.

@@ -5,7 +5,6 @@
 #include <map>
 #include <sstream>
 
-#include "accuracy/sim_evaluator.hpp"
 #include "support/diagnostics.hpp"
 #include "support/text.hpp"
 
@@ -54,12 +53,6 @@ std::string wl_histogram(const FixedPointSpec& spec) {
         os << "  wl" << wl << ": " << count << " nodes\n";
     }
     return os.str();
-}
-
-double measured_noise_db(const KernelContext& context,
-                         const FlowResult& result, int runs) {
-    const SimulationEvaluator sim(context.kernel(), runs);
-    return sim.noise_power_db(result.spec);
 }
 
 std::string json_escape(const std::string& text) {

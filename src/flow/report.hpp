@@ -23,10 +23,6 @@ std::string summarize(const FlowResult& result);
 /// visual of what the optimizer decided.
 std::string wl_histogram(const FixedPointSpec& spec);
 
-/// Measured (bit-accurate simulation) noise power of a flow result in dB.
-double measured_noise_db(const KernelContext& context,
-                         const FlowResult& result, int runs = 2);
-
 // --- structured emission -------------------------------------------------------
 
 /// JSON string literal with the required escapes.

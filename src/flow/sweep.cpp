@@ -7,7 +7,9 @@
 #include <exception>
 #include <sstream>
 
+#include "exec/compiled_evaluator.hpp"
 #include "exec/jit_cache.hpp"
+#include "exec/measured_cost.hpp"
 #include "flow/report.hpp"
 #include "frontend/kernel_file.hpp"
 #include "support/diagnostics.hpp"
@@ -124,7 +126,6 @@ std::vector<SweepResult> SweepDriver::run_timed(
         jobs.push_back(std::move(job));
     }
 
-    EvalCache* cache = options_.memoize ? &eval_cache_ : nullptr;
     std::vector<std::optional<FlowResult>> slots(points.size());
     std::vector<long long> micros(points.size(), 0);
     std::exception_ptr first_error;
@@ -137,8 +138,23 @@ std::vector<SweepResult> SweepDriver::run_timed(
             try {
                 const Job& job = jobs[i];
                 const auto start = std::chrono::steady_clock::now();
-                slots[i] = job.pipeline->run(*job.context, job.target,
-                                             job.options, cache);
+                FlowResult result = job.pipeline->run(
+                    *job.context, job.target, job.options, &eval_cache_);
+                // Observational timing and a simulation check of the final
+                // spec. After the flow, so a stage- or eval-cached point
+                // still measures and no measurement lands in a cache entry.
+                // The noise check runs compiled when a host compiler is
+                // usable and on the bit-identical tape otherwise, so this
+                // is where the degradation path executes during a sweep.
+                if (options_.measure && !job.pipeline->float_reference()) {
+                    const Kernel& kernel = job.context->kernel();
+                    result.measured_ns =
+                        exec::measure_kernel_ns(kernel, result.spec);
+                    result.sim_noise_db =
+                        exec::CompiledEvaluator(kernel).noise_power_db(
+                            result.spec);
+                }
+                slots[i] = std::move(result);
                 micros[i] = std::chrono::duration_cast<std::chrono::microseconds>(
                                 std::chrono::steady_clock::now() - start)
                                 .count();
@@ -219,9 +235,7 @@ std::string slp_options_to_json(const SlpOptions& slp) {
 
 /// The option fields a per-point override can vary (both flows' ablation
 /// axes); emitted alongside the result so variant rows stay
-/// distinguishable. The measure field is deliberately absent: it adds an
-/// observational timing, not an outcome, so rows produced with and without
-/// it must stay byte-identical.
+/// distinguishable.
 std::string options_to_json(const FlowOptions& options) {
     std::ostringstream os;
     os << "{\"quant_mode\":"

@@ -72,14 +72,20 @@ struct SweepPoint {
 /// Execution options shared by every sweep entry point — the in-process
 /// SweepDriver, the local `run` verb and the farm worker
 /// (farm::run_farm_worker) all consume this one struct, so a thread
-/// count means the same thing on every path.
+/// count means the same thing on every path. Only `flow_options` can
+/// change an outcome; the rest shape how this process runs the sweep.
 struct ExecOptions {
     /// Worker threads; <= 0 picks the hardware concurrency.
     int threads = 0;
     /// Sweep-wide flow options (accuracy_db is overridden per point).
     FlowOptions flow_options;
-    /// Share an EvalCache across points and runs of this driver.
-    bool memoize = true;
+    /// After each fixed-point point's flow, inside its task and timer,
+    /// time the compiled kernel body (FlowResult::measured_ns) and
+    /// simulate the final spec through exec::CompiledEvaluator
+    /// (FlowResult::sim_noise_db); Float reference points are skipped.
+    /// A property of the process that runs the sweep: no manifest, memo
+    /// key, point fingerprint or report byte can see it.
+    bool measure = false;
 };
 
 struct SweepResult {

@@ -1,6 +1,8 @@
 #include "frontend/lexer.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <map>
 
 #include "support/diagnostics.hpp"
@@ -99,8 +101,9 @@ std::vector<Token> lex(const std::string& source) {
             continue;
         }
         if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-            size_t start = i;
-            bool is_real = false;
+            const size_t start = i;
+            const int start_line = line;
+            const int start_column = column;
             while (i < source.size()) {
                 const char d = source[i];
                 if (std::isdigit(static_cast<unsigned char>(d)) != 0) {
@@ -108,10 +111,8 @@ std::vector<Token> lex(const std::string& source) {
                 } else if (d == '.' && i + 1 < source.size() &&
                            source[i + 1] != '.') {
                     // '.' followed by another '.' is the range operator.
-                    is_real = true;
                     advance();
                 } else if ((d == 'e' || d == 'E') && i + 1 < source.size()) {
-                    is_real = true;
                     advance();
                     if (i < source.size() &&
                         (source[i] == '+' || source[i] == '-')) {
@@ -122,8 +123,22 @@ std::vector<Token> lex(const std::string& source) {
                 }
             }
             const std::string text = source.substr(start, i - start);
-            push(TokKind::Number, text, std::stod(text));
-            (void)is_real;
+            // strtod with both checks, not std::stod: a literal beyond a
+            // double's range or with a dangling exponent is a located
+            // parse error, not an exception the caller cannot place.
+            errno = 0;
+            char* end = nullptr;
+            const double value = std::strtod(text.c_str(), &end);
+            if (errno == ERANGE) {
+                throw ParseError("numeric literal `" + text +
+                                     "` is out of the range of a double",
+                                 start_line, start_column);
+            }
+            if (end != text.c_str() + text.size()) {
+                throw ParseError("malformed numeric literal `" + text + "`",
+                                 start_line, start_column);
+            }
+            push(TokKind::Number, text, value);
             continue;
         }
         switch (c) {

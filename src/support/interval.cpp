@@ -126,14 +126,6 @@ Interval Interval::operator/(const Interval& rhs) const {
                     std::max(std::max(a, b), std::max(c, d)));
 }
 
-Interval Interval::scaled_pow2(int amount) const {
-    if (empty_) return *this;
-    const double factor = std::ldexp(1.0, amount);
-    const double a = lo_ * factor;
-    const double b = hi_ * factor;
-    return Interval(std::min(a, b), std::max(a, b));
-}
-
 std::string Interval::str() const {
     std::ostringstream os;
     os << *this;

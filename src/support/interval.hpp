@@ -61,9 +61,6 @@ public:
     /// Division; throws Error if rhs contains zero.
     Interval operator/(const Interval& rhs) const;
 
-    /// Interval scaled by 2^amount (exact; used for shift operators).
-    Interval scaled_pow2(int amount) const;
-
     std::string str() const;
 
 private:

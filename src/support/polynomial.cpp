@@ -1,7 +1,5 @@
 #include "support/polynomial.hpp"
 
-#include <cmath>
-
 #include "support/diagnostics.hpp"
 
 namespace slpwlo {
@@ -32,12 +30,6 @@ Polynomial expand_biquad_sections(
         acc = poly_mul(acc, Polynomial{1.0, c1, c2});
     }
     return acc;
-}
-
-double poly_l1(const Polynomial& p) {
-    double sum = 0.0;
-    for (const double c : p) sum += std::fabs(c);
-    return sum;
 }
 
 }  // namespace slpwlo

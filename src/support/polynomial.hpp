@@ -21,7 +21,4 @@ double poly_eval(const Polynomial& p, double x);
 /// 2 * sections + 1, leading coefficient 1.
 Polynomial expand_biquad_sections(const std::vector<std::pair<double, double>>& sections);
 
-/// Sum of |p[i]| — the L1 norm, used for worst-case gain reasoning.
-double poly_l1(const Polynomial& p);
-
 }  // namespace slpwlo

@@ -1,8 +1,6 @@
 #include "support/text.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <sstream>
 
 namespace slpwlo {
 
@@ -16,61 +14,14 @@ std::string join(const std::vector<std::string>& parts,
     return out;
 }
 
-std::string pad_left(const std::string& s, size_t width) {
-    if (s.size() >= width) return s;
-    return std::string(width - s.size(), ' ') + s;
-}
-
-std::string pad_right(const std::string& s, size_t width) {
-    if (s.size() >= width) return s;
-    return s + std::string(width - s.size(), ' ');
-}
-
 std::string format_double(double value, int digits) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.*g", digits, value);
     return buf;
 }
 
-std::string render_table(const std::vector<std::vector<std::string>>& rows) {
-    if (rows.empty()) return "";
-    size_t cols = 0;
-    for (const auto& row : rows) cols = std::max(cols, row.size());
-    std::vector<size_t> widths(cols, 0);
-    for (const auto& row : rows) {
-        for (size_t c = 0; c < row.size(); ++c) {
-            widths[c] = std::max(widths[c], row[c].size());
-        }
-    }
-    std::ostringstream os;
-    for (size_t r = 0; r < rows.size(); ++r) {
-        for (size_t c = 0; c < rows[r].size(); ++c) {
-            os << pad_right(rows[r][c], widths[c]);
-            if (c + 1 < rows[r].size()) os << "  ";
-        }
-        os << "\n";
-        if (r == 0) {
-            size_t total = 0;
-            for (size_t c = 0; c < cols; ++c) total += widths[c] + (c ? 2 : 0);
-            os << std::string(total, '-') << "\n";
-        }
-    }
-    return os.str();
-}
-
 bool contains(const std::string& text, const std::string& needle) {
     return text.find(needle) != std::string::npos;
-}
-
-std::string replace_all(std::string text, const std::string& from,
-                        const std::string& to) {
-    if (from.empty()) return text;
-    size_t pos = 0;
-    while ((pos = text.find(from, pos)) != std::string::npos) {
-        text.replace(pos, from.size(), to);
-        pos += to.size();
-    }
-    return text;
 }
 
 }  // namespace slpwlo

@@ -9,22 +9,11 @@ namespace slpwlo {
 /// Join `parts` with `sep`.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
 
-/// Fixed-width left/right padding with spaces.
-std::string pad_left(const std::string& s, size_t width);
-std::string pad_right(const std::string& s, size_t width);
-
 /// Format a double with `digits` significant decimal digits, trimming
 /// trailing zeros (used for stable golden-test output).
 std::string format_double(double value, int digits = 6);
 
-/// Render a simple aligned text table: first row is the header.
-std::string render_table(const std::vector<std::vector<std::string>>& rows);
-
 /// True if `text` contains `needle`.
 bool contains(const std::string& text, const std::string& needle);
-
-/// Replace all occurrences of `from` with `to` in `text`.
-std::string replace_all(std::string text, const std::string& from,
-                        const std::string& to);
 
 }  // namespace slpwlo

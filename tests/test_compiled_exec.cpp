@@ -2,10 +2,10 @@
 //
 // The compiled artifact must be a bit-exact stand-in for the interpreted
 // simulators: raw fixed-point outputs and overflow counts identical to
-// SimTape::run_fixed (and the tree walker), reference traces identical to
-// run_double, and CompiledEvaluator's noise power identical to
-// SimulationEvaluator's — across the registry kernels, word-length presets
-// and quantization modes. Tests that need the host toolchain skip when no
+// SimTape::run_fixed (and the tree walker), and CompiledEvaluator's noise
+// power identical to SimulationEvaluator's — across the registry kernels,
+// word-length presets and quantization modes — and a measuring sweep's
+// simulated noise. Tests that need the host toolchain skip when no
 // compiler is usable (matching tests/test_codegen.cpp).
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -23,12 +23,11 @@
 #include "exec/jit_cache.hpp"
 #include "exec/measured_cost.hpp"
 #include "exec/toolchain.hpp"
-#include "flow/flow.hpp"
 #include "flow/report.hpp"
+#include "flow/sweep.hpp"
 #include "kernels/kernels.hpp"
 #include "sim/fixed_sim.hpp"
 #include "sim/sim_tape.hpp"
-#include "target/target_model.hpp"
 #include "test_util.hpp"
 
 namespace slpwlo {
@@ -167,42 +166,6 @@ TEST(CompiledExec, FixedMatchesTapeAndWalkerBitwiseAcrossRegistry) {
     }
 }
 
-TEST(CompiledExec, RefBatchMatchesRunDoubleBitwiseAcrossRegistry) {
-    if (!toolchain_usable()) GTEST_SKIP() << "no host C compiler";
-    TempJitDir jit_dir;
-    for (const std::string& name : kernels::benchmark_kernel_names()) {
-        const kernels::BenchmarkKernel bk =
-            kernels::make_benchmark_kernel(name);
-        const SimTape tape(bk.kernel);
-        const FixedPointSpec spec =
-            preset_spec(bk.kernel, 12, QuantMode::Truncate);
-        std::string error;
-        const auto ck = exec::CompiledKernel::create(bk.kernel, spec, &error);
-        ASSERT_NE(ck, nullptr) << name << ": " << error;
-
-        // Two stimuli through one batched call.
-        const Stimulus s0 = make_stimulus(bk.kernel, 0x5E1F);
-        const Stimulus s1 = make_stimulus(bk.kernel, 0x5E1F + 1);
-        const size_t elems = ck->input_elems();
-        const size_t oc = ck->output_count();
-        std::vector<double> in(2 * elems);
-        std::vector<double> out(2 * oc);
-        ck->pack_stimulus_ref(s0, in.data());
-        ck->pack_stimulus_ref(s1, in.data() + elems);
-        ck->run_ref_batch(in.data(), out.data(), 2);
-
-        const std::vector<double> ref0 = run_double(tape, s0).outputs;
-        const std::vector<double> ref1 = run_double(tape, s1).outputs;
-        ASSERT_EQ(ref0.size(), oc) << name;
-        for (size_t i = 0; i < oc; ++i) {
-            ASSERT_EQ(bits_of(out[i]), bits_of(ref0[i]))
-                << name << " ref output " << i;
-            ASSERT_EQ(bits_of(out[oc + i]), bits_of(ref1[i]))
-                << name << " ref output " << i << " (second stimulus)";
-        }
-    }
-}
-
 TEST(CompiledExec, EvaluatorNoisePowerBitIdenticalToSimulation) {
     if (!toolchain_usable()) GTEST_SKIP() << "no host C compiler";
     TempJitDir jit_dir;
@@ -325,38 +288,47 @@ TEST(CompiledExec, MeasuredCostReportsPlausibleTiming) {
     }
 }
 
-// The post-flow `measure` hook simulates the final spec through the
-// compiled evaluator (FlowResult::sim_noise_db): compiled when a host
+// A measuring sweep simulates each fixed-point point's final spec through
+// the compiled evaluator (FlowResult::sim_noise_db): compiled when a host
 // compiler is usable, the tape otherwise, bit-identical either way. The
-// identity JSON must not change with measure on or off.
-TEST(CompiledExec, FlowMeasureSimulatesTheFinalSpec) {
+// Float reference has no spec to simulate. The report bytes must not
+// change with measurement on or off.
+TEST(CompiledExec, SweepMeasureSimulatesTheFinalSpec) {
     TempJitDir jit_dir;
-    const KernelContext context(::slpwlo::testing::small_fir());
-    FlowOptions measured;
-    measured.accuracy_db = -25.0;
-    measured.measure = true;
-    FlowOptions unmeasured = measured;
-    unmeasured.measure = false;
+    const std::vector<SweepPoint> grid = SweepDriver::grid(
+        {"FIR"}, {"XENTIUM"}, {"WLO-SLP", "Float"}, {-20.0, -40.0});
+    ExecOptions options;
+    options.threads = 1;
+    options.measure = true;
+    SweepDriver measuring(options);
+    const std::vector<SweepResult> measured = measuring.run(grid);
+    options.measure = false;
+    SweepDriver plain(options);
+    const std::vector<SweepResult> unmeasured = plain.run(grid);
 
-    const FlowResult a =
-        run_wlo_slp_flow(context, targets::xentium(), measured);
-    const FlowResult b =
-        run_wlo_slp_flow(context, targets::xentium(), unmeasured);
-
-    const SimulationEvaluator tape(context.kernel(), 2);
-    EXPECT_NE(a.sim_noise_db, 0.0);
-    EXPECT_EQ(bits_of(a.sim_noise_db),
-              bits_of(tape.noise_power_db(a.spec)));
-    if (toolchain_usable()) {
-        EXPECT_GT(a.measured_ns, 0);
+    const SimulationEvaluator tape(measuring.context("FIR").kernel(), 2);
+    for (const SweepResult& r : measured) {
+        if (r.point.flow == "Float") {
+            EXPECT_EQ(r.flow.sim_noise_db, 0.0);
+            EXPECT_EQ(r.flow.measured_ns, 0);
+            continue;
+        }
+        EXPECT_NE(r.flow.sim_noise_db, 0.0);
+        EXPECT_EQ(bits_of(r.flow.sim_noise_db),
+                  bits_of(tape.noise_power_db(r.flow.spec)))
+            << r.point.accuracy_db;
+        if (toolchain_usable()) {
+            EXPECT_GT(r.flow.measured_ns, 0);
+        }
+        const std::string json = to_json(r.flow, /*include_measured=*/true);
+        EXPECT_NE(json.find("\"sim_noise_db\":"), std::string::npos);
+        EXPECT_NE(json.find("\"measured_ns\":"), std::string::npos);
     }
-    const std::string json = to_json(a, /*include_measured=*/true);
-    EXPECT_NE(json.find("\"sim_noise_db\":"), std::string::npos);
-    EXPECT_NE(json.find("\"measured_ns\":"), std::string::npos);
-
-    EXPECT_EQ(b.sim_noise_db, 0.0);
-    EXPECT_EQ(b.measured_ns, 0);
-    EXPECT_EQ(to_json(a), to_json(b));
+    for (const SweepResult& r : unmeasured) {
+        EXPECT_EQ(r.flow.sim_noise_db, 0.0);
+        EXPECT_EQ(r.flow.measured_ns, 0);
+    }
+    EXPECT_EQ(sweep_to_json(measured), sweep_to_json(unmeasured));
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 // ttl 0 (explicit clocks, no sleeps), incremental-re-sweep splicing, and
 // socket end-to-end runs whose reports must be byte-identical to the
 // 1-process sweep — at 1 and 4 workers, and with a worker that dies
-// mid-`complete` — plus the daemon's and worker's option range checks and
-// the worker's strict parse of `acquire` slot lists.
+// mid-`complete`, and a measuring worker whose report is the unmeasured
+// bytes — plus the daemon's and worker's option range checks, the
+// daemon's strict parse of `submit` chunk fields and the worker's strict
+// parse of `acquire` slot lists.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -13,6 +15,8 @@
 
 #include <chrono>
 #include <climits>
+#include <cstdlib>
+#include <filesystem>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -21,6 +25,7 @@
 #include "dist/shard_manifest.hpp"
 #include "dist/shard_merger.hpp"
 #include "dist/shard_plan.hpp"
+#include "exec/toolchain.hpp"
 #include "farm/farm_client.hpp"
 #include "farm/farm_server.hpp"
 #include "farm/framing.hpp"
@@ -554,6 +559,51 @@ TEST_P(FarmE2EWorkers, FarmSweepIsByteIdenticalToSingleProcess) {
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, FarmE2EWorkers,
                          ::testing::Values(size_t{1}, size_t{4}));
 
+// Measurement is the worker process's own switch (exec.measure): its rows
+// carry compiled timings, and the merged report is the unmeasured bytes.
+TEST_F(FarmE2E, MeasuringWorkerSendsTimingsAndTheSameReport) {
+    const std::vector<SweepPoint> grid =
+        SweepDriver::grid({"FIR"}, {"XENTIUM"}, {"WLO-SLP", "Float"}, {-20.0});
+    ExecOptions options;
+    options.threads = 1;
+    SweepDriver reference(options);
+    const std::string reference_json = sweep_to_json(reference.run(grid));
+
+    // Compiled objects go to a private cache directory, not the shared
+    // default one.
+    const std::string jit_dir = ::testing::TempDir() + "/slpwlo-jit-farm-" +
+                                std::to_string(::getpid());
+    ::setenv("SLPWLO_JIT_DIR", jit_dir.c_str(), 1);
+    start(/*ttl_ms=*/10000);
+    const size_t job = submit_over_wire(whole_grid_manifest(grid), 1);
+    FarmWorkerOptions worker;
+    worker.worker = "measuring";
+    worker.heartbeat_ms = 50;
+    worker.poll_ms = 20;
+    worker.exec.threads = 1;
+    worker.exec.measure = true;
+    EXPECT_EQ(run_farm_worker("127.0.0.1", server_->port(), worker),
+              grid.size());
+    ::unsetenv("SLPWLO_JIT_DIR");
+    std::filesystem::remove_all(jit_dir);
+
+    EXPECT_EQ(fetch_report(job), reference_json);
+    FarmClient client("127.0.0.1", server_->port());
+    Message request;
+    request.verb = "rows";
+    request.fields["job"] = std::to_string(job);
+    const ShardResultsFile rows =
+        parse_shard_results(client.call(request).body, "<rows>");
+    ASSERT_EQ(rows.rows.size(), grid.size());
+    for (const ShardRow& row : rows.rows) {
+        if (grid[row.slot].flow == "Float") {
+            EXPECT_EQ(row.measured_ns, 0) << "slot " << row.slot;
+        } else if (exec::host_toolchain().usable) {
+            EXPECT_GT(row.measured_ns, 0) << "slot " << row.slot;
+        }
+    }
+}
+
 TEST_F(FarmE2E, WorkerKilledMidCompleteDeliversNothing) {
     const std::vector<SweepPoint> grid =
         SweepDriver::grid({"FIR"}, {"XENTIUM"}, {"WLO-SLP"}, {-20.0});
@@ -651,6 +701,48 @@ TEST_F(FarmE2E, ServerAnswersProtocolErrorsAndStaysUp) {
         EXPECT_EQ(client.call(status).verb, "ok")
             << "an error response must not poison the connection";
     }
+}
+
+// `submit` fields parse strictly on the daemon, whatever the client sent:
+// a lenient parse would take `chunk_cost = 3abc` as 3 and wrap
+// `chunk_slots = -1` to SIZE_MAX. A rejected submit must answer `error`
+// and create no job.
+TEST_F(FarmE2E, SubmitRejectsMalformedChunkFieldsOverTheWire) {
+    start(/*ttl_ms=*/10000);
+    const std::string manifest = whole_grid_manifest(board_grid());
+    const auto submit = [&](const std::string& key, const std::string& value) {
+        Message request;
+        request.verb = "submit";
+        request.fields[key] = value;
+        request.body = manifest;
+        const std::string frame = encode_frame(request);
+        const int fd = connect_loopback(server_->port());
+        EXPECT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(frame.size()));
+        const std::optional<Message> response = read_frame(fd);
+        ::close(fd);
+        return response.value_or(Message{});
+    };
+    for (const char* bad : {"3abc", "nan", "inf", "-inf", "+3", "1e999", "x"}) {
+        const Message response = submit("chunk_cost", bad);
+        EXPECT_EQ(response.verb, "error") << "chunk_cost = " << bad;
+        EXPECT_NE(response.field("message").find("chunk_cost"),
+                  std::string::npos)
+            << response.field("message");
+    }
+    for (const char* bad : {"-1", "+2", "2x", "1.5", "99999999999999999999"}) {
+        const Message response = submit("chunk_slots", bad);
+        EXPECT_EQ(response.verb, "error") << "chunk_slots = " << bad;
+        EXPECT_NE(response.field("message").find("chunk_slots"),
+                  std::string::npos)
+            << response.field("message");
+    }
+    EXPECT_NE(fetch_status().find("\"jobs\": []"), std::string::npos)
+        << "a rejected submit must create no job";
+
+    // Well-formed fields still submit, as job 0.
+    EXPECT_EQ(submit("chunk_cost", "2.5").field("job"), "0");
+    EXPECT_EQ(submit("chunk_slots", "0").field("job"), "1");
 }
 
 /// `call` must throw an Error whose message contains `needle`.

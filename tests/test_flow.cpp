@@ -2,6 +2,7 @@
 // the benchmark kernels, checking the paper's qualitative claims.
 #include <gtest/gtest.h>
 
+#include "accuracy/sim_evaluator.hpp"
 #include "flow/flow.hpp"
 #include "flow/report.hpp"
 #include "target/target_model.hpp"
@@ -133,7 +134,8 @@ TEST(Flow, MeasuredNoiseTracksAnalytic) {
     options.accuracy_db = -40.0;
     const FlowResult result =
         run_wlo_slp_flow(ctx_fir(), targets::vex4(), options);
-    const double measured = measured_noise_db(ctx_fir(), result);
+    const double measured =
+        SimulationEvaluator(ctx_fir().kernel(), 2).noise_power_db(result.spec);
     EXPECT_NEAR(measured, result.analytic_noise_db, 4.0);
 }
 

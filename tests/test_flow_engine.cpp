@@ -204,11 +204,18 @@ TEST(FlowEngine, MemoizedSweepIsIdenticalToCold) {
         {"FIR"}, {"XENTIUM"}, {"WLO-SLP", "WLO-First"},
         {-20.0, -35.0, -50.0});
 
-    ExecOptions no_memo;
-    no_memo.threads = 1;
-    no_memo.memoize = false;
-    SweepDriver cold(no_memo);
-    const std::vector<SweepResult> reference = cold.run(points);
+    // The cold reference runs each point through the uncached pipeline.
+    kernels::BenchmarkKernel fir = kernels::make_benchmark_kernel("FIR");
+    const KernelContext context(std::move(fir.kernel), fir.range_options);
+    const TargetModel target = targets::by_name("XENTIUM");
+    std::vector<FlowResult> reference;
+    for (const SweepPoint& point : points) {
+        FlowOptions options;
+        options.accuracy_db = point.accuracy_db;
+        reference.push_back(point.flow == "WLO-SLP"
+                                ? run_wlo_slp_flow(context, target, options)
+                                : run_wlo_first_flow(context, target, options));
+    }
 
     ExecOptions memo;
     memo.threads = 1;
@@ -221,7 +228,7 @@ TEST(FlowEngine, MemoizedSweepIsIdenticalToCold) {
     ASSERT_EQ(reference.size(), first.size());
     ASSERT_EQ(reference.size(), second.size());
     for (size_t i = 0; i < reference.size(); ++i) {
-        expect_identical(reference[i].flow, first[i].flow);
+        expect_identical(reference[i], first[i].flow);
         expect_identical(first[i].flow, second[i].flow);
     }
 }

@@ -74,6 +74,37 @@ TEST(Lexer, IllegalCharacterThrows) {
     EXPECT_THROW(lex("var a @ b;"), ParseError);
 }
 
+// A literal a double cannot hold must be a parse error at the literal's
+// position, also through the `.slp` file path: an escaping
+// std::out_of_range would end the CLI in std::terminate.
+TEST(Lexer, OutOfRangeLiteralIsALocatedParseError) {
+    try {
+        lex("acc = 1e999;");
+        FAIL() << "expected ParseError";
+    } catch (const ParseError& e) {
+        EXPECT_EQ(e.line(), 1);
+        EXPECT_EQ(e.column(), 7);
+        EXPECT_NE(std::string(e.what()).find("1e999"), std::string::npos);
+    }
+    EXPECT_THROW(lex("1e-999"), ParseError);
+    EXPECT_THROW(lex("2e;"), ParseError);  // dangling exponent
+
+    const std::string path = ::testing::TempDir() + "/big_literal.slp";
+    {
+        std::ofstream out(path);
+        out << "kernel big {\n  input  a[4] range(-1e999, 1.0);\n"
+               "  output y[4];\n  loop n = 0..4 {\n    y[n] = a[n];\n  }\n}\n";
+    }
+    try {
+        frontend::load_kernel_file(path);
+        FAIL() << "expected Error";
+    } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(path + ":2:"), std::string::npos) << what;
+        EXPECT_NE(what.find("out of the range"), std::string::npos) << what;
+    }
+}
+
 // --- parser ----------------------------------------------------------------------
 
 TEST(Parser, ParsesDotKernel) {

@@ -291,25 +291,34 @@ TEST(ShardManifest, RejectsMalformedInput) {
     const std::string good = shard_manifest_text(plans[0]);
     EXPECT_NO_THROW(parse_shard_manifest(good));
 
-    // The reader accepts only the version the writer emits (6): older
+    // The reader accepts only the version the writer emits (7): older
     // and newer headers are rejected, naming both versions.
-    for (const char* version : {"1", "4", "5", "7"}) {
+    for (const char* version : {"1", "4", "5", "6", "8"}) {
         std::string text = good;
-        const size_t pos = text.find("manifest_version = 6");
+        const size_t pos = text.find("manifest_version = 7");
         ASSERT_NE(pos, std::string::npos);
         text.replace(pos, 20, std::string("manifest_version = ") + version);
         expect_version_rejected([&] { parse_shard_manifest(text); }, version,
-                                "6");
+                                "7");
     }
     // Keys older versions carried — the noise backend (4), the optimizer
-    // axis (5) — are unknown now, not silently ignored.
+    // axis (5), the measure switch (6) — are unknown now, not silently
+    // ignored.
     for (const char* old_key : {"option.evaluator = tape\n",
-                                "option.solver.optimizer = heuristic\n"}) {
+                                "option.solver.optimizer = heuristic\n",
+                                "option.measure = true\n"}) {
         std::string text = good;
         const size_t pos = text.find("end_defaults");
         ASSERT_NE(pos, std::string::npos);
         text.insert(pos, old_key);
-        EXPECT_THROW(parse_shard_manifest(text), Error) << old_key;
+        try {
+            parse_shard_manifest(text);
+            ADD_FAILURE() << "accepted " << old_key;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("unknown option key"),
+                      std::string::npos)
+                << e.what();
+        }
     }
     // So is the shard strategy header version 5 carried.
     {

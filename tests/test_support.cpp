@@ -60,12 +60,6 @@ TEST(Interval, ArithmeticBasics) {
     EXPECT_THROW(b / a, Error);  // a contains zero
 }
 
-TEST(Interval, ScaledPow2) {
-    const Interval a(-1.0, 3.0);
-    EXPECT_EQ(a.scaled_pow2(2), Interval(-4.0, 12.0));
-    EXPECT_EQ(a.scaled_pow2(-1), Interval(-0.5, 1.5));
-}
-
 TEST(Interval, WidenedMovesAwayFromZero) {
     const Interval a(-0.5, 2.0);
     const Interval w = a.widened(2.0);
@@ -175,11 +169,6 @@ TEST(Polynomial, ExpandBiquadsDegree) {
     EXPECT_NEAR(poly_eval(p, x), direct, 1e-12);
 }
 
-TEST(Polynomial, L1Norm) {
-    EXPECT_DOUBLE_EQ(poly_l1({1.0, -2.0, 0.5}), 3.5);
-    EXPECT_DOUBLE_EQ(poly_l1({}), 0.0);
-}
-
 // --- dB math -------------------------------------------------------------------
 
 TEST(DbMath, PowerRoundTrip) {
@@ -227,30 +216,10 @@ TEST(Text, Join) {
     EXPECT_EQ(join({"x"}, ","), "x");
 }
 
-TEST(Text, Pad) {
-    EXPECT_EQ(pad_left("ab", 4), "  ab");
-    EXPECT_EQ(pad_right("ab", 4), "ab  ");
-    EXPECT_EQ(pad_left("abcdef", 4), "abcdef");
-}
-
 TEST(Text, FormatDouble) {
     EXPECT_EQ(format_double(1.5), "1.5");
     EXPECT_EQ(format_double(0.125), "0.125");
     EXPECT_EQ(format_double(1234567.0, 4), "1.235e+06");
-}
-
-TEST(Text, RenderTableAligns) {
-    const std::string table =
-        render_table({{"name", "value"}, {"x", "10"}, {"long-name", "2"}});
-    EXPECT_TRUE(contains(table, "name"));
-    EXPECT_TRUE(contains(table, "long-name"));
-    // Header separator present.
-    EXPECT_TRUE(contains(table, "---"));
-}
-
-TEST(Text, ReplaceAll) {
-    EXPECT_EQ(replace_all("a.b.c", ".", "::"), "a::b::c");
-    EXPECT_EQ(replace_all("aaa", "aa", "b"), "ba");
 }
 
 // --- diagnostics ------------------------------------------------------------------

@@ -14,10 +14,12 @@
 //
 // The flow names pick heuristic or exact search: `--flows
 // WLO-SLP,SLP-Optimal` sweeps both sides of the gap in one grid.
-// `--measure` times the compiled kernel body and simulates the final
-// spec (compiled when a host compiler is usable, on the bit-identical
-// tape otherwise); it never changes a single result byte. Every
-// outcome-changing option comes from the manifest alone.
+// `--measure` (on `run` and `work`) makes this process time the compiled
+// kernel body and simulate the final spec of each point it runs
+// (compiled when a host compiler is usable, on the bit-identical tape
+// otherwise). It is not part of the manifest, so it never changes a
+// single result byte; every outcome-changing option comes from the
+// manifest alone.
 //
 // The same grid across machines, through a long-lived socket daemon —
 // workers connect over TCP, completed rows stream into an online merge
@@ -269,7 +271,6 @@ int cmd_plan(Args args) {
 int cmd_run(Args args) {
     std::string manifest_path, out_path;
     ExecOptions options;
-    bool measure = false;
 
     std::string arg;
     while (args.next(arg)) {
@@ -280,7 +281,7 @@ int cmd_run(Args args) {
         } else if (arg == "--threads") {
             options.threads = int_flag(arg, args.value(arg));
         } else if (arg == "--measure") {
-            measure = true;
+            options.measure = true;
         } else {
             bad_usage("unknown run flag `" + arg + "`");
         }
@@ -291,9 +292,6 @@ int cmd_run(Args args) {
     const ShardManifest manifest = load_shard_manifest(manifest_path);
     require_whole_grid(manifest, manifest_path);
     options.flow_options = manifest.defaults;
-    // Timing changes how this process runs the manifest, never what the
-    // rows say, so measured and plain reports are byte-identical.
-    if (measure) options.flow_options.measure = true;
 
     SweepDriver driver(options);
     write_file(out_path, sweep_to_json(driver.run(manifest.points)));
@@ -326,7 +324,7 @@ int cmd_work(Args args) {
             // to exercise expiry, re-issue and duplicate resolution.
             options.straggle_ms = int_flag(arg, args.value(arg));
         } else if (arg == "--measure") {
-            options.measure = true;
+            options.exec.measure = true;
         } else {
             bad_usage("unknown work flag `" + arg + "`");
         }
