@@ -42,6 +42,8 @@ struct ConflictProbeStats {
     }
 };
 
+class SlpPlanCache;
+
 struct AccuracySlpConfig {
     /// Accuracy constraint: maximum tolerable output noise power in dB.
     double accuracy_db = -40.0;
@@ -62,6 +64,36 @@ struct AccuracySlpConfig {
     solver::PackSelectStats* solver_stats = nullptr;
     /// When non-null, the conflict hook's counters accumulate here.
     ConflictProbeStats* conflict_stats = nullptr;
+    /// When non-null, round 1 of an unfused view is taken from (or first
+    /// recorded into) this cache of round-1 plans; see SlpPlanCache.
+    SlpPlanCache* plans = nullptr;
+};
+
+/// Round-1 plans of one evaluator and one target model, shared by every
+/// constraint of a sweep (DESIGN.md §10, "The round-1 plan"). Round 1 of
+/// a block starts from an unfused view, so its candidates, their
+/// equation-(1) change lists, each candidate's own noise power and each
+/// pair's merged-state answer depend on the block and the round-base
+/// spec alone; the constraint enters only through comparisons. A plan
+/// records them once per (block, base formats, quantization mode), the
+/// formats compared exactly, and each point thresholds its own
+/// constraint against it, reaching the answers its own probes would.
+/// Only additive sessions (EvalSession::noise_split) plan. Thread-safe;
+/// plans live as long as the cache.
+class SlpPlanCache {
+public:
+    SlpPlanCache();
+    ~SlpPlanCache();
+    SlpPlanCache(const SlpPlanCache&) = delete;
+    SlpPlanCache& operator=(const SlpPlanCache&) = delete;
+
+    /// Plans recorded so far.
+    size_t size() const;
+
+private:
+    friend class AccuracySlpHooks;
+    struct Impl;
+    std::unique_ptr<Impl> impl_;
 };
 
 /// Equation (1): reduce the WL of every node carrying a lane of `lanes` to
@@ -94,7 +126,9 @@ void set_group_max_wl(FixedPointSpec& spec, const std::vector<OpId>& lanes,
 ///    so it cannot violate; any other state is probed once and the answer
 ///    reused for every pair reaching it.
 /// Equal spec states give equal noise bits, so the answers are those of a
-/// probe per pair.
+/// probe per pair. With a plan cache, round 1 of an unfused view reads
+/// validity, classes and the pairs' answers from the block's plan instead
+/// (see SlpPlanCache); later rounds run as above.
 class AccuracySlpHooks {
 public:
     AccuracySlpHooks(const PackedView& view, FixedPointSpec& spec,

@@ -27,7 +27,8 @@ std::vector<BlockId> blocks_by_priority(const Kernel& kernel) {
 WloSlpResult run_slp_aware_wlo(const Kernel& kernel, FixedPointSpec& spec,
                                const AccuracyEvaluator& evaluator,
                                const TargetModel& target,
-                               const WloSlpOptions& options) {
+                               const WloSlpOptions& options,
+                               SlpPlanCache* plans) {
     SLPWLO_ASSERT(&spec.kernel() == &kernel,
                   "spec belongs to a different kernel");
 
@@ -46,6 +47,7 @@ WloSlpResult run_slp_aware_wlo(const Kernel& kernel, FixedPointSpec& spec,
     slp_config.accuracy_conflicts = options.accuracy_conflicts;
     slp_config.strict_feasibility = options.strict_feasibility;
     slp_config.slp = options.slp;
+    slp_config.plans = plans;
 
     WloSlpResult result;
     slp_config.conflict_stats = &result.conflict_stats;

@@ -60,9 +60,12 @@ struct WloSlpResult {
 /// Blocks ordered by descending execution-frequency priority (ties by id).
 std::vector<BlockId> blocks_by_priority(const Kernel& kernel);
 
+/// `plans`, when non-null, holds the round-1 plans of `evaluator` on
+/// `target` (SlpPlanCache); the result is the same with or without it.
 WloSlpResult run_slp_aware_wlo(const Kernel& kernel, FixedPointSpec& spec,
                                const AccuracyEvaluator& evaluator,
                                const TargetModel& target,
-                               const WloSlpOptions& options);
+                               const WloSlpOptions& options,
+                               SlpPlanCache* plans = nullptr);
 
 }  // namespace slpwlo

@@ -13,6 +13,7 @@
 #include "dist/shard_merger.hpp"
 #include "dist/shard_plan.hpp"
 #include "support/diagnostics.hpp"
+#include "support/kv_format.hpp"
 
 namespace slpwlo::farm {
 
@@ -161,6 +162,24 @@ Message FarmClient::call(const Message& request) {
                     response->field("message"));
     }
     return *response;
+}
+
+Message submit_request(std::string manifest_text, double chunk_cost,
+                       size_t chunk_slots, const std::string& splice_text) {
+    Message request;
+    request.verb = "submit";
+    if (chunk_cost > 0.0) {
+        request.fields["chunk_cost"] = kv::exact_double(chunk_cost);
+    }
+    if (chunk_slots > 0) {
+        request.fields["chunk_slots"] = std::to_string(chunk_slots);
+    }
+    request.body = std::move(manifest_text);
+    if (!splice_text.empty()) {
+        request.fields["splice_bytes"] = std::to_string(splice_text.size());
+        request.body += splice_text;
+    }
+    return request;
 }
 
 void parse_endpoint(const std::string& endpoint, std::string& host,

@@ -57,6 +57,13 @@ private:
     int fd_ = -1;
 };
 
+/// The `submit` request for `manifest_text`. `chunk_cost` and
+/// `chunk_slots` are sent when positive, the cost in a form the daemon
+/// parses back to the same double; `splice_text`, a previous run's
+/// results, follows the manifest in the body when not empty.
+Message submit_request(std::string manifest_text, double chunk_cost,
+                       size_t chunk_slots, const std::string& splice_text);
+
 /// Parse "host:port" (or ":port" / "port" for localhost).
 void parse_endpoint(const std::string& endpoint, std::string& host,
                     int& port);

@@ -60,6 +60,13 @@ uint64_t KernelContext::fingerprint() const {
     return fingerprint_;
 }
 
+SlpPlanCache& KernelContext::slp_plans(uint64_t target_fp) const {
+    std::lock_guard<std::mutex> lock(slp_plans_mutex_);
+    std::unique_ptr<SlpPlanCache>& plans = slp_plans_[target_fp];
+    if (plans == nullptr) plans = std::make_unique<SlpPlanCache>();
+    return *plans;
+}
+
 const RangeMap& KernelContext::ranges() const {
     ensure_ranges();
     return ranges_;

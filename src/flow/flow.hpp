@@ -21,6 +21,7 @@
 // by each flow's SIMD cycles (Section V.A, equation 2).
 #pragma once
 
+#include <map>
 #include <memory>
 #include <mutex>
 
@@ -97,6 +98,12 @@ public:
     /// cannot alias. Computed once, lazily.
     uint64_t fingerprint() const;
 
+    /// Round-1 SLP plans of this kernel's evaluator on the target model
+    /// of content fingerprint `target_fp` (core/accuracy_aware_slp.hpp):
+    /// created on first use, shared by every sweep point, and kept as
+    /// long as the context.
+    SlpPlanCache& slp_plans(uint64_t target_fp) const;
+
 private:
     Kernel kernel_;
     RangeOptions range_options_;
@@ -110,6 +117,8 @@ private:
     mutable std::unique_ptr<FixedPointSpec> spec_template_;
     mutable std::unique_ptr<AnalyticEvaluator> evaluator_;
     mutable uint64_t fingerprint_ = 0;
+    mutable std::mutex slp_plans_mutex_;
+    mutable std::map<uint64_t, std::unique_ptr<SlpPlanCache>> slp_plans_;
 };
 
 /// Like SweepPoint, members without a default initializer carry `{}` so

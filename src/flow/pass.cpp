@@ -270,7 +270,8 @@ public:
         ctx.context.ensure_evaluator();
         const WloSlpResult out =
             run_slp_aware_wlo(ctx.context.kernel(), ctx.result.spec,
-                              ctx.context.evaluator(), ctx.target, wlo);
+                              ctx.context.evaluator(), ctx.target, wlo,
+                              &ctx.context.slp_plans(ctx.result.target_fp));
         ctx.result.groups = out.block_groups;
         ctx.result.slp_stats = out.slp_stats;
         ctx.result.scaling_stats = out.scaling_stats;

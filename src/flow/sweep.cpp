@@ -133,37 +133,35 @@ std::vector<SweepResult> SweepDriver::run_timed(
 
     if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.threads);
     ThreadPool& pool = *pool_;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        pool.submit([&, i] {
-            try {
-                const Job& job = jobs[i];
-                const auto start = std::chrono::steady_clock::now();
-                FlowResult result = job.pipeline->run(
-                    *job.context, job.target, job.options, &eval_cache_);
-                // Observational timing and a simulation check of the final
-                // spec. After the flow, so a stage- or eval-cached point
-                // still measures and no measurement lands in a cache entry.
-                // The noise check runs compiled when a host compiler is
-                // usable and on the bit-identical tape otherwise, so this
-                // is where the degradation path executes during a sweep.
-                if (options_.measure && !job.pipeline->float_reference()) {
-                    const Kernel& kernel = job.context->kernel();
-                    result.measured_ns =
-                        exec::measure_kernel_ns(kernel, result.spec);
-                    result.sim_noise_db =
-                        exec::CompiledEvaluator(kernel).noise_power_db(
-                            result.spec);
-                }
-                slots[i] = std::move(result);
-                micros[i] = std::chrono::duration_cast<std::chrono::microseconds>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error) first_error = std::current_exception();
+    pool.submit_range(jobs.size(), [&](size_t i) {
+        try {
+            const Job& job = jobs[i];
+            const auto start = std::chrono::steady_clock::now();
+            FlowResult result = job.pipeline->run(
+                *job.context, job.target, job.options, &eval_cache_);
+            // Observational timing and a simulation check of the final
+            // spec. After the flow, so a stage- or eval-cached point
+            // still measures and no measurement lands in a cache entry.
+            // The noise check runs compiled when a host compiler is
+            // usable and on the bit-identical tape otherwise, so this
+            // is where the degradation path executes during a sweep.
+            if (options_.measure && !job.pipeline->float_reference()) {
+                const Kernel& kernel = job.context->kernel();
+                result.measured_ns =
+                    exec::measure_kernel_ns(kernel, result.spec);
+                result.sim_noise_db =
+                    exec::CompiledEvaluator(kernel).noise_power_db(
+                        result.spec);
             }
-        });
-    }
+            slots[i] = std::move(result);
+            micros[i] = std::chrono::duration_cast<std::chrono::microseconds>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(error_mutex);
+            if (!first_error) first_error = std::current_exception();
+        }
+    });
     pool.wait_idle();
 
     if (first_error) std::rethrow_exception(first_error);

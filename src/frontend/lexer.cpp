@@ -63,13 +63,16 @@ std::vector<Token> lex(const std::string& source) {
             }
         }
     };
+    // Where the token being lexed starts: identifiers and numbers are
+    // pushed after they are consumed, so `line`/`column` are past them.
+    int token_line = 1, token_column = 1;
     auto push = [&](TokKind kind, std::string text, double number = 0.0) {
         Token t;
         t.kind = kind;
         t.text = std::move(text);
         t.number = number;
-        t.line = line;
-        t.column = column;
+        t.line = token_line;
+        t.column = token_column;
         tokens.push_back(std::move(t));
     };
 
@@ -84,6 +87,8 @@ std::vector<Token> lex(const std::string& source) {
             while (i < source.size() && source[i] != '\n') advance();
             continue;
         }
+        token_line = line;
+        token_column = column;
         if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
             size_t start = i;
             while (i < source.size() &&
@@ -102,8 +107,6 @@ std::vector<Token> lex(const std::string& source) {
         }
         if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
             const size_t start = i;
-            const int start_line = line;
-            const int start_column = column;
             while (i < source.size()) {
                 const char d = source[i];
                 if (std::isdigit(static_cast<unsigned char>(d)) != 0) {
@@ -132,11 +135,11 @@ std::vector<Token> lex(const std::string& source) {
             if (errno == ERANGE) {
                 throw ParseError("numeric literal `" + text +
                                      "` is out of the range of a double",
-                                 start_line, start_column);
+                                 token_line, token_column);
             }
             if (end != text.c_str() + text.size()) {
                 throw ParseError("malformed numeric literal `" + text + "`",
-                                 start_line, start_column);
+                                 token_line, token_column);
             }
             push(TokKind::Number, text, value);
             continue;
@@ -167,6 +170,8 @@ std::vector<Token> lex(const std::string& source) {
                                  line, column);
         }
     }
+    token_line = line;
+    token_column = column;
     push(TokKind::End, "");
     return tokens;
 }

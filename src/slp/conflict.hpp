@@ -31,6 +31,10 @@ public:
         return (bits_[i * words_ + j / 64] >> (j % 64)) & 1u;
     }
 
+    /// Row i as words(): bit j % 64 of word j / 64 is conflict(i, j).
+    const uint64_t* row(size_t i) const { return bits_.data() + i * words_; }
+    size_t words() const { return words_; }
+
     /// Number of conflicting pairs recorded.
     size_t pair_count() const { return pairs_; }
 

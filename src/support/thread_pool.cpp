@@ -1,6 +1,7 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
+#include <memory>
 
 namespace slpwlo {
 
@@ -59,6 +60,25 @@ void ThreadPool::submit(std::function<void()> task) {
         worker.deque.push_back(std::move(task));
     }
     work_available_.notify_one();
+}
+
+void ThreadPool::submit_range(size_t count,
+                              std::function<void(size_t)> task) {
+    if (count == 0) return;
+    const auto shared =
+        std::make_shared<std::function<void(size_t)>>(std::move(task));
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    const size_t workers = queues_.size();
+    for (size_t w = 0; w < workers; ++w) {
+        Worker& worker = *queues_[(next_queue_ + w) % workers];
+        std::lock_guard<std::mutex> queue_lock(worker.mutex);
+        for (size_t i = count * w / workers; i < count * (w + 1) / workers;
+             ++i) {
+            worker.deque.push_back([shared, i] { (*shared)(i); });
+        }
+    }
+    pending_ += count;
+    work_available_.notify_all();
 }
 
 void ThreadPool::wait_idle() {

@@ -3,9 +3,10 @@
 // Each worker owns a deque: it pushes and pops its own work at the back
 // (LIFO, cache-friendly) and steals from other workers' fronts (FIFO,
 // oldest first) when its deque runs dry. External submissions are dealt
-// round-robin across the workers. The pool tracks in-flight tasks so
-// wait_idle() can block until everything submitted so far has finished —
-// including tasks that tasks spawned.
+// round-robin across the workers, a range of them in contiguous blocks.
+// The pool tracks in-flight tasks so wait_idle() can block until
+// everything submitted so far has finished — including tasks that tasks
+// spawned.
 //
 // Determinism note: the pool schedules *when* tasks run, never *what* they
 // compute; sweep results are written to pre-assigned slots, so the output
@@ -39,6 +40,13 @@ public:
     /// own errors: an exception escaping a task is swallowed (the task
     /// still counts as completed for wait_idle()).
     void submit(std::function<void()> task);
+
+    /// Enqueue task(0), ..., task(count - 1), dealt to the workers in
+    /// contiguous blocks of neighbouring indices. Each worker then runs
+    /// its block one task after another, so neighbouring tasks — in a
+    /// sweep, points that share per-kernel and round-1 preparation —
+    /// reuse that preparation instead of waiting on each other for it.
+    void submit_range(size_t count, std::function<void(size_t)> task);
 
     /// Block until every submitted task (and their nested submissions)
     /// has completed.

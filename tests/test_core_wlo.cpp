@@ -1019,5 +1019,229 @@ TEST(AccuracySlp, FilterDefersInsideItsMargin) {
     EXPECT_EQ(spec.open_checkpoints(), 0u);
 }
 
+// --- the round-1 plan against the per-point search -------------------------------
+
+/// What the accuracy hooks decided over one accuracy_aware_slp run per
+/// block: every validity verdict and every round's conflict set after
+/// the accuracy hook, in the order the engine asked.
+struct HookRecord {
+    std::vector<bool> verdicts;
+    std::vector<ConflictSet> conflicts;
+    std::vector<int> added;
+    std::vector<std::vector<SimdGroup>> groups;
+    std::vector<FixedFormat> formats;
+    SlpStats stats;
+    ConflictProbeStats probes;
+};
+
+/// run_slp_aware_wlo's extraction loop from `spec`'s current state, with
+/// the library's hooks, recorded; `plans` null runs every round per point.
+HookRecord record_hooks(const Kernel& kernel, FixedPointSpec& spec,
+                        const AccuracyEvaluator& evaluator,
+                        const TargetModel& target, double db,
+                        SlpPlanCache* plans) {
+    HookRecord record;
+    AccuracySlpConfig config;
+    config.accuracy_db = db;
+    config.conflict_stats = &record.probes;
+    config.plans = plans;
+    for (const BlockId block : blocks_by_priority(kernel)) {
+        if (kernel.block(block).ops.size() < 2) continue;
+        PackedView view(kernel, block);
+        AccuracySlpHooks accuracy(view, spec, evaluator, target, config);
+        const auto valid = accuracy.hooks.candidate_valid;
+        accuracy.hooks.candidate_valid = [&](const Candidate& c) {
+            const bool ok = valid(c);
+            record.verdicts.push_back(ok);
+            return ok;
+        };
+        const auto add = accuracy.hooks.add_conflicts;
+        accuracy.hooks.add_conflicts = [&](const std::vector<Candidate>&
+                                               candidates,
+                                           ConflictSet& conflicts) {
+            const int added = add(candidates, conflicts);
+            record.conflicts.push_back(conflicts);
+            record.added.push_back(added);
+            return added;
+        };
+        record.groups.push_back(extract_slp(view, target, config.slp,
+                                            accuracy.hooks, &record.stats));
+        accuracy.finish();
+    }
+    EXPECT_EQ(spec.open_checkpoints(), 0u);
+    for (const NodeRef node : spec.nodes()) {
+        record.formats.push_back(spec.format(node));
+    }
+    return record;
+}
+
+void expect_same_record(const HookRecord& got, const HookRecord& want,
+                        const std::string& where) {
+    EXPECT_EQ(got.verdicts, want.verdicts) << where;
+    ASSERT_EQ(got.conflicts.size(), want.conflicts.size()) << where;
+    for (size_t r = 0; r < got.conflicts.size(); ++r) {
+        EXPECT_TRUE(got.conflicts[r] == want.conflicts[r])
+            << where << ", round " << r;
+    }
+    EXPECT_EQ(got.added, want.added) << where;
+    ASSERT_EQ(got.groups.size(), want.groups.size()) << where;
+    for (size_t b = 0; b < got.groups.size(); ++b) {
+        ASSERT_EQ(got.groups[b].size(), want.groups[b].size()) << where;
+        for (size_t g = 0; g < got.groups[b].size(); ++g) {
+            EXPECT_EQ(got.groups[b][g].lanes, want.groups[b][g].lanes)
+                << where;
+        }
+    }
+    EXPECT_EQ(got.formats, want.formats) << where;
+    const SlpStats& a = got.stats;
+    const SlpStats& e = want.stats;
+    EXPECT_EQ(a.rounds, e.rounds) << where;
+    EXPECT_EQ(a.candidates_seen, e.candidates_seen) << where;
+    EXPECT_EQ(a.invalid_candidates, e.invalid_candidates) << where;
+    EXPECT_EQ(a.structural_conflicts, e.structural_conflicts) << where;
+    EXPECT_EQ(a.extra_conflicts, e.extra_conflicts) << where;
+    EXPECT_EQ(a.selected, e.selected) << where;
+    EXPECT_EQ(a.rejected_at_select, e.rejected_at_select) << where;
+    EXPECT_EQ(a.devirtualized, e.devirtualized) << where;
+}
+
+/// The 4 built-ins, the 7 checked-in .slp kernels, and generated
+/// friendly and SLP-hostile kernels of seeds 1-5.
+const std::vector<kernels::BenchmarkKernel>& plan_kernels() {
+    static const std::vector<kernels::BenchmarkKernel> benches = [] {
+        std::vector<kernels::BenchmarkKernel> out;
+        for (const char* name : {"FIR", "IIR", "CONV", "DOT"}) {
+            out.push_back(kernels::make_benchmark_kernel(name));
+        }
+        for (const char* file : {"dotprod", "fft4", "fir8", "matmul4",
+                                 "memcpy2", "stencil1d", "stencil2d"}) {
+            out.push_back(frontend::load_kernel_file(
+                std::string(SLPWLO_SOURCE_DIR "/kernels/") + file + ".slp"));
+        }
+        frontend::GenOptions hostile;
+        hostile.slp_hostile = true;
+        for (const uint64_t seed : {1, 2, 3, 4, 5}) {
+            out.push_back(frontend::generate_kernel(seed));
+            out.push_back(frontend::generate_kernel(seed, hostile));
+        }
+        return out;
+    }();
+    return benches;
+}
+
+// One plan per kernel, target and block base serves every constraint of
+// the grid, and each point reaches exactly what its own search reaches:
+// the same validity verdicts, conflict sets, groups, stats and spec.
+TEST(AccuracySlp, RoundOnePlanMatchesPerPointSearch) {
+    long long planned_probes = 0;
+    long long per_point_probes = 0;
+    for (const kernels::BenchmarkKernel& bench : plan_kernels()) {
+        const Kernel& kernel = bench.kernel;
+        const AccuracyEvaluator& evaluator = cached_evaluator(kernel);
+        for (const TargetModel& target :
+             {targets::xentium(), targets::vex4()}) {
+            SlpPlanCache plans;
+            int points = 0;
+            for (double db = -5.0; db >= -70.0; db -= 5.0) {
+                FixedPointSpec base =
+                    build_initial_spec(kernel, bench.range_options);
+                for (const NodeRef node : base.nodes()) {
+                    base.set_wl(node, target.max_wl());
+                }
+                if (evaluator.violates(base, db)) continue;
+                const std::string where = bench.name + " on " + target.name +
+                                          " at " + std::to_string(db) + " dB";
+                FixedPointSpec planned_spec = base;
+                FixedPointSpec reference_spec = base;
+                const HookRecord got = record_hooks(
+                    kernel, planned_spec, evaluator, target, db, &plans);
+                const HookRecord want = record_hooks(
+                    kernel, reference_spec, evaluator, target, db, nullptr);
+                expect_same_record(got, want, where);
+                planned_probes += got.probes.probes;
+                per_point_probes += want.probes.probes;
+                points++;
+            }
+            // The first block's plan is shared by every point.
+            if (points > 1) {
+                EXPECT_LT(plans.size(), static_cast<size_t>(points))
+                    << bench.name << " on " << target.name;
+            }
+        }
+    }
+    EXPECT_LT(planned_probes, per_point_probes);
+}
+
+// Where cancellation makes the closed form and the summed noise disagree,
+// the plan's Interval bounds must leave the affected pairs to the probe.
+TEST(AccuracySlp, PlanMarginsHoldUnderCancellation) {
+    for (const kernels::BenchmarkKernel& bench : plan_kernels()) {
+        if (bench.name != "fir8" && bench.name != "matmul4") continue;
+        const Kernel& kernel = bench.kernel;
+        const CancellingEvaluator evaluator(kernel);
+        for (const TargetModel& target :
+             {targets::xentium(), targets::vex4()}) {
+            SlpPlanCache plans;
+            for (double db = 0.0; db <= 60.0; db += 1.0) {
+                FixedPointSpec base =
+                    build_initial_spec(kernel, bench.range_options);
+                for (const NodeRef node : base.nodes()) {
+                    base.set_wl(node, target.max_wl());
+                }
+                FixedPointSpec planned = base;
+                FixedPointSpec reference = base;
+                expect_same_record(
+                    record_hooks(kernel, planned, evaluator, target, db,
+                                 &plans),
+                    record_hooks(kernel, reference, evaluator, target, db,
+                                 nullptr),
+                    bench.name + " on " + target.name + " at " +
+                        std::to_string(db) + " dB");
+            }
+        }
+    }
+}
+
+// A plan serves only the base it was built from: one node a step
+// narrower is a different key, planned afresh, and still matches the
+// per-point search.
+TEST(AccuracySlp, PlanServesOnlyItsOwnBase) {
+    for (const kernels::BenchmarkKernel& bench : plan_kernels()) {
+        if (bench.name != "FIR" && bench.name != "stencil1d") continue;
+        const Kernel& kernel = bench.kernel;
+        const AccuracyEvaluator& evaluator = cached_evaluator(kernel);
+        const TargetModel target = targets::vex4();
+        const double db = -30.0;
+        FixedPointSpec base = build_initial_spec(kernel, bench.range_options);
+        for (const NodeRef node : base.nodes()) {
+            base.set_wl(node, target.max_wl());
+        }
+        SlpPlanCache plans;
+        FixedPointSpec first = base;
+        record_hooks(kernel, first, evaluator, target, db, &plans);
+        const size_t built = plans.size();
+        ASSERT_GT(built, 0u) << bench.name;
+        // The same base again: served, nothing new is built.
+        FixedPointSpec again = base;
+        record_hooks(kernel, again, evaluator, target, db, &plans);
+        EXPECT_EQ(plans.size(), built) << bench.name;
+
+        // Narrow one node of the first block: a new base.
+        const BlockId block = blocks_by_priority(kernel).front();
+        const NodeRef node =
+            base.node_of(kernel.block(block).ops.front());
+        base.set_wl(node, base.format(node).wl() - 1);
+        FixedPointSpec planned = base;
+        FixedPointSpec reference = base;
+        const HookRecord got =
+            record_hooks(kernel, planned, evaluator, target, db, &plans);
+        EXPECT_GT(plans.size(), built) << bench.name;
+        expect_same_record(
+            got,
+            record_hooks(kernel, reference, evaluator, target, db, nullptr),
+            bench.name + " from a narrowed base");
+    }
+}
+
 }  // namespace
 }  // namespace slpwlo

@@ -745,6 +745,34 @@ TEST_F(FarmE2E, SubmitRejectsMalformedChunkFieldsOverTheWire) {
     EXPECT_EQ(submit("chunk_slots", "0").field("job"), "1");
 }
 
+// A chunk cost below every point's estimate cuts one point per chunk,
+// however small it is: the client must send it in a form the daemon reads
+// back as the same positive number, not a six-decimal "0.000000", which
+// the daemon takes for auto-sizing.
+TEST_F(FarmE2E, SubmitSendsTinyChunkCostsExactly) {
+    start(/*ttl_ms=*/10000);
+    const std::vector<SweepPoint> grid = SweepDriver::grid(
+        {"FIR", "DOT"}, {"XENTIUM"}, {"WLO-SLP", "WLO-First"},
+        {-10.0, -20.0, -30.0, -40.0, -50.0, -60.0, -70.0, -80.0});
+    const std::string manifest = whole_grid_manifest(grid);
+    const auto chunks_of = [&](double chunk_cost) {
+        FarmClient client("127.0.0.1", server_->port());
+        const Message response =
+            client.call(submit_request(manifest, chunk_cost, 0, ""));
+        const std::string status = fetch_status();
+        const size_t at = status.find("{\"job\": " +
+                                      response.require_field("job") + ",");
+        const std::string key = "\"chunks\": ";
+        const size_t chunks = status.find(key, at);
+        EXPECT_NE(chunks, std::string::npos) << status;
+        return std::stoul(status.substr(chunks + key.size()));
+    };
+    EXPECT_EQ(chunks_of(1e-5), grid.size());
+    EXPECT_EQ(chunks_of(1e-7), grid.size());
+    // Auto-sizing, for contrast, packs several points into a chunk.
+    EXPECT_LT(chunks_of(0.0), grid.size());
+}
+
 /// `call` must throw an Error whose message contains `needle`.
 template <typename Call>
 void expect_error_naming(Call call, const std::string& needle) {

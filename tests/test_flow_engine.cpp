@@ -455,6 +455,20 @@ TEST(ThreadPool, NestedSubmitsComplete) {
     EXPECT_EQ(counter.load(), 200);
 }
 
+// A range runs every index exactly once, however it divides among the
+// workers, also when it is shorter than the pool or empty.
+TEST(ThreadPool, RunsEveryIndexOfARangeOnce) {
+    ThreadPool pool(4);
+    for (const size_t count : {0, 1, 3, 4, 5, 500}) {
+        std::vector<std::atomic<int>> runs(count);
+        pool.submit_range(count, [&runs](size_t i) { runs[i].fetch_add(1); });
+        pool.wait_idle();
+        for (size_t i = 0; i < count; ++i) {
+            EXPECT_EQ(runs[i].load(), 1) << "index " << i << " of " << count;
+        }
+    }
+}
+
 TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
     ThreadPool pool(2);
     pool.wait_idle();  // must not hang

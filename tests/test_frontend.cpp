@@ -70,6 +70,41 @@ TEST(Lexer, CommentsIgnored) {
     EXPECT_EQ(vars, 2);
 }
 
+// Every token carries the line and column of its first character, also
+// identifiers, keywords and numbers, which are pushed after being
+// consumed.
+TEST(Lexer, TokensCarryTheirStartPosition) {
+    const auto tokens =
+        lex("acc = width * 1.25; loop\ncount\n  output\n6789 x");
+    struct Want {
+        TokKind kind;
+        int line;
+        int column;
+    };
+    const std::vector<Want> want{
+        {TokKind::Identifier, 1, 1},  {TokKind::Assign, 1, 5},
+        {TokKind::Identifier, 1, 7},  {TokKind::Star, 1, 13},
+        {TokKind::Number, 1, 15},     {TokKind::Semicolon, 1, 19},
+        {TokKind::KwLoop, 1, 21},     {TokKind::Identifier, 2, 1},
+        {TokKind::KwOutput, 3, 3},    {TokKind::Number, 4, 1},
+        {TokKind::Identifier, 4, 6},  {TokKind::End, 4, 7},
+    };
+    ASSERT_EQ(tokens.size(), want.size());
+    for (size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(tokens[k].kind, want[k].kind) << "token " << k;
+        EXPECT_EQ(tokens[k].line, want[k].line) << "token " << k;
+        EXPECT_EQ(tokens[k].column, want[k].column) << "token " << k;
+    }
+    // A parse error at a number points at the number itself.
+    try {
+        ast::parse("kernel k {\n  var abcdef 5;\n}");
+        FAIL() << "expected ParseError";
+    } catch (const ParseError& e) {
+        EXPECT_EQ(e.line(), 2);
+        EXPECT_EQ(e.column(), 14);
+    }
+}
+
 TEST(Lexer, IllegalCharacterThrows) {
     EXPECT_THROW(lex("var a @ b;"), ParseError);
 }

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "flow/sweep.hpp"
+#include "frontend/kernel_file.hpp"
 #include "ir/builder.hpp"
 #include "slp/packing_cost.hpp"
 #include "slp/plain_extractor.hpp"
@@ -303,6 +304,37 @@ TEST(PresetSweep, ReportMatchesCheckedInFingerprintAtAnyThreadCount) {
     EXPECT_EQ(fnv1a(serial_json), kPresetReportFingerprint)
         << "preset sweep report changed; first 400 bytes:\n"
         << serial_json.substr(0, 400);
+}
+
+/// FNV-1a of the sweep report of the checked-in .slp corpus x {XENTIUM,
+/// VEX-4} x {WLO-First, WLO-SLP} x {-10 ... -60 dB in 10-dB steps}: the
+/// grid on which one kernel and target share round 1 of the SLP search
+/// across six constraints. Recorded before that round was planned once
+/// per kernel and target, so the plan must reproduce the per-point
+/// search byte for byte. Pinned to the CI platform's libm, like
+/// kPresetReportFingerprint.
+constexpr uint64_t kCorpusReportFingerprint = 0x511865bd318ad183ull;
+
+TEST(CorpusSweep, ReportMatchesCheckedInFingerprintAtAnyThreadCount) {
+    const std::vector<std::string> corpus =
+        frontend::load_kernel_corpus(SLPWLO_SOURCE_DIR "/kernels");
+    const std::vector<SweepPoint> points =
+        SweepDriver::grid(corpus, {"XENTIUM", "VEX-4"},
+                          {"WLO-First", "WLO-SLP"},
+                          accuracy_grid(-10.0, -60.0, 10.0));
+    ASSERT_EQ(points.size(), corpus.size() * 24);
+
+    std::string json[2];
+    for (const int threads : {1, 4}) {
+        ExecOptions options;
+        options.threads = threads;
+        SweepDriver driver(options);
+        json[threads == 1 ? 0 : 1] = sweep_to_json(driver.run(points));
+    }
+    EXPECT_EQ(json[0], json[1]);
+    EXPECT_EQ(fnv1a(json[0]), kCorpusReportFingerprint)
+        << "corpus sweep report changed; first 400 bytes:\n"
+        << json[0].substr(0, 400);
 }
 
 }  // namespace

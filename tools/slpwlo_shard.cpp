@@ -452,21 +452,9 @@ int cmd_submit(Args args) {
     farm::parse_endpoint(connect, host, port);
     farm::FarmClient client(host, port);
 
-    farm::Message request;
-    request.verb = "submit";
-    if (chunk_cost > 0.0) {
-        request.fields["chunk_cost"] = std::to_string(chunk_cost);
-    }
-    if (chunk_slots > 0) {
-        request.fields["chunk_slots"] = std::to_string(chunk_slots);
-    }
-    request.body = read_file(manifest_path);
-    if (!splice_path.empty()) {
-        const std::string splice_text = read_file(splice_path);
-        request.fields["splice_bytes"] = std::to_string(splice_text.size());
-        request.body += splice_text;
-    }
-    const farm::Message response = client.call(request);
+    const farm::Message response = client.call(farm::submit_request(
+        read_file(manifest_path), chunk_cost, chunk_slots,
+        splice_path.empty() ? "" : read_file(splice_path)));
     std::printf("farm %s: job %s submitted (%s slots spliced from previous "
                 "run)\n",
                 connect.c_str(), response.require_field("job").c_str(),
