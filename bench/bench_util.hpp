@@ -1,15 +1,11 @@
-// Shared helpers for the experiment harnesses.
-//
-// Every bench is a sweep through the SweepDriver (flow/sweep.hpp): one
-// process-wide driver shares the per-kernel contexts (range analysis,
-// IWLs, gain calibration) and the evaluation memo cache across all grids
-// a harness runs. Pass `--json` (stdout) or `--json=FILE` to any harness
-// to emit the machine-readable results after the tables.
+// Shared helpers for the experiment harnesses: one flag parser, report
+// headers and JSON emission. Pass `--json` (stdout) or `--json=FILE` to any
+// harness to emit the machine-readable results after the tables.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <optional>
@@ -57,7 +53,6 @@ struct BenchArgSpec {
     bool smoke = false;
     bool target_files = false;
     bool kernel_files = false;
-    bool json = true;
     std::vector<BenchFlag> extra;
 };
 
@@ -71,7 +66,7 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
         if (spec.kernel_files) {
             std::fprintf(out, " [--kernel-file FILE]... [--corpus DIR]...");
         }
-        if (spec.json) std::fprintf(out, " [--json[=FILE]]");
+        std::fprintf(out, " [--json[=FILE]]");
         for (const BenchFlag& flag : spec.extra) {
             std::fprintf(out, " [%s%s]", flag.name,
                          flag.takes_value ? " ..." : "");
@@ -81,22 +76,31 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
             std::fprintf(out, "  %s %s\n", flag.name, flag.help);
         }
     };
+    const auto fail = [&](const std::string& message) {
+        std::fprintf(stderr, "%s\n", message.c_str());
+        usage(stderr);
+        std::exit(2);
+    };
     BenchOptions options;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-                usage(stderr);
-                std::exit(2);
-            }
+            if (i + 1 >= argc) fail(arg + " needs a value");
             return argv[++i];
         };
         if (arg == "--help" || arg == "-h") {
             usage(stdout);
             std::exit(0);
         } else if (spec.threads && arg == "--threads") {
-            options.threads = std::atoi(value().c_str());
+            // A plain decimal integer >= 1: atoi would read `abc` as 0,
+            // which SweepDriver takes for "all cores".
+            const std::string text = value();
+            const char* end = text.data() + text.size();
+            const auto [stop, error] =
+                std::from_chars(text.data(), end, options.threads);
+            if (error != std::errc() || stop != end || options.threads < 1) {
+                fail("--threads needs an integer >= 1, got `" + text + "`");
+            }
         } else if (spec.smoke && arg == "--smoke") {
             options.smoke = true;
         } else if (spec.target_files && arg == "--target-file") {
@@ -105,9 +109,9 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
             options.kernel_files.push_back(value());
         } else if (spec.kernel_files && arg == "--corpus") {
             options.corpus_dirs.push_back(value());
-        } else if (spec.json && arg == "--json") {
+        } else if (arg == "--json") {
             options.json_path = std::string("-");  // gcc 12 -Wrestrict
-        } else if (spec.json && arg.rfind("--json=", 0) == 0) {
+        } else if (arg.rfind("--json=", 0) == 0) {
             options.json_path = arg.substr(7);
         } else {
             bool matched = false;
@@ -118,34 +122,10 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
                     break;
                 }
             }
-            if (!matched) {
-                std::fprintf(stderr, "unknown flag `%s`\n", arg.c_str());
-                usage(stderr);
-                std::exit(2);
-            }
+            if (!matched) fail("unknown flag `" + arg + "`");
         }
     }
     return options;
-}
-
-/// Process-wide sweep driver: kernel contexts and the evaluation cache are
-/// shared across every sweep a harness runs.
-inline SweepDriver& driver() {
-    static SweepDriver instance;
-    return instance;
-}
-
-/// Per-kernel context cache: range analysis + IWLs + gain calibration are
-/// paid once per kernel across the whole harness.
-inline const KernelContext& context_for(const std::string& kernel_name) {
-    return driver().context(kernel_name);
-}
-
-/// The paper's x-axis: accuracy constraints in dB, loose to strict.
-inline std::vector<double> constraint_grid(double from = -5.0,
-                                           double to = -70.0,
-                                           double step = 5.0) {
-    return accuracy_grid(from, to, step);
 }
 
 inline void print_header(const char* title, const char* paper_ref) {
@@ -170,37 +150,6 @@ inline void emit_json_to(const std::string& path, const std::string& json,
     } else {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         std::exit(1);
-    }
-}
-
-/// Emit `results` when --json was parsed into `options`. With `stats`,
-/// emits the full report object ({"results":[...],"eval_cache":{...}});
-/// without, the plain results array.
-inline void maybe_emit_json(const BenchOptions& options,
-                            const std::vector<SweepResult>& results,
-                            const SweepCacheStats* stats = nullptr) {
-    if (!options.json_path.has_value()) return;
-    const std::string json = stats != nullptr
-                                 ? sweep_to_json(results, *stats)
-                                 : sweep_to_json(results);
-    emit_json_to(*options.json_path, json, results.size());
-}
-
-/// Emit `results` as JSON when `--json` / `--json=FILE` is on the command
-/// line ("-" writes to stdout).
-inline void maybe_emit_json(int argc, char** argv,
-                            const std::vector<SweepResult>& results) {
-    for (int i = 1; i < argc; ++i) {
-        std::string path;
-        if (std::strcmp(argv[i], "--json") == 0) {
-            path = "-";
-        } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            path = argv[i] + 7;
-        } else {
-            continue;
-        }
-        emit_json_to(path, sweep_to_json(results), results.size());
-        return;
     }
 }
 

@@ -5,13 +5,19 @@
 // issues tens of thousands of EVALACC calls per kernel.
 #include <benchmark/benchmark.h>
 
-#include "bench_util.hpp"
+#include "flow/sweep.hpp"
 #include "target/target_model.hpp"
 
 using namespace slpwlo;
-using namespace slpwlo::bench;
 
 namespace {
+
+/// Per-kernel contexts (range analysis, IWLs, gain calibration), built once
+/// and shared by every benchmark.
+const KernelContext& context_for(const std::string& kernel_name) {
+    static SweepDriver driver;
+    return driver.context(kernel_name);
+}
 
 void BM_EvalAcc(benchmark::State& state) {
     const KernelContext& ctx = context_for("FIR");

@@ -219,6 +219,9 @@ int main(int argc, char** argv) {
         std::printf("\n");
     }
 
-    maybe_emit_json(args, parallel_results, &stats);
+    if (args.json_path.has_value()) {
+        emit_json_to(*args.json_path, sweep_to_json(parallel_results, stats),
+                     parallel_results.size());
+    }
     return ok && cliff_ok ? 0 : 1;
 }
