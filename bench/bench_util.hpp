@@ -9,6 +9,7 @@
 #include <fstream>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,8 +25,25 @@ namespace slpwlo::bench {
 // flags are a hard error: a typo like --smok must abort the run, not
 // silently sweep the full grid.
 
+/// `text` as a plain decimal integer >= `min`. Throws
+/// std::invalid_argument naming `flag` otherwise: atoi would read `abc`
+/// as 0, which a harness would take for a real count.
+inline int parse_int_flag(const std::string& flag, const std::string& text,
+                          int min) {
+    int parsed = 0;
+    const char* end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, parsed);
+    if (error != std::errc() || stop != end || parsed < min) {
+        throw std::invalid_argument(flag + " needs an integer >= " +
+                                    std::to_string(min) + ", got `" + text +
+                                    "`");
+    }
+    return parsed;
+}
+
 /// A harness-specific flag. `apply` receives the flag's value (or "" for
-/// boolean flags).
+/// boolean flags); it may throw std::invalid_argument to reject it, which
+/// prints the message and the usage and exits 2.
 struct BenchFlag {
     const char* name;        ///< e.g. "--shards"
     bool takes_value;
@@ -82,7 +100,7 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
         std::exit(2);
     };
     BenchOptions options;
-    for (int i = 1; i < argc; ++i) {
+    for (int i = 1; i < argc; ++i) try {
         const std::string arg = argv[i];
         const auto value = [&]() -> std::string {
             if (i + 1 >= argc) fail(arg + " needs a value");
@@ -92,15 +110,8 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
             usage(stdout);
             std::exit(0);
         } else if (spec.threads && arg == "--threads") {
-            // A plain decimal integer >= 1: atoi would read `abc` as 0,
-            // which SweepDriver takes for "all cores".
-            const std::string text = value();
-            const char* end = text.data() + text.size();
-            const auto [stop, error] =
-                std::from_chars(text.data(), end, options.threads);
-            if (error != std::errc() || stop != end || options.threads < 1) {
-                fail("--threads needs an integer >= 1, got `" + text + "`");
-            }
+            // SweepDriver would take 0 for "all cores".
+            options.threads = parse_int_flag(arg, value(), 1);
         } else if (spec.smoke && arg == "--smoke") {
             options.smoke = true;
         } else if (spec.target_files && arg == "--target-file") {
@@ -124,6 +135,8 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
             }
             if (!matched) fail("unknown flag `" + arg + "`");
         }
+    } catch (const std::invalid_argument& error) {
+        fail(error.what());
     }
     return options;
 }

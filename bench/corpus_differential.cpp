@@ -112,10 +112,14 @@ int main(int argc, char** argv) {
     spec.kernel_files = true;
     spec.extra.push_back(
         {"--generated", true, "N  seeded random kernels (default 8)",
-         [&](const std::string& v) { generated = std::atoi(v.c_str()); }});
+         [&](const std::string& v) {
+             generated = parse_int_flag("--generated", v, 0);
+         }});
     spec.extra.push_back(
         {"--hostile", true, "N  seeded SLP-hostile kernels (default 4)",
-         [&](const std::string& v) { hostile = std::atoi(v.c_str()); }});
+         [&](const std::string& v) {
+             hostile = parse_int_flag("--hostile", v, 0);
+         }});
     const BenchOptions args = parse_bench_args(argc, argv, spec);
 
     // The kernel set: every corpus directory (default: the checked-in

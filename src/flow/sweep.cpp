@@ -93,7 +93,7 @@ std::vector<SweepResult> SweepDriver::run_timed(
     const std::vector<SweepPoint>& points,
     std::vector<long long>* micros_out) {
     // Resolve the per-point ingredients up front so configuration errors
-    // (unknown kernel / target / flow) surface before any thread spawns.
+    // (unknown kernel / target / flow) surface before any point runs.
     struct Job {
         const KernelContext* context;
         TargetModel target;
@@ -132,8 +132,7 @@ std::vector<SweepResult> SweepDriver::run_timed(
     std::mutex error_mutex;
 
     if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.threads);
-    ThreadPool& pool = *pool_;
-    pool.submit_range(jobs.size(), [&](size_t i) {
+    pool_->run_range(jobs.size(), [&](size_t i) {
         try {
             const Job& job = jobs[i];
             const auto start = std::chrono::steady_clock::now();
@@ -162,7 +161,6 @@ std::vector<SweepResult> SweepDriver::run_timed(
             if (!first_error) first_error = std::current_exception();
         }
     });
-    pool.wait_idle();
 
     if (first_error) std::rethrow_exception(first_error);
 

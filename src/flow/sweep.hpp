@@ -13,9 +13,12 @@
 //    memoized in an EvalCache keyed by a content hash of the final spec and
 //    groups, so sweep points that converge to the same specification — and
 //    repeated sweeps over the same grid — pay for it once;
-//  * points run concurrently on a work-stealing ThreadPool; results land
-//    in pre-assigned slots, so `run(points)[i]` always corresponds to
-//    `points[i]` and the output is bit-identical at any thread count.
+//  * points run concurrently on a work-stealing ThreadPool whose worker 0
+//    is the thread that calls run(): an N-thread driver starts N - 1
+//    helpers, and a 1-thread driver (a farm worker's chunk, a reference
+//    sweep) runs every point on its caller and hands nothing off. Results
+//    land in pre-assigned slots, so `run(points)[i]` always corresponds
+//    to `points[i]` and the output is bit-identical at any thread count.
 //
 // Points may carry per-point FlowOptions overrides (the ablation benches
 // flip flags like scaling_optim per variant) and per-point TargetModel
@@ -75,7 +78,9 @@ struct SweepPoint {
 /// count means the same thing on every path. Only `flow_options` can
 /// change an outcome; the rest shape how this process runs the sweep.
 struct ExecOptions {
-    /// Worker threads; <= 0 picks the hardware concurrency.
+    /// Points run at once, counting the thread that calls the sweep: N
+    /// starts N - 1 pool helpers, and 1 runs every point on the caller.
+    /// <= 0 picks the hardware concurrency.
     int threads = 0;
     /// Sweep-wide flow options (accuracy_db is overridden per point).
     FlowOptions flow_options;

@@ -3,8 +3,8 @@
 //
 // The default benefit is the paper's (and Liu et al.'s): the ratio of the
 // superword reuse a candidate enables to its packing/unpacking cost. The
-// savings-only mode ignores reuse and is kept as an ablation
-// (bench/ablation_benefit).
+// savings-only mode ignores reuse and is kept as an ablation (A3 in
+// bench/paper_claims).
 #pragma once
 
 #include <functional>

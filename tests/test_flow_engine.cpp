@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <memory>
+#include <thread>
 
 #include "core/slp_aware_wlo.hpp"
 #include "core/tabu_wlo.hpp"
@@ -431,48 +433,104 @@ TEST(AccuracyGrid, RejectsArgumentsThatCannotTerminate) {
 
 // --- thread pool ---------------------------------------------------------------
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 500; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 500);
-}
-
-TEST(ThreadPool, NestedSubmitsComplete) {
-    ThreadPool pool(3);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 20; ++i) {
-        pool.submit([&pool, &counter] {
-            for (int j = 0; j < 10; ++j) {
-                pool.submit([&counter] { counter.fetch_add(1); });
-            }
-        });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 200);
+// A 1-thread pool starts no helper: the caller runs the whole range
+// itself, in ascending order.
+TEST(ThreadPool, OneThreadRunsARangeOnTheCaller) {
+    ThreadPool pool(1);
+    EXPECT_EQ(pool.thread_count(), 1);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<size_t> order;
+    bool all_on_caller = true;
+    pool.run_range(50, [&](size_t i) {
+        all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+        order.push_back(i);
+    });
+    EXPECT_TRUE(all_on_caller);
+    ASSERT_EQ(order.size(), 50u);
+    for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 // A range runs every index exactly once, however it divides among the
-// workers, also when it is shorter than the pool or empty.
+// workers, also when it is shorter than the pool or empty. The caller is
+// worker 0: it starts at index 0 and runs its block front to back until
+// the block is done or thieves took the rest, then steals only from
+// later blocks.
 TEST(ThreadPool, RunsEveryIndexOfARangeOnce) {
     ThreadPool pool(4);
+    const std::thread::id caller = std::this_thread::get_id();
     for (const size_t count : {0, 1, 3, 4, 5, 500}) {
         std::vector<std::atomic<int>> runs(count);
-        pool.submit_range(count, [&runs](size_t i) { runs[i].fetch_add(1); });
-        pool.wait_idle();
+        std::vector<size_t> on_caller;  // appended by the caller only
+        pool.run_range(count, [&](size_t i) {
+            runs[i].fetch_add(1);
+            if (std::this_thread::get_id() == caller) on_caller.push_back(i);
+        });
         for (size_t i = 0; i < count; ++i) {
             EXPECT_EQ(runs[i].load(), 1) << "index " << i << " of " << count;
+        }
+        if (count == 0) continue;
+        ASSERT_FALSE(on_caller.empty()) << count;
+        const size_t block_end = (count + 3) / 4;
+        size_t own = 0;
+        while (own < on_caller.size() && on_caller[own] == own) ++own;
+        EXPECT_GE(own, 1u) << "the caller did not start at index 0";
+        for (size_t k = own; k < on_caller.size(); ++k) {
+            EXPECT_GE(on_caller[k], block_end)
+                << "the caller ran block 0 out of order, count " << count;
         }
     }
 }
 
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
+// A task may run a range of its own on another pool; run_range is not
+// re-entrant on the pool that runs the task.
+TEST(ThreadPool, TaskRunsARangeOnAnotherPool) {
+    ThreadPool pool(3);
+    std::atomic<int> counter{0};
+    pool.run_range(20, [&counter](size_t) {
+        ThreadPool inner(2);
+        inner.run_range(10, [&counter](size_t) { counter.fetch_add(1); });
+    });
+    EXPECT_EQ(counter.load(), 200);
+}
+
+TEST(ThreadPool, EmptyRangeOnAFreshPoolReturns) {
     ThreadPool pool(2);
-    pool.wait_idle();  // must not hang
+    pool.run_range(0, [](size_t) { FAIL() << "no index to run"; });
     EXPECT_EQ(pool.thread_count(), 2);
+}
+
+// A point that throws inside a 1-thread sweep, on the caller's own
+// thread, is rethrown by run_timed; the driver then runs the next grid
+// as a fresh one would.
+TEST(SweepDriver, OneThreadDriverRethrowsAPointAndRunsOn) {
+    struct ThrowingPass : Pass {
+        const char* name() const override { return "throwing"; }
+        void run(PassContext&) const override {
+            throw Error("throwing pass ran");
+        }
+    };
+    FlowRegistry::instance().add(FlowPipeline(
+        "Throwing", {make_range_analysis_pass(),
+                     std::make_shared<ThrowingPass>()}));
+    ExecOptions single;
+    single.threads = 1;
+    SweepDriver driver(single);
+    std::vector<SweepPoint> failing = SweepDriver::grid(
+        {"FIR"}, {"XENTIUM"}, {"WLO-SLP"}, {-20.0, -30.0});
+    failing.insert(failing.begin() + 1,
+                   SweepPoint{"FIR", "XENTIUM", "Throwing", -25.0, {}, {}});
+    try {
+        driver.run_timed(failing, nullptr);
+        FAIL() << "the throwing point was not rethrown";
+    } catch (const Error& error) {
+        EXPECT_STREQ(error.what(), "throwing pass ran");
+    }
+
+    const std::vector<SweepPoint> next = SweepDriver::grid(
+        {"FIR", "IIR"}, {"XENTIUM"}, {"WLO-SLP", "WLO-First"},
+        {-20.0, -40.0});
+    SweepDriver fresh(single);
+    EXPECT_EQ(sweep_to_json(driver.run(next)), sweep_to_json(fresh.run(next)));
 }
 
 // --- structured reports --------------------------------------------------------
