@@ -78,6 +78,18 @@ struct Chunk {
     std::vector<size_t> slots;
 };
 
+/// The chunk an `acquire` or `complete` reply leases; no slots when the
+/// reply carries no lease.
+Chunk leased_chunk(const Message& response,
+                   const dist::ShardManifest& manifest) {
+    Chunk chunk;
+    if (response.field("lease").empty()) return chunk;
+    chunk.lease = static_cast<uint64_t>(response.require_ll("lease"));
+    chunk.slots = parse_slot_list(response.require_field("slots"),
+                                  manifest.points.size());
+    return chunk;
+}
+
 /// The `acquire` verb. Polls while the daemon says wait: unfinished
 /// chunks are claimed elsewhere and may expire back into the pool.
 Chunk acquire_chunk(FarmClient& client, const FarmWorkerOptions& options,
@@ -88,25 +100,22 @@ Chunk acquire_chunk(FarmClient& client, const FarmWorkerOptions& options,
     request.fields["job"] = std::to_string(job);
     while (true) {
         const Message response = client.call(request);
-        if (!response.field("lease").empty()) {
-            Chunk chunk;
-            chunk.lease = static_cast<uint64_t>(response.require_ll("lease"));
-            chunk.slots = parse_slot_list(response.require_field("slots"),
-                                          manifest.points.size());
+        Chunk chunk = leased_chunk(response, manifest);
+        if (!chunk.slots.empty() || response.field("wait") != "1") {
             return chunk;
         }
-        if (response.field("wait") != "1") return {};
         sleep_ms(options.poll_ms);
     }
 }
 
 /// The `complete` verb: the chunk's rows as one results file in one
-/// atomic frame.
-void complete_chunk(FarmClient& client, const FarmWorkerOptions& options,
-                    size_t job, const dist::ShardManifest& manifest,
-                    const Chunk& chunk,
-                    const std::vector<SweepResult>& results,
-                    const std::vector<long long>& micros) {
+/// atomic frame. Returns the daemon's reply, which leases the next chunk
+/// when one is pending.
+Message complete_chunk(FarmClient& client, const FarmWorkerOptions& options,
+                       size_t job, const dist::ShardManifest& manifest,
+                       const Chunk& chunk,
+                       const std::vector<SweepResult>& results,
+                       const std::vector<long long>& micros) {
     dist::ShardResultsFile file;
     file.total_slots = manifest.total_slots;
     file.grid_fp = manifest.grid_fp;
@@ -124,7 +133,7 @@ void complete_chunk(FarmClient& client, const FarmWorkerOptions& options,
     request.fields["job"] = std::to_string(job);
     request.fields["lease"] = std::to_string(chunk.lease);
     request.body = dist::shard_results_text(file);
-    client.call(request);
+    return client.call(request);
 }
 
 /// The `abandon` verb: the chunk goes back to the pool.
@@ -304,9 +313,8 @@ size_t run_farm_worker(const std::string& host, int port,
         ExecOptions exec = options.exec;
         exec.flow_options = manifest.defaults;
         SweepDriver driver(exec);
-        while (true) {
-            const Chunk chunk = acquire_chunk(client, options, job, manifest);
-            if (chunk.slots.empty()) break;
+        Chunk chunk = acquire_chunk(client, options, job, manifest);
+        while (!chunk.slots.empty()) {
             std::vector<SweepPoint> points;
             points.reserve(chunk.slots.size());
             for (const size_t slot : chunk.slots) {
@@ -321,8 +329,12 @@ size_t run_farm_worker(const std::string& host, int port,
                 throw;
             }
             executed += results.size();
-            complete_chunk(client, options, job, manifest, chunk, results,
-                           micros);
+            const Message reply = complete_chunk(
+                client, options, job, manifest, chunk, results, micros);
+            chunk = leased_chunk(reply, manifest);
+            if (chunk.slots.empty() && reply.field("finalized") != "1") {
+                chunk = acquire_chunk(client, options, job, manifest);
+            }
         }
     }
     return executed;

@@ -15,14 +15,15 @@
 // run_farm_worker() is the whole worker loop the CLI's `work --connect`
 // verb wraps: register, then per job — fetch the manifest, build a
 // SweepDriver whose flow defaults are *that job's* manifest defaults,
-// and repeat `acquire` (polling while the daemon says wait: claimed
-// chunks elsewhere may expire back), SweepDriver::run_timed and
-// `complete` (the rows as one results file in one atomic frame) until
-// the daemon reports the job finalized; a point that throws sends
-// `abandon` and rethrows. Because every chunk runs through run_timed,
-// farm results inherit the slot-determinism guarantee: report bytes
-// are identical to the 1-process sweep no matter how chunks landed on
-// workers.
+// `acquire` a chunk, and repeat SweepDriver::run_timed and `complete`
+// (the rows as one results file in one atomic frame; the reply leases
+// the next chunk) until the daemon reports the job finalized. A reply
+// without a lease sends `acquire` again, which polls while the daemon
+// says wait (claimed chunks elsewhere may expire back); a point that
+// throws sends `abandon` and rethrows. Because every chunk runs through
+// run_timed, farm results inherit the slot-determinism guarantee: report
+// bytes are identical to the 1-process sweep no matter how chunks landed
+// on workers.
 #pragma once
 
 #include <atomic>
@@ -88,10 +89,10 @@ private:
     std::thread thread_;
 };
 
-/// Parse the slot list of an `acquire` reply: comma-separated decimal
-/// slots, strictly ascending, each below `grid_size`. Throws Error on an
-/// empty list or item, a character that is not a digit, a slot beyond
-/// the grid or a slot out of order.
+/// Parse the slot list of a lease (an `acquire` or `complete` reply):
+/// comma-separated decimal slots, strictly ascending, each below
+/// `grid_size`. Throws Error on an empty list or item, a character that
+/// is not a digit, a slot beyond the grid or a slot out of order.
 std::vector<size_t> parse_slot_list(const std::string& text,
                                     size_t grid_size);
 

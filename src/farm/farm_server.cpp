@@ -53,6 +53,17 @@ Message error_message(const std::string& text) {
     return response;
 }
 
+/// Put an acquired lease into a reply as `lease` and `slots`.
+void put_lease(Message& response, const JobBoard::Acquired& acquired) {
+    response.fields["lease"] = std::to_string(acquired.lease);
+    std::string slots;
+    for (const size_t slot : acquired.slots) {
+        if (!slots.empty()) slots += ",";
+        slots += std::to_string(slot);
+    }
+    response.fields["slots"] = slots;
+}
+
 /// `submit`'s `chunk_cost`: a finite number with nothing around it.
 double parse_chunk_cost(const std::string& text) {
     double value = 0.0;
@@ -321,25 +332,24 @@ Message FarmServer::handle(const Message& request, long long now) {
                 response.fields["wait"] =
                     std::string(acquired.wait ? "1" : "0");
             } else {
-                response.fields["lease"] = std::to_string(acquired.lease);
-                std::string slots;
-                for (const size_t slot : acquired.slots) {
-                    if (!slots.empty()) slots += ",";
-                    slots += std::to_string(slot);
-                }
-                response.fields["slots"] = slots;
+                put_lease(response, acquired);
             }
             return response;
         }
         if (request.verb == "complete") {
+            const std::string& worker = request.require_field("worker");
+            const size_t job = static_cast<size_t>(request.require_ll("job"));
             const bool finalized = board_.complete(
-                request.require_field("worker"),
-                static_cast<size_t>(request.require_ll("job")),
+                worker, job,
                 static_cast<uint64_t>(request.require_ll("lease")),
                 request.body, now);
             Message response = ok();
             response.fields["finalized"] =
                 std::string(finalized ? "1" : "0");
+            // The worker's next chunk rides on the reply, saving it an
+            // `acquire` round trip. No lease: it acquires (and polls).
+            const JobBoard::Acquired next = board_.acquire(worker, job, now);
+            if (!next.slots.empty()) put_lease(response, next);
             return response;
         }
         if (request.verb == "abandon") {

@@ -11,7 +11,7 @@
 // The verb set (request -> response; errors come back as
 // `verb = error` with a `message` field, the connection stays usable):
 //
-//   hello      worker=<id>                      -> ok  protocol=slpwlo-farm/1
+//   hello      worker=<id>                      -> ok  protocol=slpwlo-farm/2
 //   submit     [chunk_cost=] [chunk_slots=]     -> ok  job= spliced=
 //              [splice_bytes=N]
 //              body: manifest text, then (when
@@ -22,8 +22,10 @@
 //   acquire    worker= job=                     -> ok  lease= slots=a,b,c
 //                                                      | wait=0|1 (empty)
 //   complete   worker= job= lease=              -> ok  finalized=0|1
-//              body: rows file covering the
-//              lease's slots exactly
+//              body: rows file covering the            [lease= slots=]
+//              lease's slots exactly                   (the worker's
+//                                                      next chunk, dealt
+//                                                      as by acquire)
 //   abandon    job= lease=                      -> ok
 //   heartbeat  worker=<id>                      -> ok
 //   status                                      -> ok  body: status JSON

@@ -6,7 +6,7 @@
 // response frame. A frame is an ASCII header line followed by an exact
 // byte count of payload:
 //
-//   slpwlo-farm/1 <payload-bytes>\n
+//   slpwlo-farm/2 <payload-bytes>\n
 //   <payload...>
 //
 // The header carries the protocol version explicitly so a client and
@@ -44,9 +44,11 @@
 namespace slpwlo::farm {
 
 /// Protocol tag sent on every frame; bump the version on any change an
-/// old peer cannot ignore.
-inline constexpr const char* kProtocolTag = "slpwlo-farm/1";
-inline constexpr int kProtocolVersion = 1;
+/// old peer cannot ignore. Version 2: a `complete` reply may carry the
+/// worker's next lease, which a version-1 worker would leave claimed
+/// and unrun for as long as it heartbeats.
+inline constexpr const char* kProtocolTag = "slpwlo-farm/2";
+inline constexpr int kProtocolVersion = 2;
 
 /// Hard cap on one frame's payload. Large enough for a whole-grid
 /// manifest plus splice rows, small enough that a corrupt length prefix

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "farm/framing.hpp"
 #include "flow/report.hpp"
 #include "support/diagnostics.hpp"
 
@@ -80,7 +81,11 @@ void JobBoard::heartbeat(const std::string& worker, long long now_ms) {
 size_t JobBoard::expire(long long now_ms) {
     size_t reissued = 0;
     for (auto& [name, worker] : workers_) {
-        if (now_ms - worker.last_heartbeat_ms < ttl_ms_) continue;
+        // An expired worker's claims went back at the sweep that expired
+        // it, and it claims nothing until a heartbeat clears the flag.
+        if (worker.expired || now_ms - worker.last_heartbeat_ms < ttl_ms_) {
+            continue;
+        }
         worker.expired = true;
         for (Job& job : jobs_) {
             for (Chunk& chunk : job.chunks) {
@@ -129,24 +134,63 @@ JobBoard::Acquired JobBoard::acquire(const std::string& worker, size_t job_id,
     Acquired out;
     if (job.finalized) return out;  // empty, wait = false: move on
 
-    // Claim the first pending chunk, whole: one chunk per lease, never
-    // split.
-    for (size_t index = 0; index < job.chunks.size(); ++index) {
-        Chunk& chunk = job.chunks[index];
-        if (chunk.state != Chunk::State::Pending) continue;
-        out.lease = next_lease_++;
-        leases_[out.lease] = {job_id, index};
-        chunk.state = Chunk::State::Claimed;
-        chunk.worker = worker;
-        chunk.lease = out.lease;
-        chunk.issues++;
-        out.slots = chunk.slots;
+    Worker& claimant = workers_[worker];
+    std::optional<size_t> after;
+    if (claimant.last_claim && claimant.last_claim->first == job_id) {
+        after = claimant.last_claim->second;
+    }
+    const std::optional<size_t> index = deal(job, after);
+    if (!index) {
+        // Nothing pending. Unfinished chunks are claimed elsewhere —
+        // worth polling, they may expire back.
+        out.wait = true;
         return out;
     }
-    // Nothing pending. Unfinished chunks are claimed elsewhere — worth
-    // polling, they may expire back.
-    out.wait = !job.finalized;
+    // The chunk whole: one chunk per lease, never split.
+    Chunk& chunk = job.chunks[*index];
+    out.lease = next_lease_++;
+    leases_[out.lease] = {job_id, *index};
+    chunk.state = Chunk::State::Claimed;
+    chunk.worker = worker;
+    chunk.lease = out.lease;
+    chunk.issues++;
+    out.slots = chunk.slots;
+    claimant.last_claim = {job_id, *index};
     return out;
+}
+
+std::optional<size_t> JobBoard::deal(const Job& job,
+                                     std::optional<size_t> after) {
+    const std::vector<Chunk>& chunks = job.chunks;
+    const auto pending = [&chunks](size_t index) {
+        return chunks[index].state == Chunk::State::Pending;
+    };
+    // Walk on through the claimant's own run.
+    if (after && *after + 1 < chunks.size() && pending(*after + 1)) {
+        return *after + 1;
+    }
+    // Else open a run inside the longest run of pending chunks.
+    size_t run_begin = 0;
+    size_t run_length = 0;
+    for (size_t begin = 0; begin < chunks.size();) {
+        if (!pending(begin)) {
+            ++begin;
+            continue;
+        }
+        size_t end = begin + 1;
+        while (end < chunks.size() && pending(end)) ++end;
+        if (end - begin > run_length) {
+            run_begin = begin;
+            run_length = end - begin;
+        }
+        begin = end;
+    }
+    if (run_length == 0) return std::nullopt;
+    // A claimed chunk just before the run means its holder walks into the
+    // run's front next, so split the run instead.
+    const bool walked_into =
+        run_begin > 0 && chunks[run_begin - 1].state == Chunk::State::Claimed;
+    return walked_into ? run_begin + run_length / 2 : run_begin;
 }
 
 bool JobBoard::complete(const std::string& worker, size_t job_id,
@@ -229,7 +273,7 @@ std::string JobBoard::rows_text(size_t job) const {
 std::string JobBoard::status_json(long long now_ms) const {
     std::ostringstream os;
     os << "{\n";
-    os << "  \"protocol\": \"" << "slpwlo-farm/1" << "\",\n";
+    os << "  \"protocol\": \"" << kProtocolTag << "\",\n";
     os << "  \"drained\": " << (drained() ? "true" : "false") << ",\n";
     os << "  \"reissues\": " << reissues_ << ",\n";
     os << "  \"jobs\": [";

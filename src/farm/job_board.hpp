@@ -17,6 +17,9 @@
 //   * workers claim chunks (each claim issues a fresh lease id), renew
 //     liveness by heartbeat, and a worker whose heartbeat goes stale for
 //     ttl_ms has every claimed chunk silently re-issued;
+//   * chunks are dealt by affinity (acquire): a worker walks forward
+//     through a contiguous run of chunks, so the per-kernel work its
+//     driver caches is shared by the neighbouring points it runs next;
 //   * a straggler that completes after its chunk was re-issued is not an
 //     error: the RowAccumulator deduplicates byte-identical rows, and
 //     anything else is a conflict;
@@ -36,6 +39,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dist/shard_manifest.hpp"
@@ -94,8 +98,18 @@ public:
         bool wait = false;
     };
 
-    /// Claim the next pending chunk of `job` for `worker`, whole: one
-    /// chunk per lease, never split. Claims count as heartbeats.
+    /// Claim a pending chunk of `job` for `worker`, whole: one chunk per
+    /// lease, never split. Claims count as heartbeats. Chunks are dealt by
+    /// affinity, so each worker runs a contiguous run of the grid and
+    /// reuses what its driver built for the neighbouring points:
+    ///   * the chunk after the worker's last claim in this job, if it is
+    ///     still pending;
+    ///   * otherwise a new run inside the longest run of pending chunks
+    ///     (the first such run on ties): its first chunk when nobody
+    ///     walks into it (the chunk before it is not claimed), else its
+    ///     middle chunk.
+    /// Expired and abandoned chunks are pending again and dealt by the
+    /// same rule. The daemon's `complete` reply claims through here too.
     Acquired acquire(const std::string& worker, size_t job, long long now_ms);
 
     /// Fold one completed lease in: `rows_text` is a shard results file
@@ -156,11 +170,19 @@ private:
     struct Worker {
         long long last_heartbeat_ms = 0;
         size_t completed_chunks = 0;
-        bool expired = false;  ///< stale at the last expire() sweep
+        /// Stale at an expire() sweep, and so holding no claim, until
+        /// the next heartbeat.
+        bool expired = false;
+        /// (job, chunk) of the latest claim: the run this worker walks.
+        std::optional<std::pair<size_t, size_t>> last_claim;
     };
 
     Job& job_at(size_t job);
     const Job& job_at(size_t job) const;
+    /// The chunk acquire() deals next in `job` (see there); `after` is
+    /// the claimant's last claim in that job. nullopt = nothing pending.
+    static std::optional<size_t> deal(const Job& job,
+                                      std::optional<size_t> after);
     void finalize_if_complete(Job& job, long long now_ms);
 
     long long ttl_ms_;

@@ -1,5 +1,6 @@
 // FarmService: wire framing edge cases, the JobBoard state machine at
-// ttl 0 (explicit clocks, no sleeps), incremental-re-sweep splicing, and
+// ttl 0 (explicit clocks, no sleeps) and its affinity dealing, the next
+// lease on a `complete` reply, incremental-re-sweep splicing, and
 // socket end-to-end runs whose reports must be byte-identical to the
 // 1-process sweep — at 1 and 4 workers, and with a worker that dies
 // mid-`complete`, and a measuring worker whose report is the unmeasured
@@ -13,10 +14,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <climits>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -100,26 +103,29 @@ TEST(FarmFraming, GarbageHeaderPoisonsTheConnection) {
 }
 
 TEST(FarmFraming, VersionMismatchIsNamedNotGarbage) {
-    std::string buffer = "slpwlo-farm/2 5\nhello";
+    std::string future = "slpwlo-farm/";
+    future += std::to_string(kProtocolVersion + 1);
+    std::string buffer = future + " 5\nhello";
     try {
         take_frame(buffer);
         FAIL() << "a future protocol version must be rejected";
     } catch (const Error& e) {
         const std::string what = e.what();
         EXPECT_NE(what.find("version mismatch"), std::string::npos) << what;
-        EXPECT_NE(what.find("slpwlo-farm/2"), std::string::npos) << what;
+        EXPECT_NE(what.find(future), std::string::npos) << what;
     }
 }
 
 TEST(FarmFraming, OversizedLengthRejectedBeforePayload) {
     // Only the header has arrived — the bogus length alone must kill the
     // connection (no buffering 2^60 bytes first).
+    const std::string tag = kProtocolTag;
     std::string buffer =
-        "slpwlo-farm/1 " + std::to_string(kMaxFrameBytes + 1) + "\n";
+        tag + " " + std::to_string(kMaxFrameBytes + 1) + "\n";
     EXPECT_THROW(take_frame(buffer), Error);
-    std::string absurd = "slpwlo-farm/1 1152921504606846976\n";
+    std::string absurd = tag + " 1152921504606846976\n";
     EXPECT_THROW(take_frame(absurd), Error);
-    std::string not_a_number = "slpwlo-farm/1 12q4\n";
+    std::string not_a_number = tag + " 12q4\n";
     EXPECT_THROW(take_frame(not_a_number), Error);
 }
 
@@ -310,6 +316,88 @@ TEST(FarmJobBoard, AbandonReturnsChunksToThePool) {
     const JobBoard::Acquired blocked = board.acquire("w3", job, 3);
     EXPECT_TRUE(blocked.slots.empty());
     EXPECT_TRUE(blocked.wait);
+}
+
+TEST(FarmJobBoard, WorkersWalkContiguousRuns) {
+    JobBoard board(100);
+    const std::string text = whole_grid_manifest(
+        SweepDriver::grid({"FIR", "DOT"}, {"XENTIUM"}, {"WLO-SLP", "WLO-First"},
+                          {-20.0, -30.0, -40.0, -50.0}));
+    const ShardManifest manifest = parse_shard_manifest(text, "<test>");
+    ASSERT_EQ(manifest.total_slots, 16u);
+    ChunkOptions chunking;
+    chunking.chunk_cost = 1e18;
+    chunking.max_chunk_slots = 1;  // 16 one-slot chunks: chunk i is slot i
+    const size_t job = board.submit(text, chunking, "", 0);
+
+    long long now = 1;
+    std::map<std::string, JobBoard::Acquired> held;
+    const auto claim = [&](const std::string& worker) -> size_t {
+        const JobBoard::Acquired got = board.acquire(worker, job, now++);
+        if (got.slots.size() != 1) {
+            ADD_FAILURE() << worker << " claimed " << got.slots.size()
+                          << " slots";
+            return SIZE_MAX;
+        }
+        held[worker] = got;
+        return got.slots[0];
+    };
+    const auto complete = [&](const std::string& worker) {
+        const JobBoard::Acquired& got = held.at(worker);
+        return board.complete(worker, job, got.lease,
+                              synthetic_rows(manifest, got.slots), now++);
+    };
+    const auto walk = [&](const std::string& worker) {
+        complete(worker);
+        return claim(worker);
+    };
+
+    EXPECT_EQ(claim("w1"), 0u) << "nobody walks into 0..15: its front";
+    EXPECT_EQ(claim("w2"), 8u) << "w1 walks into 1..15: its middle";
+    for (size_t slot = 1; slot < 8; ++slot) EXPECT_EQ(walk("w1"), slot);
+    EXPECT_EQ(walk("w1"), 12u) << "successor 8 is taken: the middle of 9..15";
+    for (size_t slot = 9; slot < 12; ++slot) EXPECT_EQ(walk("w2"), slot);
+    EXPECT_EQ(walk("w2"), 14u)
+        << "successor 12 is taken: the middle of 13..15";
+
+    board.abandon(job, held.at("w2").lease);
+    EXPECT_EQ(walk("w1"), 13u);
+    EXPECT_EQ(claim("w3"), 15u) << "w1 walks into 14..15: its middle";
+    now += 1000;  // w2 and w3 fall silent
+    EXPECT_EQ(walk("w1"), 14u) << "the abandoned chunk is dealt again";
+    EXPECT_EQ(board.expire(now), 1u) << "w3's chunk goes back";
+    EXPECT_EQ(board.expire(now), 0u);
+    EXPECT_EQ(walk("w1"), 15u) << "the expired chunk is dealt again";
+    EXPECT_TRUE(complete("w1"));
+
+    // Without expiry, three workers taking turns are dealt every chunk
+    // exactly once.
+    JobBoard fresh(100);
+    const size_t fresh_job = fresh.submit(text, chunking, "", 0);
+    std::vector<size_t> dealt;
+    std::map<std::string, JobBoard::Acquired> holding;
+    bool finalized = false;
+    for (long long t = 1; !finalized && t < 100; ++t) {
+        std::string worker = "w";
+        worker += std::to_string(t % 3);
+        const auto it = holding.find(worker);
+        if (it != holding.end()) {
+            finalized = fresh.complete(worker, fresh_job, it->second.lease,
+                                       synthetic_rows(manifest,
+                                                      it->second.slots),
+                                       t);
+            holding.erase(it);
+        }
+        const JobBoard::Acquired got = fresh.acquire(worker, fresh_job, t);
+        if (got.slots.empty()) continue;
+        dealt.insert(dealt.end(), got.slots.begin(), got.slots.end());
+        holding[worker] = got;
+    }
+    EXPECT_TRUE(finalized);
+    std::sort(dealt.begin(), dealt.end());
+    std::vector<size_t> every(16);
+    std::iota(every.begin(), every.end(), size_t{0});
+    EXPECT_EQ(dealt, every);
 }
 
 TEST(FarmJobBoard, SubmitWithSpliceRowsFinalizesUnchangedGrids) {
@@ -552,7 +640,8 @@ TEST_P(FarmE2EWorkers, FarmSweepIsByteIdenticalToSingleProcess) {
     // The status verb over the wire reflects the finished state.
     const std::string body = fetch_status();
     EXPECT_NE(body.find("\"drained\": true"), std::string::npos);
-    EXPECT_NE(body.find("\"protocol\": \"slpwlo-farm/1\""),
+    EXPECT_NE(body.find(std::string("\"protocol\": \"") + kProtocolTag +
+                        "\""),
               std::string::npos);
 }
 
@@ -662,20 +751,66 @@ TEST_F(FarmE2E, WorkerKilledMidCompleteDeliversNothing) {
     EXPECT_EQ(fetch_report(job), reference_json);
 }
 
+// A `complete` reply leases the worker's next chunk, so after the first
+// `acquire` the worker needs no other request; the final reply leases
+// nothing and no claim is left behind.
+TEST_F(FarmE2E, CompleteHandsOutTheNextChunk) {
+    const std::vector<SweepPoint> grid = board_grid();
+    const std::string text = whole_grid_manifest(grid);
+    const ShardManifest manifest = parse_shard_manifest(text, "<test>");
+    start(/*ttl_ms=*/10000);
+    const size_t job = submit_over_wire(text, 1);
+
+    FarmClient client("127.0.0.1", server_->port());
+    Message acquire;
+    acquire.verb = "acquire";
+    acquire.fields["worker"] = "w";
+    acquire.fields["job"] = std::to_string(job);
+    Message reply = client.call(acquire);
+    for (size_t slot = 0; slot < grid.size(); ++slot) {
+        ASSERT_EQ(reply.field("slots"), std::to_string(slot));
+        Message complete;
+        complete.verb = "complete";
+        complete.fields["worker"] = "w";
+        complete.fields["job"] = std::to_string(job);
+        complete.fields["lease"] = reply.require_field("lease");
+        complete.body = synthetic_rows(manifest, {slot});
+        const std::string lease = complete.fields["lease"];
+        reply = client.call(complete);
+        const bool last = slot + 1 == grid.size();
+        EXPECT_EQ(reply.field("finalized"), last ? "1" : "0");
+        EXPECT_EQ(reply.field("lease").empty(), last) << "slot " << slot;
+        EXPECT_NE(reply.field("lease"), lease) << "a fresh lease";
+    }
+    EXPECT_EQ(reply.field("slots"), "");
+
+    const std::string status = fetch_status();
+    EXPECT_NE(status.find("\"drained\": true"), std::string::npos);
+    const std::string key = "\"claimed_chunks\": ";
+    size_t claims_seen = 0;
+    for (size_t at = status.find(key); at != std::string::npos;
+         at = status.find(key, at + 1)) {
+        EXPECT_EQ(std::stoul(status.substr(at + key.size())), 0u) << status;
+        claims_seen++;
+    }
+    EXPECT_EQ(claims_seen, 2u) << "one job and one worker: " << status;
+}
+
 TEST_F(FarmE2E, ServerAnswersProtocolErrorsAndStaysUp) {
     start(/*ttl_ms=*/10000);
 
-    // Version mismatch: the server answers with a version-1 error frame
-    // naming the peer's version, then closes that connection.
+    // Version mismatch: a version-1 worker's hello gets an error frame in
+    // this build's version naming the peer's version, then that
+    // connection closes. Only one version is accepted.
     {
         const int fd = connect_loopback(server_->port());
-        const std::string frame = "slpwlo-farm/2 5\nhello";
+        const std::string frame = "slpwlo-farm/1 5\nhello";
         ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
                   static_cast<ssize_t>(frame.size()));
         const std::optional<Message> response = read_frame(fd);
         ASSERT_TRUE(response.has_value());
         EXPECT_EQ(response->verb, "error");
-        EXPECT_NE(response->field("message").find("slpwlo-farm/2"),
+        EXPECT_NE(response->field("message").find("slpwlo-farm/1"),
                   std::string::npos);
         ::close(fd);
     }
